@@ -26,11 +26,8 @@ from .core import (
 from .allocation import (
     AllocationPlan,
     TypeEconomics,
-    availability_score,
     awr_assign,
-    drift,
     expected_utility,
-    queue_update,
     smart_plan,
 )
 from .fcm import ConceptMap, StateVector, Trajectory

@@ -40,25 +40,6 @@ def expected_utility(utility: float, competence: float, mood: float) -> float:
     return utility * competence * mood
 
 
-def queue_update(queue_length: int, accepted: int, served: int) -> int:
-    """Next queue length: arrivals minus service, never negative."""
-    return max(queue_length + accepted - served, 0)
-
-
-def drift(accepted: int, served: int) -> float:
-    """Workload-drift penalty for one queue: the product of tasks
-    admitted and tasks served in the same step."""
-    return accepted * served
-
-
-def availability_score(
-    psi: float, utility: float, competence: float, mood: float, service_rate: float
-) -> float:
-    """Acceptance key for one task type: weighted expected utility minus
-    the recent service rate."""
-    return psi * expected_utility(utility, competence, mood) - service_rate
-
-
 @dataclass(frozen=True)
 class TypeEconomics:
     """Per-type inputs to the acceptance plan.
@@ -86,6 +67,8 @@ class TypeEconomics:
             raise ValueError(f"effort must be > 0 (got {self.effort})")
 
     def availability_score(self, psi: float) -> float:
+        """Acceptance key for the type: weighted expected utility minus
+        the recent service rate."""
         return psi * self.expected_utility - self.recent_service_rate
 
 

@@ -223,12 +223,15 @@ def cmd_fcm(args) -> int:
             f"initial state has {len(values)} values for a "
             f"{cmap.node_count}-node map"
         )
-    trajectory = fcm.run(
-        cmap,
-        fcm.StateVector(values=values),
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    try:
+        trajectory = fcm.run(
+            cmap,
+            fcm.StateVector(values=values),
+            max_iter=args.max_iter,
+            tol=args.tol,
+        )
+    except ValueError as exc:  # --max-iter or --tol out of range
+        raise CliInputError(str(exc)) from None
     final = trajectory.final
     rendered = ", ".join(f"{v:.6f}" for v in final.values)
     print(f"terminal: {trajectory.terminal} at iteration {final.iteration}")

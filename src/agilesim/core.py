@@ -10,8 +10,9 @@ crossed with three competence profiles.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -76,7 +77,6 @@ class TaskInstance:
     assigned_day: int | None = None
     completion_day: int | None = None
     quality_success: bool | None = None
-    accept_seq: int | None = None
 
 
 @dataclass
@@ -85,10 +85,9 @@ class AgentState:
 
     ``competence`` is a scalar in [0, 1]; a per-type override map may be
     supplied for agents whose skill differs across task types.
-    ``queues`` holds accepted-but-unfinished tasks per type in acceptance
-    order; ``pending`` is the same tasks in global acceptance order and
-    is the service order. ``carryover_effort`` is the effort already sunk
-    into the head in-service task.
+    ``pending`` holds accepted-but-unfinished tasks in acceptance order,
+    which is the service order; only its head can be partly served.
+    ``queued`` counts those tasks per type.
     """
 
     agent_id: str
@@ -97,10 +96,9 @@ class AgentState:
     mood: float
     max_effort: float
     competence_by_type: dict[str, float] | None = None
-    queues: dict[str, deque[TaskInstance]] = field(default_factory=dict)
     pending: deque[TaskInstance] = field(default_factory=deque)
+    queued: dict[str, int] = field(default_factory=dict)
     pending_effort: float = 0.0
-    carryover_effort: float = 0.0
     recent_completions: dict[str, int] = field(default_factory=dict)
 
     def competence_for(self, type_id: str) -> float:
@@ -255,29 +253,37 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return the config unchanged.
 
     Raises :class:`ScenarioValidationError` carrying one entry per
-    violation, each prefixed with the offending field path.
+    violation, each prefixed with the offending field path. Real-valued
+    fields must be finite before their range is checked.
     """
     errors: list[str] = []
+
+    def check(path: str, value: float, ok: bool, rule: str) -> None:
+        if not math.isfinite(value):
+            errors.append(f"{path}: must be finite (got {value})")
+        elif not ok:
+            errors.append(f"{path}: {rule} (got {value})")
+
     if not config.name:
         errors.append("name: must be non-empty")
     if config.horizon_days < 1:
         errors.append(f"horizon_days: must satisfy horizon_days >= 1 (got {config.horizon_days})")
     if config.repetitions < 1:
         errors.append(f"repetitions: must satisfy repetitions >= 1 (got {config.repetitions})")
-    if config.psi < 0:
-        errors.append(f"psi: must satisfy psi >= 0 (got {config.psi})")
+    check("psi", config.psi, config.psi >= 0, "must satisfy psi >= 0")
     if config.team.head_count() <= 0:
         errors.append("team: total head-count must be > 0")
     for spec in config.team.categories:
         path = f"team.{spec.category.value}"
         if spec.count < 0:
             errors.append(f"{path}.count: must be >= 0 (got {spec.count})")
-        if not 0.0 < spec.competence <= 1.0:
-            errors.append(
-                f"{path}.competence: competence must be within (0, 1] (got {spec.competence})"
-            )
-        if spec.max_effort <= 0:
-            errors.append(f"{path}.max_effort: must be > 0 (got {spec.max_effort})")
+        check(
+            f"{path}.competence",
+            spec.competence,
+            0.0 < spec.competence <= 1.0,
+            "competence must be within (0, 1]",
+        )
+        check(f"{path}.max_effort", spec.max_effort, spec.max_effort > 0, "must be > 0")
     if config.total_tasks() <= 0:
         errors.append("task_mix: total task count must be > 0")
     seen: set[str] = set()
@@ -288,18 +294,13 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         seen.add(spec.type_id)
         if count < 0:
             errors.append(f"{path}.count: must be >= 0 (got {count})")
-        if spec.utility < 0:
-            errors.append(f"{path}.utility: must be >= 0 (got {spec.utility})")
-        if spec.effort <= 0:
-            errors.append(f"{path}.effort: must be > 0 (got {spec.effort})")
-        if spec.priority < 0:
-            errors.append(f"{path}.priority: must be >= 0 (got {spec.priority})")
+        check(f"{path}.utility", spec.utility, spec.utility >= 0, "must be >= 0")
+        check(f"{path}.effort", spec.effort, spec.effort > 0, "must be > 0")
+        check(f"{path}.priority", spec.priority, spec.priority >= 0, "must be >= 0")
     if config.mood_mode.kind not in ("constant", "fcm-coupled"):
         errors.append(f"mood_mode.kind: unknown kind {config.mood_mode.kind!r}")
-    if not 0.0 <= config.mood_mode.value <= 1.0:
-        errors.append(
-            f"mood_mode.value: mood must be within [0, 1] (got {config.mood_mode.value})"
-        )
+    mood = config.mood_mode.value
+    check("mood_mode.value", mood, 0.0 <= mood <= 1.0, "mood must be within [0, 1]")
     if errors:
         raise ScenarioValidationError(errors)
     return config
@@ -347,71 +348,86 @@ def scenario_to_document(config: ScenarioConfig) -> dict:
     }
 
 
-def _parse_mood_mode(raw: str) -> MoodMode:
+def _parse_mood_mode(raw) -> MoodMode:
+    raw = str(raw)
     if raw == "fcm-coupled":
         return MoodMode.fcm_coupled()
     if raw == "constant":
         return MoodMode.constant(1.0)
     if raw.startswith("constant:"):
         return MoodMode.constant(float(raw.split(":", 1)[1]))
-    raise ScenarioValidationError([f"mood_mode: unrecognized value {raw!r}"])
+    raise ValueError(raw)
+
+
+_REQUIRED = object()
 
 
 def scenario_from_document(doc: dict) -> ScenarioConfig:
-    missing = [
-        key
-        for key in ("name", "team", "tasks", "horizon_days", "repetitions", "seed")
-        if key not in doc
-    ]
-    if missing:
-        raise ScenarioValidationError(
-            [f"{key}: required key missing" for key in missing]
-        )
-    categories = []
-    for cat_name, entry in doc["team"].items():
+    """Build and validate a scenario. Every missing or unconvertible
+    field is reported with its path before the config is validated."""
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError(["scenario: expected a JSON object"])
+    errors: list[str] = []
+
+    def read(entry: dict, key: str, kind, path: str, default=_REQUIRED):
+        if key not in entry:
+            if default is not _REQUIRED:
+                return default
+            errors.append(f"{path}: required key missing")
+            return None
         try:
-            cat = Category(cat_name)
+            return kind(entry[key])
+        except (TypeError, ValueError, OverflowError):
+            errors.append(f"{path}: invalid value {entry[key]!r}")
+            return None
+
+    categories = []
+    for cat_name, entry in (read(doc, "team", dict, "team") or {}).items():
+        path = f"team.{cat_name}"
+        try:
+            category = Category(cat_name)
         except ValueError:
-            raise ScenarioValidationError(
-                [f"team.{cat_name}: unknown category"]
-            ) from None
+            errors.append(f"{path}: unknown category")
+            continue
+        if not isinstance(entry, dict):
+            errors.append(f"{path}: expected an object")
+            continue
         categories.append(
             CategorySpec(
-                category=cat,
-                count=int(entry["count"]),
-                competence=float(entry["competence"]),
-                max_effort=float(entry["max_effort"]),
+                category=category,
+                count=read(entry, "count", int, f"{path}.count"),
+                competence=read(entry, "competence", float, f"{path}.competence"),
+                max_effort=read(entry, "max_effort", float, f"{path}.max_effort"),
             )
         )
-    task_mix = tuple(
-        (
-            TaskTypeSpec(
-                type_id=str(entry["type_id"]),
-                priority=float(entry["priority"]),
-                utility=float(entry["utility"]),
-                effort=float(entry["effort"]),
-            ),
-            int(entry["count"]),
+    task_mix = []
+    for idx, entry in enumerate(read(doc, "tasks", list, "tasks") or []):
+        path = f"tasks[{idx}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{path}: expected an object")
+            continue
+        spec = TaskTypeSpec(
+            type_id=read(entry, "type_id", str, f"{path}.type_id"),
+            priority=read(entry, "priority", float, f"{path}.priority"),
+            utility=read(entry, "utility", float, f"{path}.utility"),
+            effort=read(entry, "effort", float, f"{path}.effort"),
         )
-        for entry in doc["tasks"]
-    )
-    try:
-        allocator = Allocator(doc.get("allocator", "SMART"))
-    except ValueError:
-        raise ScenarioValidationError(
-            [f"allocator: unknown allocator {doc.get('allocator')!r}"]
-        ) from None
+        task_mix.append((spec, read(entry, "count", int, f"{path}.count")))
     config = ScenarioConfig(
-        name=str(doc["name"]),
+        name=read(doc, "name", str, "name"),
         team=TeamConfig(categories=tuple(categories)),
-        task_mix=task_mix,
-        horizon_days=int(doc["horizon_days"]),
-        repetitions=int(doc["repetitions"]),
-        seed=int(doc["seed"]),
-        psi=float(doc.get("psi", 1.0)),
-        allocator=allocator,
-        mood_mode=_parse_mood_mode(str(doc.get("mood_mode", "constant:1.0"))),
+        task_mix=tuple(task_mix),
+        horizon_days=read(doc, "horizon_days", int, "horizon_days"),
+        repetitions=read(doc, "repetitions", int, "repetitions"),
+        seed=read(doc, "seed", int, "seed"),
+        psi=read(doc, "psi", float, "psi", 1.0),
+        allocator=read(doc, "allocator", Allocator, "allocator", Allocator.SMART),
+        mood_mode=read(
+            doc, "mood_mode", _parse_mood_mode, "mood_mode", MoodMode.constant()
+        ),
     )
+    if errors:
+        raise ScenarioValidationError(errors)
     return validate(config)
 
 
@@ -433,9 +449,7 @@ def with_overrides(
     repetitions: int | None = None,
     psi: float | None = None,
 ) -> ScenarioConfig:
-    """Copy a scenario with selected run parameters replaced."""
-    from dataclasses import replace
-
+    """Copy a scenario with selected run parameters replaced, validated."""
     changes: dict = {}
     if seed is not None:
         changes["seed"] = seed
@@ -445,4 +459,4 @@ def with_overrides(
         changes["repetitions"] = repetitions
     if psi is not None:
         changes["psi"] = psi
-    return replace(config, **changes) if changes else config
+    return validate(replace(config, **changes))

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .simulation import RunResult
+# Imported as a module (not ``from .simulation import RunResult``): the
+# simulator imports ``congestion`` from here while it is still loading.
+from . import simulation
 
 
 class MetricsError(ValueError):
@@ -61,21 +63,6 @@ class SprintRecord:
     @property
     def satisfactory(self) -> bool:
         return self.quality > 5
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """A named per-day or per-sprint series with units."""
-
-    name: str
-    unit: str
-    index_name: str
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        indices = [i for i, _ in self.points]
-        if indices != sorted(indices):
-            raise ValueError(f"series {self.name!r} index must be monotone")
 
 
 def competence(records: Iterable[SprintRecord], agent: str) -> float:
@@ -128,7 +115,7 @@ class ProportionReport:
     by_category: dict[str, float]
 
 
-def allocation_proportion(result: RunResult) -> ProportionReport:
+def allocation_proportion(result: simulation.RunResult) -> ProportionReport:
     """Each agent's (and category's) share of total assigned effort.
 
     Shares sum to 1 within 1e-9. Raises when nothing was allocated.
@@ -145,7 +132,9 @@ def allocation_proportion(result: RunResult) -> ProportionReport:
     return ProportionReport(by_agent=by_agent, by_category=by_category)
 
 
-def delay_percentage(source: Union[RunResult, Sequence[SprintRecord]]) -> float:
+def delay_percentage(
+    source: Union[simulation.RunResult, Sequence[SprintRecord]]
+) -> float:
     """Fraction of completed tasks finished late, in [0, 1].
 
     Log mode (sprint records): late means actual days exceed estimated
@@ -153,7 +142,7 @@ def delay_percentage(source: Union[RunResult, Sequence[SprintRecord]]) -> float:
     duration ceil(effort / assignee max effort) counted from assignment,
     since synthetic tasks carry no human estimate.
     """
-    if isinstance(source, RunResult):
+    if isinstance(source, simulation.RunResult):
         if source.completed_count == 0:
             raise MetricsError("no completions")
         return source.delay_count / source.completed_count
@@ -301,12 +290,3 @@ def ingest_log(path: str | Path) -> list[SprintRecord]:
     if errors:
         raise LogSchemaError(errors)
     return records
-
-
-def confidence_variance(records: Sequence[SprintRecord]) -> float:
-    """Population variance of the logged confidence values."""
-    if not records:
-        raise MetricsError("no records")
-    values = [record.confidence for record in records]
-    mean = math.fsum(values) / len(values)
-    return math.fsum((v - mean) ** 2 for v in values) / len(values)

@@ -27,9 +27,11 @@ import random
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import fcm
-from .allocation import TypeEconomics, awr_assign, smart_plan, visit_order
+from .allocation import TypeEconomics, awr_assign, expected_utility, smart_plan
+from .allocation import visit_order  # noqa: F401  perfbench/tracing.py patches it here
 from .core import (
     AgentState,
     Allocator,
@@ -37,6 +39,7 @@ from .core import (
     TaskInstance,
     TaskStatus,
 )
+from .metrics import congestion
 
 _EPS = 1e-9
 
@@ -52,7 +55,8 @@ class SimState:
     ``common_queue`` holds unassigned tasks per type in arrival order;
     combined with the per-type priority this realizes a priority-ordered
     backlog. Every task is in exactly one of: the common queue, an
-    agent's queues, or ``completed``.
+    agent's ``pending``, or ``completed``. ``awr_assignee`` maps each
+    type to its AWR assignee, fixed for the run (empty under SMART).
     """
 
     day: int
@@ -61,10 +65,10 @@ class SimState:
     completed: list[TaskInstance]
     arrivals_by_day: dict[int, list[TaskInstance]]
     quality_rng: random.Random
+    metrics: _MetricsAccumulator
     arrived_total: int = 0
-    accept_counter: int = 0
-    metrics: "_MetricsAccumulator | None" = None
     mood_map: fcm.ConceptMap | None = None
+    awr_assignee: dict[str, AgentState] = field(default_factory=dict)
     _types_by_priority: list[str] = field(default_factory=list)
 
     def common_queue_tasks(self) -> list[TaskInstance]:
@@ -73,19 +77,6 @@ class SimState:
         for tid in self._types_by_priority:
             ordered.extend(self.common_queue[tid])
         return ordered
-
-
-@dataclass
-class CompletedTask:
-    task_id: str
-    type_id: str
-    assignee: str
-    arrival_day: int
-    assigned_day: int
-    completion_day: int
-    quality_success: bool
-    late: bool
-    utility: float
 
 
 @dataclass
@@ -106,7 +97,7 @@ class RunResult:
     arrivals: list[int]
     completions: list[int]
     utility: list[float]
-    completed: list[CompletedTask]
+    completed: list[TaskInstance]
     global_utility: float
     completed_count: int
     high_quality_count: int
@@ -135,9 +126,7 @@ class RepeatedResult:
 
 
 class _MetricsAccumulator:
-    def __init__(self, agents: list[AgentState], horizon: int):
-        self.horizon = horizon
-        self.agent_ids = [a.agent_id for a in agents]
+    def __init__(self, agents: list[AgentState]):
         self.assigned_effort = {a.agent_id: [] for a in agents}
         self.busy_effort = {a.agent_id: [] for a in agents}
         self.pending_workload = {a.agent_id: [] for a in agents}
@@ -146,7 +135,7 @@ class _MetricsAccumulator:
         self.arrivals: list[int] = []
         self.completions: list[int] = []
         self.utility: list[float] = []
-        self.completed: list[CompletedTask] = []
+        self.delay_count = 0
 
 
 def _derive_rngs(seed: int) -> tuple[random.Random, random.Random]:
@@ -202,7 +191,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     agents = config.team.build_agents(mood=mood)
     types = config.task_types()
     for agent in agents:
-        agent.queues = {tid: deque() for tid in types}
+        agent.queued = dict.fromkeys(types, 0)
     arrivals_by_day: dict[int, list[TaskInstance]] = {}
     for task in generate_arrivals(config, run_seed):
         arrivals_by_day.setdefault(task.arrival_day, []).append(task)
@@ -213,30 +202,28 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         completed=[],
         arrivals_by_day=arrivals_by_day,
         quality_rng=quality_rng,
-        metrics=_MetricsAccumulator(agents, config.horizon_days),
+        metrics=_MetricsAccumulator(agents),
     )
     state._types_by_priority = sorted(
         types, key=lambda tid: (-types[tid].priority, tid)
     )
+    if config.allocator is Allocator.AWR:
+        # Competence is static within a run, so the choice per type is too.
+        agents_by_id = {agent.agent_id: agent for agent in agents}
+        state.awr_assignee = {
+            tid: agents_by_id[awr_assign(tid, agents)] for tid in types
+        }
     if config.mood_mode.kind == "fcm-coupled":
         # Three-node mood/progress/quality map driving daily mood updates.
         state.mood_map = fcm.bundled_map("michael_scenario1")
     return state
 
 
-def _claim(
-    state: SimState,
-    agent: AgentState,
-    task: TaskInstance,
-    effort: float,
-    day: int,
-) -> None:
+def _claim(agent: AgentState, task: TaskInstance, effort: float, day: int) -> None:
     task.assignee = agent.agent_id
     task.assigned_day = day
     task.status = TaskStatus.ASSIGNED
-    task.accept_seq = state.accept_counter
-    state.accept_counter += 1
-    agent.queues[task.type_id].append(task)
+    agent.queued[task.type_id] += 1
     agent.pending.append(task)
     agent.pending_effort += effort
 
@@ -280,41 +267,29 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             economics = {
                 tid: TypeEconomics(
                     type_id=tid,
-                    expected_utility=spec.utility
-                    * agent.competence_for(tid)
-                    * agent.mood,
+                    expected_utility=expected_utility(
+                        types[tid].utility, agent.competence_for(tid), agent.mood
+                    ),
                     recent_service_rate=float(agent.recent_completions.get(tid, 0)),
-                    effort=spec.effort,
+                    effort=types[tid].effort,
                 )
-                for tid, spec in types.items()
+                for tid in offered
             }
             plan = smart_plan(agent, offered, economics, config.psi)
-            for tid in visit_order(economics, config.psi, list(offered)):
-                count = plan.accepted.get(tid, 0)
-                for _ in range(count):
-                    task = state.common_queue[tid].popleft()
-                    _claim(state, agent, task, types[tid].effort, day)
+            # plan.accepted is in visit order; its rejects go to the next agent.
+            for tid, count in plan.accepted.items():
                 if count:
+                    queue = state.common_queue[tid]
+                    for _ in range(count):
+                        _claim(agent, queue.popleft(), types[tid].effort, day)
                     assigned_today[agent.agent_id] += count * types[tid].effort
-            offered = {
-                tid: offered[tid] - plan.accepted.get(tid, 0)
-                for tid in offered
-                if offered[tid] - plan.accepted.get(tid, 0) > 0
-            }
+            offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every queued task is assigned immediately, none rejected.
-        agents_by_id = {agent.agent_id: agent for agent in state.agents}
-        # Competence is static within a run, so the choice per type is too.
-        assignee_by_type = {
-            tid: awr_assign(tid, state.agents)
-            for tid in types
-            if state.common_queue[tid]
-        }
         for tid in state._types_by_priority:
             queue = state.common_queue[tid]
+            agent = state.awr_assignee[tid]
             while queue:
-                task = queue.popleft()
-                agent = agents_by_id[assignee_by_type[tid]]
-                _claim(state, agent, task, types[tid].effort, day)
+                _claim(agent, queue.popleft(), types[tid].effort, day)
                 assigned_today[agent.agent_id] += types[tid].effort
 
     # (3) Service, (4) quality outcomes.
@@ -333,7 +308,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             agent.pending_effort -= spend
             if task.remaining_effort <= _EPS:
                 agent.pending.popleft()
-                agent.queues[task.type_id].popleft()
+                agent.queued[task.type_id] -= 1
                 task.remaining_effort = 0.0
                 task.status = TaskStatus.COMPLETED
                 task.completion_day = day
@@ -347,43 +322,19 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                 state.completed.append(task)
                 served[task.type_id] = served.get(task.type_id, 0) + 1
                 done += 1
-                on_time += 0 if late else 1
+                if late:
+                    metrics.delay_count += 1
+                else:
+                    on_time += 1
                 high_quality += 1 if success else 0
                 completions_today += 1
-                credited = spec.utility if success else 0.0
-                utility_today += credited
-                if metrics is not None:
-                    metrics.completed.append(
-                        CompletedTask(
-                            task_id=task.task_id,
-                            type_id=task.type_id,
-                            assignee=agent.agent_id,
-                            arrival_day=task.arrival_day,
-                            assigned_day=task.assigned_day,
-                            completion_day=day,
-                            quality_success=success,
-                            late=late,
-                            utility=credited,
-                        )
-                    )
-        spent = agent.max_effort - budget
-        if spent > agent.max_effort + _EPS:
-            raise SimulationInvariantError(
-                f"agent {agent.agent_id} spent {spent} effort with "
-                f"max_effort {agent.max_effort} on day {day}"
-            )
-        if agent.pending:
-            head = agent.pending[0]
-            agent.carryover_effort = types[head.type_id].effort - head.remaining_effort
-        else:
-            agent.carryover_effort = 0.0
+                utility_today += spec.utility if success else 0.0
         agent.recent_completions = served
         per_agent_outcomes[agent.agent_id] = (done, on_time, high_quality)
-        if metrics is not None:
-            metrics.busy_effort[agent.agent_id].append(spent)
+        metrics.busy_effort[agent.agent_id].append(agent.max_effort - budget)
 
     # (5) Mood update.
-    if config.mood_mode.kind == "fcm-coupled" and state.mood_map is not None:
+    if state.mood_map is not None:
         for agent in state.agents:
             done, on_time, high_quality = per_agent_outcomes[agent.agent_id]
             progress = on_time / done if done else 0.5
@@ -392,23 +343,38 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             agent.mood = fcm.step(state.mood_map, mood_state).values[0]
 
     # (6) Record metrics and advance the clock.
-    if metrics is not None:
-        congestion_today = 0.0
-        for agent in state.agents:
-            metrics.assigned_effort[agent.agent_id].append(
-                assigned_today[agent.agent_id]
-            )
-            metrics.pending_workload[agent.agent_id].append(agent.pending_effort)
-            metrics.queue_sizes[agent.agent_id].append(len(agent.pending))
-            for queue in agent.queues.values():
-                congestion_today += len(queue) ** 2
-        metrics.congestion.append(congestion_today)
-        metrics.arrivals.append(len(todays))
-        metrics.completions.append(completions_today)
-        metrics.utility.append(utility_today)
+    for agent in state.agents:
+        metrics.assigned_effort[agent.agent_id].append(assigned_today[agent.agent_id])
+        metrics.pending_workload[agent.agent_id].append(agent.pending_effort)
+        metrics.queue_sizes[agent.agent_id].append(len(agent.pending))
+    metrics.congestion.append(
+        congestion(chain.from_iterable(agent.queued.values() for agent in state.agents))
+    )
+    metrics.arrivals.append(len(todays))
+    metrics.completions.append(completions_today)
+    metrics.utility.append(utility_today)
     _check_conservation(state)
     state.day += 1
     return state
+
+
+def _check_effort(state: SimState, config: ScenarioConfig) -> None:
+    """Per agent, the effort spent over the run must equal the effort of
+    its completed tasks plus the progress on the tasks it still holds."""
+    types = config.task_types()
+    received = {agent.agent_id: 0.0 for agent in state.agents}
+    for task in state.completed:
+        received[task.assignee] += types[task.type_id].effort
+    for agent in state.agents:
+        expected = received[agent.agent_id] + sum(
+            types[task.type_id].effort - task.remaining_effort for task in agent.pending
+        )
+        spent = sum(state.metrics.busy_effort[agent.agent_id])
+        if not math.isclose(spent, expected, rel_tol=1e-9, abs_tol=1e-6):
+            raise SimulationInvariantError(
+                f"effort conservation breached for agent {agent.agent_id}: "
+                f"spent {spent} != {expected} completed plus in progress"
+            )
 
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
@@ -416,15 +382,15 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     state = initial_state(config, seed)
     for _ in range(config.horizon_days):
         tick(state, config)
+    _check_effort(state, config)
     metrics = state.metrics
-    assert metrics is not None
-    completed = metrics.completed
+    completed = state.completed
     return RunResult(
         scenario=config.name,
         allocator=config.allocator,
         seed=config.seed if seed is None else seed,
         horizon=config.horizon_days,
-        agent_ids=list(metrics.agent_ids),
+        agent_ids=[agent.agent_id for agent in state.agents],
         categories={a.agent_id: a.category.value for a in state.agents},
         assigned_effort=metrics.assigned_effort,
         busy_effort=metrics.busy_effort,
@@ -438,7 +404,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         global_utility=sum(metrics.utility),
         completed_count=len(completed),
         high_quality_count=sum(1 for c in completed if c.quality_success),
-        delay_count=sum(1 for c in completed if c.late),
+        delay_count=metrics.delay_count,
     )
 
 

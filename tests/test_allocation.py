@@ -39,20 +39,11 @@ class TestScalarOps:
         assert allocation.expected_utility(10, 0.9, 0.5) == pytest.approx(4.5)
         assert allocation.expected_utility(123.0, 0.0, 0.7) == 0.0
 
-    def test_queue_update(self):
-        assert allocation.queue_update(5, 2, 3) == 4
-        assert allocation.queue_update(1, 0, 3) == 0
-        assert allocation.queue_update(0, 0, 0) == 0
-
-    def test_drift(self):
-        assert allocation.drift(2, 3) == 6
-        assert allocation.drift(0, 17) == 0
-        assert allocation.drift(1, 1) == 1
-
     def test_availability_score(self):
-        assert allocation.availability_score(1, 10, 0.9, 1.0, 2) == pytest.approx(7.0)
-        assert allocation.availability_score(1, 10, 0.9, 1.0, 9) == pytest.approx(0.0)
-        assert allocation.availability_score(2, 10, 0.9, 1.0, 2) == pytest.approx(16.0)
+        eu = allocation.expected_utility(10, 0.9, 1.0)
+        assert econ("T1", 0, 1, eu=eu, mu=2).availability_score(1) == pytest.approx(7.0)
+        assert econ("T1", 0, 1, eu=eu, mu=9).availability_score(1) == pytest.approx(0.0)
+        assert econ("T1", 0, 1, eu=eu, mu=2).availability_score(2) == pytest.approx(16.0)
 
 
 class TestSmartPlan:

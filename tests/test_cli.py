@@ -146,6 +146,37 @@ class TestSimulateCommand:
             main(["simulate", "--scenario", "/nope.json", "--out", str(tmp_path)]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "source", [["--preset", "S-M"], ["--all-presets"]], ids=["preset", "all-presets"]
+    )
+    def test_invalid_override_exits_2(self, source, tmp_path, capsys):
+        argv = ["simulate", *source, "--repetitions", "0", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "repetitions: must satisfy repetitions >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value,path",
+        [
+            ("mood_mode", "constant:abc", "mood_mode: invalid value"),
+            ("team", {"HCA": {"competence": 0.9, "max_effort": 20}}, "team.HCA.count"),
+            ("psi", float("nan"), "psi: must be finite"),
+            ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
+                        "effort": float("nan"), "count": 5}],
+             "task_mix[0].effort: must be finite"),
+        ],
+        ids=["mood-mode", "team-count", "psi-nan", "effort-nan"],
+    )
+    def test_malformed_scenario_field_exits_2(self, field, value, path, tmp_path, capsys):
+        doc = core.scenario_to_document(core.preset("S-M"))
+        doc[field] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert path in err
+        assert "Traceback" not in err
+
 
 class TestFcmCommand:
     def test_bundled_map_reaches_reported_equilibrium(self, tmp_path, capsys):
@@ -202,6 +233,12 @@ class TestFcmCommand:
         rows = read_csv(tmp_path / "trajectory.csv")[2:]  # skip header + initial
         values = {float(cell) for row in rows for cell in row[1:]}
         assert values <= {-1.0, 0.0, 1.0}
+
+    def test_max_iter_zero_exits_2(self, tmp_path, capsys):
+        argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",
+                "--max-iter", "0", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "max_iter must be >= 1" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         code = main(

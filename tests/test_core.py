@@ -132,6 +132,31 @@ class TestValidate:
             assert field in joined
         assert len(err.value.errors) >= 8
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_numbers_rejected(self, bad):
+        team = core.TeamConfig(
+            categories=(core.CategorySpec(core.Category.HCA, 1, bad, bad),)
+        )
+        config = core.ScenarioConfig(
+            name="bad",
+            team=team,
+            task_mix=((core.TaskTypeSpec("T1", bad, bad, bad), 1),),
+            psi=bad,
+            mood_mode=core.MoodMode.constant(bad),
+        )
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.validate(config)
+        assert sorted(e.split(":")[0] for e in err.value.errors) == [
+            "mood_mode.value",
+            "psi",
+            "task_mix[0].effort",
+            "task_mix[0].priority",
+            "task_mix[0].utility",
+            "team.HCA.competence",
+            "team.HCA.max_effort",
+        ]
+        assert all("must be finite" in e for e in err.value.errors)
+
     def test_duplicate_type_id(self):
         spec = core.TaskTypeSpec("T1", 1, 1, 1)
         config = core.ScenarioConfig(

@@ -329,25 +329,3 @@ class TestIngestLog:
             "final_score": 88.0,
             "team_score": 25.0,
         }
-
-    def test_confidence_variance(self, tmp_path):
-        path = write_log(
-            tmp_path,
-            ["t1,s1,1,8,5,6,3,3,7,1,3,4", "t2,s1,1,8,5,8,3,3,7,1,3,4"],
-        )
-        records = metrics.ingest_log(path)
-        assert metrics.confidence_variance(records) == pytest.approx(1.0)
-
-
-class TestMetricSeries:
-    def test_monotone_index_required(self):
-        series = metrics.MetricSeries(
-            name="utility", unit="reward", index_name="day",
-            points=((0, 1.0), (1, 2.0), (2, 2.5)),
-        )
-        assert series.points[-1] == (2, 2.5)
-        with pytest.raises(ValueError, match="monotone"):
-            metrics.MetricSeries(
-                name="utility", unit="reward", index_name="day",
-                points=((1, 1.0), (0, 2.0)),
-            )

@@ -104,10 +104,10 @@ class TestTickHandTraces:
         state = simulation.initial_state(config)
         simulation.tick(state, config)
         agent = state.agents[0]
-        assert agent.carryover_effort == pytest.approx(3.0)
+        assert agent.pending[0].remaining_effort == pytest.approx(7.0)
         assert agent.pending_effort == pytest.approx(7.0)
         simulation.tick(state, config)
-        assert agent.carryover_effort == pytest.approx(6.0)
+        assert agent.pending[0].remaining_effort == pytest.approx(4.0)
 
     def test_tick_past_horizon_rejected(self):
         config = make_scenario(horizon_days=1)
@@ -140,6 +140,28 @@ class TestConservationAndAccounting:
             assert task.remaining_effort == 0.0
             assert task.status is core.TaskStatus.COMPLETED
             assert task.completion_day >= task.arrival_day
+
+    def test_effort_conservation_breach_is_caught(self, monkeypatch):
+        # Effort 10 against a 3-per-day budget is still in flight at the
+        # horizon; losing a unit of its remaining effort unbalances the books.
+        config = make_scenario(
+            categories=((core.Category.HCA, 1, 1.0, 3.0),),
+            tasks=(("T1", 10, 10, 10, 1),),
+            horizon_days=2,
+            allocator=core.Allocator.AWR,
+        )
+        assert simulation.run(config).busy_effort["dev-000"] == [3.0, 3.0]
+        real_tick = simulation.tick
+
+        def corrupting_tick(state, config):
+            real_tick(state, config)
+            if state.day == 1:
+                state.agents[0].pending[0].remaining_effort -= 1.0
+            return state
+
+        monkeypatch.setattr(simulation, "tick", corrupting_tick)
+        with pytest.raises(simulation.SimulationInvariantError, match="dev-000"):
+            simulation.run(config)
 
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
