@@ -9,6 +9,7 @@ from .core import (
     Allocator,
     Category,
     CategorySpec,
+    InputError,
     MoodMode,
     PRESET_NAMES,
     ScenarioConfig,

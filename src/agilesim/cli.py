@@ -6,8 +6,9 @@ report its attractor), ``goalnet`` (build and export a goal net from a
 story corpus), and ``ingest`` (sprint-log metrics).
 
 Exit codes: 0 success, 1 runtime invariant breach, 2 usage or input
-error. The default output directory comes from the AGILESIM_OUT
-environment variable when set.
+error. A malformed input file or flag prints one ``error:`` line per
+problem, naming the file and the field path. The default output
+directory comes from the AGILESIM_OUT environment variable when set.
 
 CSV contracts (all files carry a header row):
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,8 +33,7 @@ from pathlib import Path
 from . import __version__, core, fcm, goalnet, metrics, simulation
 
 
-class CliInputError(ValueError):
-    """Bad input reported with exit code 2."""
+_SERIES = ("competence", "productivity")
 
 
 def _default_out() -> str:
@@ -42,28 +42,6 @@ def _default_out() -> str:
 
 def _open_csv(path: Path):
     return open(path, "w", encoding="utf-8", newline="")
-
-
-def _load_scenario_arg(args) -> core.ScenarioConfig:
-    if args.preset:
-        try:
-            config = core.preset(args.preset)
-        except core.UnknownPresetError as exc:
-            raise CliInputError(str(exc.args[0])) from None
-    else:
-        try:
-            config = core.load_scenario(args.scenario)
-        except FileNotFoundError:
-            raise CliInputError(f"scenario file not found: {args.scenario}") from None
-        except (json.JSONDecodeError, core.ScenarioValidationError) as exc:
-            raise CliInputError(f"invalid scenario file: {exc}") from None
-    allocator = core.Allocator(args.allocator) if args.allocator else None
-    return core.with_overrides(
-        config,
-        seed=args.seed,
-        allocator=allocator,
-        repetitions=args.repetitions,
-    )
 
 
 def _write_simulation_outputs(
@@ -152,15 +130,16 @@ def _write_simulation_outputs(
             )
 
 
-def _simulate_one(config: core.ScenarioConfig, compare: bool, out_dir: Path) -> None:
-    if compare:
-        pair = {}
-        for allocator in (core.Allocator.SMART, core.Allocator.AWR):
-            variant = core.with_overrides(config, allocator=allocator)
-            pair[allocator.value] = simulation.run_repeated(variant)
-        results = pair
-    else:
-        results = {config.allocator.value: simulation.run_repeated(config)}
+def _simulate_one(config: core.ScenarioConfig, args, out_dir: Path) -> None:
+    """Apply ``--seed/--allocator/--repetitions``, run, write the CSVs."""
+    config = core.with_overrides(
+        config, seed=args.seed, allocator=args.allocator, repetitions=args.repetitions
+    )
+    allocators = list(core.Allocator) if args.compare else [config.allocator]
+    results = {
+        a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
+        for a in allocators
+    }
     _write_simulation_outputs(out_dir, results)
     for allocator, repeated in results.items():
         print(
@@ -169,7 +148,7 @@ def _simulate_one(config: core.ScenarioConfig, compare: bool, out_dir: Path) -> 
             f"(sd {repeated.std['global_utility']:.1f}) over "
             f"{len(repeated.runs)} runs"
         )
-    if compare:
+    if args.compare:
         smart = results[core.Allocator.SMART.value].mean["global_utility"]
         awr = results[core.Allocator.AWR.value].mean["global_utility"]
         verdict = ">" if smart > awr else ("=" if smart == awr else "<")
@@ -180,58 +159,42 @@ def cmd_simulate(args) -> int:
     out_root = Path(args.out)
     if args.all_presets:
         for name in core.PRESET_NAMES:
-            config = core.preset(name)
-            allocator = core.Allocator(args.allocator) if args.allocator else None
-            config = core.with_overrides(
-                config,
-                seed=args.seed,
-                allocator=allocator,
-                repetitions=args.repetitions,
-            )
-            _simulate_one(config, args.compare, out_root / name)
+            _simulate_one(core.preset(name), args, out_root / name)
         return 0
-    config = _load_scenario_arg(args)
-    _simulate_one(config, args.compare, out_root)
+    if args.preset:
+        config = core.preset(args.preset)
+    else:
+        config = core.load_scenario(args.scenario)
+    _simulate_one(config, args, out_root)
     return 0
 
 
 def cmd_fcm(args) -> int:
-    map_arg = args.map
-    if map_arg in fcm.bundled_map_names():
-        cmap = fcm.bundled_map(map_arg)
+    if args.map in fcm.bundled_map_names():
+        cmap = fcm.bundled_map(args.map)
     else:
-        try:
-            cmap = fcm.load_map(map_arg)
-        except FileNotFoundError:
-            raise CliInputError(f"map file not found: {map_arg}") from None
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise CliInputError(f"invalid map file: {exc}") from None
-    if args.transform or args.c is not None:
-        from dataclasses import replace
-
-        cmap = replace(
-            cmap,
-            transform=args.transform or cmap.transform,
-            c=args.c if args.c is not None else cmap.c,
-        )
+        cmap = fcm.load_map(args.map)
+    doc = fcm.map_to_document(cmap)
+    if args.transform:
+        doc["transform"] = args.transform
+    if args.c is not None:
+        doc["c"] = args.c
+    cmap = fcm.map_from_document(doc)
     try:
         values = tuple(float(part) for part in args.initial.split(","))
     except ValueError:
-        raise CliInputError(f"cannot parse initial state {args.initial!r}") from None
-    if len(values) != cmap.node_count:
-        raise CliInputError(
-            f"initial state has {len(values)} values for a "
-            f"{cmap.node_count}-node map"
+        values = ()
+    if len(values) != cmap.node_count or not all(map(math.isfinite, values)):
+        raise core.InputError(
+            f"--initial: expected {cmap.node_count} finite comma-separated values "
+            f"for a {cmap.node_count}-node map (got {args.initial!r})"
         )
-    try:
-        trajectory = fcm.run(
-            cmap,
-            fcm.StateVector(values=values),
-            max_iter=args.max_iter,
-            tol=args.tol,
-        )
-    except ValueError as exc:  # --max-iter or --tol out of range
-        raise CliInputError(str(exc)) from None
+    trajectory = fcm.run(
+        cmap,
+        fcm.StateVector(values=values),
+        max_iter=args.max_iter,
+        tol=args.tol,
+    )
     final = trajectory.final
     rendered = ", ".join(f"{v:.6f}" for v in final.values)
     print(f"terminal: {trajectory.terminal} at iteration {final.iteration}")
@@ -245,22 +208,9 @@ def cmd_fcm(args) -> int:
 
 
 def cmd_goalnet(args) -> int:
-    try:
-        stories = goalnet.load_stories(args.stories)
-    except FileNotFoundError:
-        raise CliInputError(f"stories file not found: {args.stories}") from None
-    except (goalnet.StoryParseError, goalnet.GoalNetError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"invalid stories file: {exc}") from None
-    try:
-        goals, assignment, root_label = goalnet.load_goals(args.goals)
-    except FileNotFoundError:
-        raise CliInputError(f"goals file not found: {args.goals}") from None
-    except (goalnet.GoalNetError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"invalid goals file: {exc}") from None
-    try:
-        net = goalnet.build_goal_net(stories, goals, assignment, root_label=root_label)
-    except goalnet.GoalNetError as exc:
-        raise CliInputError(str(exc)) from None
+    stories = goalnet.load_stories(args.stories)
+    goals, assignment, root_label = goalnet.load_goals(args.goals)
+    net = goalnet.build_goal_net(stories, goals, assignment, root_label=root_label)
     violations = goalnet.validate_net(net)
     if violations:
         for violation in violations:
@@ -278,16 +228,7 @@ def cmd_goalnet(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    try:
-        records = metrics.ingest_log(args.log)
-    except FileNotFoundError:
-        raise CliInputError(f"log file not found: {args.log}") from None
-    except metrics.LogSchemaError as exc:
-        for error in exc.errors:
-            print(f"error: {error}", file=sys.stderr)
-        return 2
-    if not records:
-        raise CliInputError("no records")
+    records = metrics.ingest_log(args.log)
     agents = sorted({record.assignee_id for record in records})
     competence = {agent: metrics.competence(records, agent) for agent in agents}
     productivity = {
@@ -317,23 +258,13 @@ def cmd_ingest(args) -> int:
     if args.correlate:
         rows = []
         for spec in args.correlate:
-            try:
-                left, right = spec.split(":", 1)
-            except ValueError:
-                raise CliInputError(
-                    f"--correlate expects NAME:NAME (got {spec!r})"
-                ) from None
-            if left not in series or right not in series:
-                raise CliInputError(
-                    f"unknown correlation series in {spec!r}; "
-                    f"available: {', '.join(sorted(series))}"
-                )
+            left, right = spec.split(":")
             x = [series[left][agent] for agent in agents]
             y = [series[right][agent] for agent in agents]
             try:
                 r = metrics.pearson(x, y)
             except metrics.MetricsError as exc:
-                raise CliInputError(f"correlation {spec}: {exc}") from None
+                raise core.InputError(f"--correlate {spec}: {exc}") from None
             rows.append((left, right, r, len(agents)))
             print(f"pearson({left}, {right}) = {r:.4f} (n={len(agents)})")
         with _open_csv(out_dir / "correlations.csv") as handle:
@@ -405,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--correlate",
         action="append",
         default=None,
+        choices=[f"{x}:{y}" for x in _SERIES for y in _SERIES],
         metavar="X:Y",
         help="emit the correlation between two per-agent series (repeatable)",
     )
@@ -422,15 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except fcm.DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except core.ScenarioValidationError as exc:
+    except core.InputError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # missing or unreadable input, unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except simulation.SimulationInvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

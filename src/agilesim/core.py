@@ -9,12 +9,14 @@ crossed with three competence profiles.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Any, Callable, Iterator, TextIO
 
 
 class Category(str, Enum):
@@ -37,16 +39,24 @@ class TaskStatus(str, Enum):
     COMPLETED = "completed"
 
 
-class UnknownPresetError(KeyError):
+class InputError(ValueError):
+    """Malformed input from outside the program.
+
+    ``errors`` holds one entry per problem, each starting with its field
+    path; a single message is taken as a one-entry list.
+    """
+
+    def __init__(self, errors: str | list[str]):
+        self.errors = [errors] if isinstance(errors, str) else list(errors)
+        super().__init__("; ".join(self.errors))
+
+
+class UnknownPresetError(InputError, KeyError):
     """Raised when a preset name is not in the catalog."""
 
 
-class ScenarioValidationError(ValueError):
+class ScenarioValidationError(InputError):
     """Raised by :func:`validate` with every violation listed."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -306,6 +316,96 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
+# --- input documents ------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def list_of(kind: Callable) -> Callable:
+    """Field kind for a JSON list whose items all convert with ``kind``."""
+
+    def convert(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return tuple(kind(item) for item in value)
+
+    return convert
+
+
+class DocumentReader:
+    """Reads typed fields out of a decoded JSON document.
+
+    Every problem is collected with its field path (``tasks[3].effort``)
+    and :meth:`check` raises them together as one ``error``. A field kind
+    is ``dict`` or ``list``, which the value must already be, or a
+    converter such as ``int``, ``str`` or :func:`list_of`. A JSON null
+    counts as a missing key.
+    """
+
+    def __init__(self, doc, error: type[InputError] = InputError):
+        if not isinstance(doc, dict):
+            raise error(["document: expected a JSON object"])
+        self.error = error
+        self.errors: list[str] = []
+
+    def field(self, entry: dict, key: str, kind, at: str = "", default=_REQUIRED):
+        """Return ``entry[key]`` converted by ``kind``, ``default`` when it
+        is missing, or None after recording the problem at ``at.key``."""
+        path = f"{at}.{key}" if at else key
+        value = entry.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                self.errors.append(f"{path}: required key missing")
+            return None if default is _REQUIRED else default
+        if kind is dict or kind is list:
+            if isinstance(value, kind):
+                return value
+            self.errors.append(
+                f"{path}: expected {'an object' if kind is dict else 'a list'}"
+            )
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            self.errors.append(f"{path}: invalid value {value!r}")
+            return None
+
+    def objects(
+        self, entry: dict, key: str, at: str = "", default=_REQUIRED
+    ) -> Iterator[tuple[str, dict]]:
+        """Yield ``(path, item)`` for each object in the list at ``key``;
+        an item that is not an object is recorded at its path."""
+        path = f"{at}.{key}" if at else key
+        for index, item in enumerate(self.field(entry, key, list, at, default) or ()):
+            if isinstance(item, dict):
+                yield f"{path}[{index}]", item
+            else:
+                self.errors.append(f"{path}[{index}]: expected an object")
+
+    def check(self) -> None:
+        if self.errors:
+            raise self.error(self.errors)
+
+
+def load_input(path: str | Path, kind: str, build: Callable[[TextIO], Any]) -> Any:
+    """Open a UTF-8 text file and build it from the handle.
+
+    Undecodable text, invalid JSON or CSV and every :class:`InputError`
+    that ``build`` raises come out as entries prefixed
+    ``invalid <kind> file <path>: ``; the error keeps its class.
+    """
+    where = f"invalid {kind} file {path}"
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return build(handle)
+    except InputError as exc:
+        exc.errors = [f"{where}: {error}" for error in exc.errors]
+        exc.args = ("; ".join(exc.errors),)
+        raise
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 # --- scenario files -------------------------------------------------------
 #
 # A scenario document is JSON with top-level keys: name, team, tasks,
@@ -359,81 +459,60 @@ def _parse_mood_mode(raw) -> MoodMode:
     raise ValueError(raw)
 
 
-_REQUIRED = object()
-
-
 def scenario_from_document(doc: dict) -> ScenarioConfig:
     """Build and validate a scenario. Every missing or unconvertible
     field is reported with its path before the config is validated."""
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError(["scenario: expected a JSON object"])
-    errors: list[str] = []
-
-    def read(entry: dict, key: str, kind, path: str, default=_REQUIRED):
-        if key not in entry:
-            if default is not _REQUIRED:
-                return default
-            errors.append(f"{path}: required key missing")
-            return None
-        try:
-            return kind(entry[key])
-        except (TypeError, ValueError, OverflowError):
-            errors.append(f"{path}: invalid value {entry[key]!r}")
-            return None
-
+    reader = DocumentReader(doc, ScenarioValidationError)
+    read = reader.field
     categories = []
-    for cat_name, entry in (read(doc, "team", dict, "team") or {}).items():
+    for cat_name, entry in (read(doc, "team", dict) or {}).items():
         path = f"team.{cat_name}"
         try:
             category = Category(cat_name)
         except ValueError:
-            errors.append(f"{path}: unknown category")
+            reader.errors.append(f"{path}: unknown category")
             continue
         if not isinstance(entry, dict):
-            errors.append(f"{path}: expected an object")
+            reader.errors.append(f"{path}: expected an object")
             continue
         categories.append(
             CategorySpec(
                 category=category,
-                count=read(entry, "count", int, f"{path}.count"),
-                competence=read(entry, "competence", float, f"{path}.competence"),
-                max_effort=read(entry, "max_effort", float, f"{path}.max_effort"),
+                count=read(entry, "count", int, path),
+                competence=read(entry, "competence", float, path),
+                max_effort=read(entry, "max_effort", float, path),
             )
         )
     task_mix = []
-    for idx, entry in enumerate(read(doc, "tasks", list, "tasks") or []):
-        path = f"tasks[{idx}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{path}: expected an object")
-            continue
+    for path, entry in reader.objects(doc, "tasks"):
         spec = TaskTypeSpec(
-            type_id=read(entry, "type_id", str, f"{path}.type_id"),
-            priority=read(entry, "priority", float, f"{path}.priority"),
-            utility=read(entry, "utility", float, f"{path}.utility"),
-            effort=read(entry, "effort", float, f"{path}.effort"),
+            type_id=read(entry, "type_id", str, path),
+            priority=read(entry, "priority", float, path),
+            utility=read(entry, "utility", float, path),
+            effort=read(entry, "effort", float, path),
         )
-        task_mix.append((spec, read(entry, "count", int, f"{path}.count")))
+        task_mix.append((spec, read(entry, "count", int, path)))
     config = ScenarioConfig(
-        name=read(doc, "name", str, "name"),
+        name=read(doc, "name", str),
         team=TeamConfig(categories=tuple(categories)),
         task_mix=tuple(task_mix),
-        horizon_days=read(doc, "horizon_days", int, "horizon_days"),
-        repetitions=read(doc, "repetitions", int, "repetitions"),
-        seed=read(doc, "seed", int, "seed"),
-        psi=read(doc, "psi", float, "psi", 1.0),
-        allocator=read(doc, "allocator", Allocator, "allocator", Allocator.SMART),
+        horizon_days=read(doc, "horizon_days", int),
+        repetitions=read(doc, "repetitions", int),
+        seed=read(doc, "seed", int),
+        psi=read(doc, "psi", float, default=1.0),
+        allocator=read(doc, "allocator", Allocator, default=Allocator.SMART),
         mood_mode=read(
-            doc, "mood_mode", _parse_mood_mode, "mood_mode", MoodMode.constant()
+            doc, "mood_mode", _parse_mood_mode, default=MoodMode.constant()
         ),
     )
-    if errors:
-        raise ScenarioValidationError(errors)
+    reader.check()
     return validate(config)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as handle:
-        return scenario_from_document(json.load(handle))
+    return load_input(
+        path, "scenario", lambda handle: scenario_from_document(json.load(handle))
+    )
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
@@ -445,18 +524,16 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 def with_overrides(
     config: ScenarioConfig,
     seed: int | None = None,
-    allocator: Allocator | None = None,
+    allocator: Allocator | str | None = None,
     repetitions: int | None = None,
-    psi: float | None = None,
 ) -> ScenarioConfig:
-    """Copy a scenario with selected run parameters replaced, validated."""
-    changes: dict = {}
-    if seed is not None:
-        changes["seed"] = seed
-    if allocator is not None:
-        changes["allocator"] = allocator
-    if repetitions is not None:
-        changes["repetitions"] = repetitions
-    if psi is not None:
-        changes["psi"] = psi
-    return validate(replace(config, **changes))
+    """Copy a scenario with the given run parameters replaced, validated.
+    None keeps the current value."""
+    return validate(
+        replace(
+            config,
+            seed=config.seed if seed is None else seed,
+            allocator=config.allocator if allocator is None else Allocator(allocator),
+            repetitions=config.repetitions if repetitions is None else repetitions,
+        )
+    )

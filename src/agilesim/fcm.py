@@ -24,6 +24,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .core import DocumentReader, InputError, list_of, load_input
+
 BIVALENT = "bivalent"
 TRIVALENT = "trivalent"
 SIGMOID = "sigmoid"
@@ -91,23 +93,24 @@ class ConceptMap:
     def __post_init__(self):
         n = len(self.labels)
         if len(self.weights) != n or any(len(row) != n for row in self.weights):
-            raise ValueError(
-                f"weights must be a {n}x{n} matrix matching the label count"
+            raise InputError(
+                f"weights: must be a {n}x{n} matrix matching the label count"
             )
         for i, row in enumerate(self.weights):
             for j, w in enumerate(row):
-                if abs(w) > 1.0:
-                    raise ValueError(
-                        f"weight [{i}][{j}] = {w} outside [-1, 1]"
-                    )
+                if not abs(w) <= 1.0:
+                    raise InputError(f"weights[{i}][{j}]: {w} outside [-1, 1]")
             if row[i] != 0.0:
-                raise ValueError(
-                    f"diagonal weight [{i}][{i}] = {row[i]} must be 0 (no self-feedback)"
+                raise InputError(
+                    f"weights[{i}][{i}]: diagonal weight {row[i]} must be 0 "
+                    "(no self-feedback)"
                 )
         if self.transform not in _TRANSFORMS:
-            raise ValueError(f"unknown transformation function {self.transform!r}")
-        if self.transform == SIGMOID and self.c <= 0:
-            raise ValueError(f"sigmoid steepness must be > 0 (got {self.c})")
+            raise InputError(
+                f"transform: unknown transformation function {self.transform!r}"
+            )
+        if self.transform == SIGMOID and not 0 < self.c < math.inf:
+            raise InputError(f"c: sigmoid steepness must be in (0, inf) (got {self.c})")
 
     @property
     def node_count(self) -> int:
@@ -168,9 +171,9 @@ def run(
     limit cycle when any earlier state recurs within ``tol``.
     """
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1 (got {max_iter})")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0 (got {tol})")
+        raise InputError(f"max_iter must be >= 1 (got {max_iter})")
+    if not tol > 0:
+        raise InputError(f"tol must be > 0 (got {tol})")
     states = [initial]
     current = initial
     for _ in range(max_iter):
@@ -235,20 +238,17 @@ def map_to_document(cmap: ConceptMap) -> dict:
 
 
 def map_from_document(doc: dict) -> ConceptMap:
-    missing = [key for key in ("labels", "weights") if key not in doc]
-    if missing:
-        raise ValueError(f"map document missing keys: {', '.join(missing)}")
-    return ConceptMap(
-        labels=tuple(str(label) for label in doc["labels"]),
-        weights=tuple(tuple(float(w) for w in row) for row in doc["weights"]),
-        transform=str(doc.get("transform", SIGMOID)),
-        c=float(doc.get("c", 5.0)),
-    )
+    reader = DocumentReader(doc)
+    labels = reader.field(doc, "labels", list_of(str))
+    weights = reader.field(doc, "weights", list_of(list_of(float)))
+    transform = reader.field(doc, "transform", str, default=SIGMOID)
+    c = reader.field(doc, "c", float, default=5.0)
+    reader.check()
+    return ConceptMap(labels=labels, weights=weights, transform=transform, c=c)
 
 
 def load_map(path: str | Path) -> ConceptMap:
-    with open(path, encoding="utf-8") as handle:
-        return map_from_document(json.load(handle))
+    return load_input(path, "map", lambda handle: map_from_document(json.load(handle)))
 
 
 def save_map(cmap: ConceptMap, path: str | Path) -> None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .core import DocumentReader, InputError, list_of, load_input
+
 SEQUENCE = "sequence"
 CONCURRENCY = "concurrency"
 SYNCHRONIZATION = "synchronization"
@@ -26,7 +28,7 @@ ATOMIC = "atomic"
 COMPOSITE = "composite"
 
 
-class StoryParseError(ValueError):
+class StoryParseError(InputError):
     """Story text does not match the template; carries the position."""
 
     def __init__(self, message: str, position: int):
@@ -34,7 +36,7 @@ class StoryParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class GoalNetError(ValueError):
+class GoalNetError(InputError):
     """Structural problem while building or importing a goal net."""
 
 
@@ -171,7 +173,11 @@ def _story_order(story_id: str) -> tuple:
 
 
 def _check_parents(stories: Sequence[UserStory]) -> None:
-    by_id = {story.id: story for story in stories}
+    by_id: dict[str, UserStory] = {}
+    for story in stories:
+        if story.id in by_id:
+            raise GoalNetError(f"story ids must be unique (repeated id {story.id!r})")
+        by_id[story.id] = story
     for story in stories:
         if story.parent is None:
             continue
@@ -380,7 +386,7 @@ def validate_net(net: GoalNet) -> list[str]:
         for kid_id in kids:
             if kid_id not in net.nodes:
                 violations.append(
-                    f"node {parent_id}: unknown child {kid_id!r}"
+                    f"node {parent_id}: unknown node {kid_id!r} among its children"
                 )
                 continue
             kid = net.nodes[kid_id]
@@ -468,24 +474,6 @@ def validate_net(net: GoalNet) -> list[str]:
 
 # --- documents and graph export ---------------------------------------------
 
-STRUCTURED_DATA = "structured-data"
-GRAPH_DESCRIPTION = "graph-description"
-
-
-def export(net: GoalNet, format: str):
-    """Render the net: ``structured-data`` gives the round-trippable
-    document (see :func:`from_document`); ``graph-description`` gives
-    DOT text."""
-    if format == STRUCTURED_DATA:
-        return to_document(net)
-    if format == GRAPH_DESCRIPTION:
-        return export_dot(net)
-    raise GoalNetError(
-        f"unknown export format {format!r} "
-        f"(expected {STRUCTURED_DATA!r} or {GRAPH_DESCRIPTION!r})"
-    )
-
-
 def to_document(net: GoalNet) -> dict:
     return {
         "root": net.root_id,
@@ -521,66 +509,64 @@ def to_document(net: GoalNet) -> dict:
     }
 
 
+def _name_value(value) -> tuple[str, str]:
+    name, setting = list_of(str)(value)
+    return name, setting
+
+
 def from_document(doc: dict) -> GoalNet:
-    for key in ("root", "nodes", "hierarchy", "transitions"):
-        if key not in doc:
-            raise GoalNetError(f"net document missing key {key!r}")
-    nodes: dict[str, GoalNode] = {}
-    for entry in doc["nodes"]:
+    """Read a net document; a net that :func:`validate_net` faults is
+    rejected with every violation."""
+    reader = DocumentReader(doc, GoalNetError)
+    read = reader.field
+    strings = list_of(str)
+    nodes = {}
+    for at, entry in reader.objects(doc, "nodes"):
         node = GoalNode(
-            id=str(entry["id"]),
-            label=str(entry["label"]),
-            kind=str(entry["kind"]),
-            level=int(entry["level"]),
-            cut_across=bool(entry.get("cut_across", False)),
+            id=read(entry, "id", str, at),
+            label=read(entry, "label", str, at),
+            kind=read(entry, "kind", str, at),
+            level=read(entry, "level", int, at),
+            cut_across=read(entry, "cut_across", bool, at, False),
         )
         nodes[node.id] = node
-    children: dict[str, tuple[str, ...]] = {}
-    for parent, kids in doc["hierarchy"].items():
-        if parent not in nodes:
-            raise GoalNetError(f"hierarchy references unknown node {parent!r}")
-        for kid in kids:
-            if kid not in nodes:
-                raise GoalNetError(f"hierarchy references unknown node {kid!r}")
-        children[parent] = tuple(str(k) for k in kids)
-    transitions = []
-    for entry in doc["transitions"]:
-        transition = Transition(
-            id=str(entry["id"]),
-            kind=str(entry["kind"]),
-            inputs=tuple(str(i) for i in entry["inputs"]),
-            outputs=tuple(str(o) for o in entry["outputs"]),
-            tasks=tuple(str(t) for t in entry.get("tasks", ())),
+    hierarchy = read(doc, "hierarchy", dict) or {}
+    children = {
+        parent: read(hierarchy, parent, strings, "hierarchy") for parent in hierarchy
+    }
+    transitions = tuple(
+        Transition(
+            id=read(entry, "id", str, at),
+            kind=read(entry, "kind", str, at),
+            inputs=read(entry, "inputs", strings, at),
+            outputs=read(entry, "outputs", strings, at),
+            tasks=read(entry, "tasks", strings, at, ()),
         )
-        for endpoint in (*transition.inputs, *transition.outputs):
-            if endpoint not in nodes:
-                raise GoalNetError(
-                    f"transition {transition.id} references unknown node {endpoint!r}"
-                )
-        transitions.append(transition)
+        for at, entry in reader.objects(doc, "transitions")
+    )
     cards = tuple(
         GetCard(
-            goal_id=str(entry["goal_id"]),
-            environment_variables=tuple(
-                (str(n), str(v)) for n, v in entry.get("environment_variables", ())
+            goal_id=read(entry, "goal_id", str, at),
+            environment_variables=read(
+                entry, "environment_variables", list_of(_name_value), at, ()
             ),
-            tasks=tuple(str(t) for t in entry.get("tasks", ())),
+            tasks=read(entry, "tasks", strings, at, ()),
         )
-        for entry in doc.get("cards", ())
+        for at, entry in reader.objects(doc, "cards", default=())
     )
-    for card in cards:
-        if card.goal_id not in nodes:
-            raise GoalNetError(f"card references unknown node {card.goal_id!r}")
-    root_id = str(doc["root"])
-    if root_id not in nodes:
-        raise GoalNetError(f"root {root_id!r} not among the nodes")
-    return GoalNet(
+    root_id = read(doc, "root", str)
+    reader.check()
+    net = GoalNet(
         root_id=root_id,
         nodes=nodes,
         children=children,
-        transitions=tuple(transitions),
+        transitions=transitions,
         cards=cards,
     )
+    violations = validate_net(net)
+    if violations:
+        raise GoalNetError(violations)
+    return net
 
 
 def save_net(net: GoalNet, path: str | Path) -> None:
@@ -590,8 +576,7 @@ def save_net(net: GoalNet, path: str | Path) -> None:
 
 
 def load_net(path: str | Path) -> GoalNet:
-    with open(path, encoding="utf-8") as handle:
-        return from_document(json.load(handle))
+    return load_input(path, "net", lambda handle: from_document(json.load(handle)))
 
 
 def _dot_escape(text: str) -> str:
@@ -647,36 +632,33 @@ def export_dot(net: GoalNet) -> str:
 # --- story corpus files ------------------------------------------------------
 
 
-def _story_from_entry(entry: dict) -> UserStory:
-    story_id = str(entry["id"])
-    parent = entry.get("parent")
-    if parent is None and "." in story_id:
-        parent = story_id.rsplit(".", 1)[0]
-    return parse_story(
-        str(entry["text"]),
-        story_id=story_id,
-        parent=str(parent) if parent is not None else None,
-        tasks=tuple(str(t) for t in entry.get("tasks", ())),
-        environment=tuple(
-            (str(n), str(v)) for n, v in entry.get("environment", ())
-        ),
-        cut_across=bool(entry.get("cut_across", False)),
-    )
+def _stories_from_document(doc: dict) -> list[UserStory]:
+    reader = DocumentReader(doc, GoalNetError)
+    read = reader.field
+    stories = []
+    for at, entry in reader.objects(doc, "stories"):
+        story_id = read(entry, "id", str, at)
+        text = read(entry, "text", str, at)
+        parent = read(entry, "parent", str, at, None)
+        tasks = read(entry, "tasks", list_of(str), at, ())
+        env = read(entry, "environment", list_of(_name_value), at, ())
+        cut_across = read(entry, "cut_across", bool, at, False)
+        if None in (story_id, text, tasks, env):
+            continue
+        if parent is None and "." in story_id:
+            parent = story_id.rsplit(".", 1)[0]
+        try:
+            stories.append(parse_story(text, story_id, parent, tasks, env, cut_across))
+        except StoryParseError as exc:
+            reader.errors.append(f"{at}.text: {exc}")
+    reader.check()
+    return stories
 
 
-def load_stories(path: str | Path) -> list[UserStory]:
-    """Load a story corpus.
-
-    JSON documents carry {"stories": [{id, text, tasks?, parent?,
-    environment?, cut_across?}]}. Plain-text files carry one story per
-    line, optionally prefixed with a dotted id and a colon
-    ("1.2: As a ..."); unprefixed lines are numbered consecutively.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        stories = [_story_from_entry(entry) for entry in doc.get("stories", ())]
+def _read_corpus(handle) -> list[UserStory]:
+    text = handle.read()
+    if text.lstrip().startswith("{"):
+        stories = _stories_from_document(json.loads(text))
     else:
         stories = []
         used: set[str] = set()
@@ -702,13 +684,28 @@ def load_stories(path: str | Path) -> list[UserStory]:
     return stories
 
 
+def load_stories(path: str | Path) -> list[UserStory]:
+    """Load a story corpus.
+
+    JSON documents carry {"stories": [{id, text, tasks?, parent?,
+    environment?, cut_across?}]}. Plain-text files carry one story per
+    line, optionally prefixed with a dotted id and a colon
+    ("1.2: As a ..."); unprefixed lines are numbered consecutively.
+    """
+    return load_input(path, "stories", _read_corpus)
+
+
 def load_goals(path: str | Path) -> tuple[list[str], dict[str, str], str]:
     """Load the goal clustering document: high-level goal labels, the
     story-to-goal assignment, and the root label."""
-    with open(path, encoding="utf-8") as handle:
+
+    def build(handle) -> tuple[list[str], dict[str, str], str]:
         doc = json.load(handle)
-    if "goals" not in doc or "assignment" not in doc:
-        raise GoalNetError("goals document needs 'goals' and 'assignment' keys")
-    goals = [str(g) for g in doc["goals"]]
-    assignment = {str(k): str(v) for k, v in doc["assignment"].items()}
-    return goals, assignment, str(doc.get("root", "Top goal"))
+        reader = DocumentReader(doc, GoalNetError)
+        goals = reader.field(doc, "goals", list_of(str))
+        assignment = reader.field(doc, "assignment", dict)
+        root_label = reader.field(doc, "root", str, default="Top goal")
+        reader.check()
+        return list(goals), {str(k): str(v) for k, v in assignment.items()}, root_label
+
+    return load_input(path, "goals", build)

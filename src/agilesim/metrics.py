@@ -20,18 +20,15 @@ from typing import Iterable, Sequence, Union
 # Imported as a module (not ``from .simulation import RunResult``): the
 # simulator imports ``congestion`` from here while it is still loading.
 from . import simulation
+from .core import InputError, load_input
 
 
 class MetricsError(ValueError):
     """Raised when a metric is undefined for the given input."""
 
 
-class LogSchemaError(ValueError):
+class LogSchemaError(InputError):
     """Raised by :func:`ingest_log`; carries one entry per problem."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -211,82 +208,81 @@ def ingest_log(path: str | Path) -> list[SprintRecord]:
     """Parse and range-validate a sprint activity CSV.
 
     Every problem is collected (with its row number, header = row 1)
-    and raised together as a :class:`LogSchemaError`.
+    and raised together as a :class:`LogSchemaError`, as is a log
+    without records.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise LogSchemaError(["file is empty: no header row"])
-        missing = [col for col in _REQUIRED_COLUMNS if col not in reader.fieldnames]
-        if missing:
-            raise LogSchemaError(
-                [f"missing required column: {col}" for col in missing]
-            )
-        records: list[SprintRecord] = []
-        errors: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            parsed: dict[str, float] = {}
-            row_bad = False
-            for column in _REQUIRED_COLUMNS[2:]:
-                raw = (row.get(column) or "").strip()
-                try:
-                    parsed[column] = float(raw)
-                except ValueError:
-                    errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
-                    row_bad = True
-            if row_bad:
+    return load_input(path, "log", _read_log)
+
+
+def _read_log(handle) -> list[SprintRecord]:
+    reader = csv.DictReader(handle)
+    if reader.fieldnames is None:
+        raise LogSchemaError(["file is empty: no header row"])
+    missing = [col for col in _REQUIRED_COLUMNS if col not in reader.fieldnames]
+    if missing:
+        raise LogSchemaError([f"missing required column: {col}" for col in missing])
+    optional = tuple(col for col in _OPTIONAL_COLUMNS if col in reader.fieldnames)
+    numeric = _REQUIRED_COLUMNS[2:] + optional
+    records: list[SprintRecord] = []
+    errors: list[str] = []
+    isfinite = math.isfinite
+    for row_no, row in enumerate(reader, start=2):
+        parsed: dict[str, float] = {}
+        row_bad = False
+        for column in numeric:
+            raw = (row.get(column) or "").strip()
+            if not raw and column in optional:
                 continue
-            for column, (low, high) in _RANGES.items():
-                value = parsed[column]
-                if not low <= value <= high:
-                    errors.append(
-                        f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
-                    )
-                    row_bad = True
-            if parsed["actual_days"] < 0:
-                errors.append(f"row {row_no}: actual_days must be >= 0")
+            try:
+                value = float(raw)
+            except ValueError:
+                errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
                 row_bad = True
-            if parsed["estimated_days"] < 0:
-                errors.append(f"row {row_no}: estimated_days must be >= 0")
-                row_bad = True
-            if parsed["collaborators"] < 1:
-                errors.append(f"row {row_no}: collaborators must be >= 1")
-                row_bad = True
-            if parsed["sprint_index"] != int(parsed["sprint_index"]):
-                errors.append(f"row {row_no}: sprint_index must be an integer")
-                row_bad = True
-            if row_bad:
                 continue
-            extras = {}
-            for column in _OPTIONAL_COLUMNS:
-                raw = (row.get(column) or "").strip()
-                if raw:
-                    try:
-                        extras[column] = float(raw)
-                    except ValueError:
-                        errors.append(
-                            f"row {row_no}: {column} is not numeric ({raw!r})"
-                        )
-                        row_bad = True
-            if row_bad:
-                continue
-            records.append(
-                SprintRecord(
-                    task_id=(row.get("task_id") or "").strip(),
-                    assignee_id=(row.get("assignee_id") or "").strip(),
-                    sprint_index=int(parsed["sprint_index"]),
-                    difficulty=parsed["difficulty"],
-                    priority=parsed["priority"],
-                    confidence=parsed["confidence"],
-                    estimated_days=parsed["estimated_days"],
-                    actual_days=parsed["actual_days"],
-                    quality=parsed["quality"],
-                    collaborators=int(parsed["collaborators"]),
-                    mood_begin=parsed["mood_begin"],
-                    mood_end=parsed["mood_end"],
-                    extras=extras,
+            if not isfinite(value):
+                errors.append(f"row {row_no}: {column} must be finite")
+                row_bad = True
+            parsed[column] = value
+        if row_bad:
+            continue
+        for column, (low, high) in _RANGES.items():
+            value = parsed[column]
+            if not low <= value <= high:
+                errors.append(
+                    f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
                 )
+                row_bad = True
+        if parsed["actual_days"] < 0:
+            errors.append(f"row {row_no}: actual_days must be >= 0")
+            row_bad = True
+        if parsed["estimated_days"] < 0:
+            errors.append(f"row {row_no}: estimated_days must be >= 0")
+            row_bad = True
+        if parsed["collaborators"] < 1:
+            errors.append(f"row {row_no}: collaborators must be >= 1")
+            row_bad = True
+        if parsed["sprint_index"] != int(parsed["sprint_index"]):
+            errors.append(f"row {row_no}: sprint_index must be an integer")
+            row_bad = True
+        if row_bad:
+            continue
+        records.append(
+            SprintRecord(
+                task_id=(row.get("task_id") or "").strip(),
+                assignee_id=(row.get("assignee_id") or "").strip(),
+                sprint_index=int(parsed["sprint_index"]),
+                difficulty=parsed["difficulty"],
+                priority=parsed["priority"],
+                confidence=parsed["confidence"],
+                estimated_days=parsed["estimated_days"],
+                actual_days=parsed["actual_days"],
+                quality=parsed["quality"],
+                collaborators=int(parsed["collaborators"]),
+                mood_begin=parsed["mood_begin"],
+                mood_end=parsed["mood_end"],
+                extras={c: parsed[c] for c in optional if c in parsed},
             )
-    if errors:
-        raise LogSchemaError(errors)
+        )
+    if errors or not records:
+        raise LogSchemaError(errors or ["no records"])
     return records

@@ -18,6 +18,10 @@ def corpus_path(name):
     return str(resources.files("agilesim.data").joinpath(name))
 
 
+def bundled_doc(name):
+    return json.loads(resources.files("agilesim.data").joinpath(name).read_text("utf-8"))
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -146,6 +150,12 @@ class TestSimulateCommand:
             main(["simulate", "--scenario", "/nope.json", "--out", str(tmp_path)]) == 2
         )
 
+    def test_scenario_directory_exits_2(self, tmp_path, capsys):
+        argv = ["simulate", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "source", [["--preset", "S-M"], ["--all-presets"]], ids=["preset", "all-presets"]
     )
@@ -255,6 +265,51 @@ class TestFcmCommand:
         assert code == 2
         assert "3-node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tol", "nan"], "tol must be > 0"),
+            (["--c", "nan"], "c: sigmoid steepness must be in (0, inf)"),
+            (["--c", "-1"], "c: sigmoid steepness must be in (0, inf)"),
+            (["--initial", "nan,0,0"], "--initial: expected 3 finite"),
+        ],
+        ids=["tol-nan", "c-nan", "c-negative", "initial-nan"],
+    )
+    def test_bad_flag_exits_2(self, flags, message, tmp_path, capsys):
+        argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",
+                *flags, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"labels": 5}, "labels: invalid value 5"),
+            ({"weights": [[0, 0.4], 3]}, "weights: invalid value"),
+            ({"weights": [[0, float("nan")], [0.2, 0]]}, "weights[0][1]: nan outside"),
+            ({"c": float("nan")}, "c: sigmoid steepness must be in (0, inf) (got nan)"),
+            ({"labels": None}, "labels: required key missing"),
+        ],
+        ids=["labels-number", "weights-row-number", "weight-nan", "c-nan", "labels-null"],
+    )
+    def test_malformed_map_file_exits_2(self, change, message, tmp_path, capsys):
+        doc = {"labels": ["a", "b"], "weights": [[0, 0.4], [0.2, 0]], **change}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["fcm", "--map", str(path), "--initial", "1,0", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid map file {path}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_map_file_not_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_bytes(b"\xff\xfe not text")
+        argv = ["fcm", "--map", str(path), "--initial", "1,0", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"invalid map file {path}" in capsys.readouterr().err
+
     def test_map_file_path(self, tmp_path):
         doc = {
             "labels": ["a", "b"],
@@ -304,6 +359,60 @@ class TestGoalnetCommand:
             ]
         )
         assert code == 2
+
+
+DROP = object()
+
+
+def edit(doc, location, value):
+    """Replace the value at ``location`` (a key path) or, for DROP, delete it."""
+    *parents, last = location
+    for key in parents:
+        doc = doc[key]
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize(
+        "name,location,value,message",
+        [
+            ("goals.json", ["goals"], 5, "goals: invalid value 5"),
+            ("goals.json", ["assignment"], [1], "assignment: expected an object"),
+            ("stories.json", ["stories", 0, "text"], DROP,
+             "stories[0].text: required key missing"),
+            ("stories.json", ["stories", 2, "id"], DROP,
+             "stories[2].id: required key missing"),
+            ("stories.json", ["stories", 1], "As a user, I want to x",
+             "stories[1]: expected an object"),
+            ("stories.json", ["stories", 1, "environment"], [1],
+             "stories[1].environment: invalid value [1]"),
+            ("stories.json", ["stories", 0, "text"], "I want to x",
+             "stories[0].text: expected role clause"),
+            ("stories.json", ["stories", 2, "id"], "1.1",
+             "story ids must be unique (repeated id '1.1')"),
+        ],
+        ids=["goals-number", "assignment-list", "story-without-text",
+             "story-without-id", "story-string", "environment-number",
+             "story-text", "duplicate-id"],
+    )
+    def test_exits_2_with_path(self, name, location, value, message, tmp_path, capsys):
+        paths = {}
+        for doc_name in ("stories.json", "goals.json"):
+            doc = bundled_doc(doc_name)
+            if doc_name == name:
+                edit(doc, location, value)
+            paths[doc_name] = tmp_path / doc_name
+            paths[doc_name].write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["goalnet", "--stories", str(paths["stories.json"]),
+                "--goals", str(paths["goals.json"]), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        kind = name.split(".")[0]
+        assert f"error: invalid {kind} file {paths[name]}: {message}" in err
+        assert "Traceback" not in err
 
 
 LOG_HEADER = (
@@ -356,6 +465,12 @@ class TestIngestCommand:
         assert code == 2
         assert "quality" in capsys.readouterr().err
 
+    def test_non_utf8_log_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_bytes(LOG_HEADER.encode() + b"\nt1,s\xff1,1,8,5,7,3,3,8,1,3,4\n")
+        assert main(["ingest", "--log", str(path), "--out", str(tmp_path)]) == 2
+        assert f"invalid log file {path}" in capsys.readouterr().err
+
     def test_unknown_correlation_series(self, tmp_path, capsys):
         path = self.write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,8,1,3,4"])
         code = main(
@@ -375,6 +490,15 @@ class TestIngestCommand:
 class TestParserContract:
     def test_usage_error_exits_2(self):
         assert main(["simulate"]) == 2
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",
+                "--out", str(blocker / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_default_out_from_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv("AGILESIM_OUT", str(tmp_path / "from-env"))

@@ -295,14 +295,6 @@ class TestDocumentsAndExport:
         net = self.build_reference()
         assert goalnet.from_document(goalnet.to_document(net)) == net
 
-    def test_export_dispatch(self):
-        net = self.build_reference()
-        doc = goalnet.export(net, goalnet.STRUCTURED_DATA)
-        assert goalnet.from_document(doc) == net
-        assert goalnet.export(net, goalnet.GRAPH_DESCRIPTION).startswith("digraph")
-        with pytest.raises(goalnet.GoalNetError, match="unknown export format"):
-            goalnet.export(net, "yaml")
-
     def test_file_round_trip(self, tmp_path):
         net = self.build_reference()
         path = tmp_path / "net.json"
@@ -338,6 +330,16 @@ class TestDocumentsAndExport:
         stories = goalnet.load_stories(path)
         assert [s.id for s in stories] == ["1", "1.1", "2"]
         assert stories[1].parent == "1"
+
+    def test_duplicate_story_ids_rejected(self, tmp_path):
+        path = tmp_path / "stories.txt"
+        path.write_text(
+            "1: As a user, I want to search goods\n"
+            "1: As a guest, I want to browse\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(goalnet.GoalNetError, match="story ids must be unique"):
+            goalnet.load_stories(path)
 
     def test_story_file_bad_line(self, tmp_path):
         path = tmp_path / "stories.txt"

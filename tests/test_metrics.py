@@ -318,6 +318,35 @@ class TestIngestLog:
         joined = " ".join(err.value.errors)
         assert "row 3" in joined and "row 4" in joined
 
+    @pytest.mark.parametrize(
+        "column,value",
+        [
+            ("estimated_days", "nan"),
+            ("estimated_days", "inf"),
+            ("actual_days", "-inf"),
+            ("sprint_index", "nan"),
+            ("sprint_index", "inf"),
+            ("collaborators", "nan"),
+            ("quality", "nan"),
+            ("workload", "inf"),
+        ],
+    )
+    def test_non_finite_cell_rejected(self, column, value, tmp_path):
+        header = LOG_HEADER + ",workload"
+        cells = dict(zip(header.split(","), "t1,s1,1,8,5,7,3,3,7,1,3,4,12".split(",")))
+        cells[column] = value
+        path = write_log(tmp_path, [",".join(cells.values())], header=header)
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: row 2: {column} must be finite"
+        ]
+
+    def test_log_without_records_rejected(self, tmp_path):
+        path = write_log(tmp_path, [])
+        with pytest.raises(metrics.LogSchemaError, match="no records"):
+            metrics.ingest_log(path)
+
     def test_optional_passthrough_columns(self, tmp_path):
         header = LOG_HEADER + ",workload,final_score,team_score"
         path = write_log(
