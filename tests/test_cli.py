@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -302,6 +303,22 @@ class TestFcmCommand:
         err = capsys.readouterr().err
         assert f"error: invalid map file {path}: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change,initial",
+        [({}, "-1e300,0,0"), ({"c": 1e300}, "-0.5,0,0")],
+        ids=["initial-1e300", "c-1e300"],
+    )
+    def test_sigmoid_overflow_stays_finite(self, change, initial, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({**bundled_doc("michael_scenario1.json"), **change}),
+                        encoding="utf-8")
+        argv = ["fcm", "--map", str(path), f"--initial={initial}", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_csv(tmp_path / "trajectory.csv")[1:]
+        assert len(rows) >= 2
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
     def test_map_file_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "map.json"

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from agilesim import fcm
+from agilesim.core import InputError
 
 MICHAEL1 = fcm.ConceptMap(
     labels=("Mood", "Progress", "Quality"),
@@ -15,6 +16,61 @@ GRACE1 = fcm.ConceptMap(
     labels=("Mood", "Progress", "Quality"),
     weights=((0, 0.7, 0.3), (0.5, 0, 0.2), (0.6, 0.2, 0)),
 )
+
+
+def reference_transform(kind, n, c):
+    if kind == fcm.BIVALENT:
+        return 0.0 if n <= 0 else 1.0
+    if kind == fcm.TRIVALENT:
+        return -1.0 if n <= -0.5 else 1.0 if n >= 0.5 else 0.0
+    return 1.0 / (1.0 + math.exp(-c * n))
+
+
+def reference_step(cmap, values):
+    """The plain n x n update: every weight read, the transform per node."""
+    n = cmap.node_count
+    new_values = []
+    for j in range(n):
+        total = 0.0
+        for i in range(n):
+            w = cmap.weights[i][j]
+            if w:
+                total += w * values[i]
+        new_values.append(reference_transform(cmap.transform, total, cmap.c))
+    return tuple(new_values)
+
+
+def reference_run(cmap, initial, max_iter, tol):
+    """Iterate with the O(k^2) scan of every earlier state."""
+    states = [initial]
+    current = initial
+    for _ in range(max_iter):
+        nxt = reference_step(cmap, current)
+        states.append(nxt)
+        if max(abs(a - b) for a, b in zip(nxt, current)) < tol:
+            return states, fcm.FIXED_POINT
+        for earlier in states[:-2]:
+            if max(abs(a - b) for a, b in zip(nxt, earlier)) < tol:
+                return states, fcm.LIMIT_CYCLE
+        current = nxt
+    return states, fcm.MAX_ITERATIONS
+
+
+def random_map(rng, n, kind, c=5.0, drive_first=True):
+    """Half the off-diagonal weights nonzero; node 0 gets no inputs
+    unless ``drive_first``."""
+    weights = tuple(
+        tuple(
+            round(rng.uniform(-1, 1), 3)
+            if i != j and (j or drive_first) and rng.random() < 0.5
+            else 0.0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return fcm.ConceptMap(
+        labels=tuple(f"n{i}" for i in range(n)), weights=weights, transform=kind, c=c
+    )
 
 
 def reference_series():
@@ -48,6 +104,19 @@ class TestTransform:
     def test_bad_steepness(self):
         with pytest.raises(ValueError, match="steepness"):
             fcm.transform(fcm.SIGMOID, 0.1, c=0)
+
+    def test_sigmoid_formula_where_exp_is_finite(self):
+        for c in (0.5, 5.0, 8.0):
+            for n in (-709.0 / c, -3.7, -0.1, 0.0, 0.1, 3.7, 1e300):
+                assert fcm.transform(fcm.SIGMOID, n, c) == 1.0 / (1.0 + math.exp(-c * n))
+
+    def test_sigmoid_where_exp_overflows(self):
+        # exp(720) overflows; the value is exp(-720) / (1 + exp(-720)).
+        tiny = fcm.transform(fcm.SIGMOID, -144.0, c=5)
+        assert tiny == math.exp(-720) and tiny > 0
+        assert fcm.transform(fcm.SIGMOID, -1e300, c=5) == 0.0
+        assert fcm.transform(fcm.SIGMOID, -0.5, c=1e300) == 0.0
+        assert fcm.transform(fcm.SIGMOID, 0.5, c=1e300) == 1.0
 
 
 class TestStep:
@@ -129,6 +198,63 @@ class TestRun:
             fcm.run(MICHAEL1, state, max_iter=0)
         with pytest.raises(ValueError):
             fcm.run(MICHAEL1, state, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        with pytest.raises(InputError, match="initial: values must be finite"):
+            fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, bad, 0.0)))
+
+    def test_subnormal_tolerance(self):
+        initial = (0.5, 0.0, 0.0)
+        traj = fcm.run(MICHAEL1, fcm.StateVector(values=initial), tol=1e-320)
+        states, terminal = reference_run(MICHAEL1, initial, 200, 1e-320)
+        assert terminal == traj.terminal == fcm.FIXED_POINT
+        assert [s.values for s in traj.states] == states
+
+    def test_infinite_tolerance(self):
+        traj = fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)), tol=math.inf)
+        assert traj.terminal == fcm.FIXED_POINT
+        assert len(traj.states) == 2
+
+
+class TestCompiledEquivalence:
+    """``step`` and ``run`` against the plain n x n update and full scan."""
+
+    KINDS = (fcm.BIVALENT, fcm.TRIVALENT, fcm.SIGMOID)
+    TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5)
+
+    def test_step_is_bit_identical(self):
+        rng = random.Random(5)
+        for case in range(60):
+            n = 3 + case % 10
+            cmap = random_map(
+                rng, n, self.KINDS[case % 3], rng.choice((1.0, 5.0, 8.0)), case % 4 > 0
+            )
+            for _ in range(5):
+                values = tuple(rng.uniform(-1, 1) for _ in range(n))
+                assert fcm.step(cmap, fcm.StateVector(values=values)).values == (
+                    reference_step(cmap, values)
+                )
+
+    def test_run_is_bit_identical(self):
+        rng = random.Random(3)
+        outcomes = set()
+        for case in range(72):
+            kind = self.KINDS[case % 3]
+            n = 12 if case % 6 == 2 else rng.randint(3, 12)
+            c = 8.0 if case % 6 == 2 else rng.choice((1.0, 5.0))
+            cmap = random_map(rng, n, kind, c, drive_first=case % 5 > 0)
+            initial = tuple(rng.random() for _ in range(n))
+            tol = self.TOLS[(case // 3) % len(self.TOLS)]
+            traj = fcm.run(cmap, fcm.StateVector(values=initial), max_iter=300, tol=tol)
+            states, terminal = reference_run(cmap, initial, 300, tol)
+            assert traj.terminal == terminal, case
+            assert [s.values for s in traj.states] == states, case
+            assert [s.iteration for s in traj.states] == list(range(len(states)))
+            outcomes.add((kind, terminal))
+        assert {(fcm.BIVALENT, fcm.LIMIT_CYCLE), (fcm.TRIVALENT, fcm.LIMIT_CYCLE),
+                (fcm.SIGMOID, fcm.LIMIT_CYCLE), (fcm.SIGMOID, fcm.MAX_ITERATIONS),
+                (fcm.SIGMOID, fcm.FIXED_POINT)} <= outcomes
 
 
 class TestProperties:
@@ -310,6 +436,10 @@ class TestMapValidationAndFiles:
             assert cmap.c == 5.0
         with pytest.raises(KeyError):
             fcm.bundled_map("nobody_scenario9")
+
+    def test_bundled_map_read_once(self):
+        for name in fcm.bundled_map_names():
+            assert fcm.bundled_map(name) is fcm.bundled_map(name)
 
     def test_trajectory_csv(self):
         traj = fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)))
