@@ -1,19 +1,30 @@
 """Deterministic discrete-time team simulation.
 
-Each day: (1) new tasks are admitted to the common queue, highest
-priority first; (2) agents acquire work, either through per-agent
-acceptance plans (SMART) or by assigning every task on arrival to the
-most competent agent (AWR); (3) each agent spends up to its daily
-effort on its pending tasks in acceptance order, carrying partial
-effort across days; (4) each completion draws a quality outcome with
-success probability equal to the worker's competence for the type;
-(5) moods update according to the scenario's mood mode; (6) the day's
-metrics are recorded.
+Each day: (1) new tasks are admitted to the common queue of their type;
+(2) agents acquire work, either through per-agent acceptance plans
+(SMART) or by assigning every task on arrival to the most competent
+agent (AWR); (3) each agent spends up to its daily effort on its
+pending tasks in acceptance order, carrying partial effort across days;
+(4) each completion draws a quality outcome with success probability
+equal to the worker's competence for the type; (5) moods update
+according to the scenario's mood mode; (6) the day's metrics are
+recorded.
 
 Runs are bit-reproducible for a fixed seed. The arrival schedule
 depends only on the seed, never on the allocator, so toggling the
 allocator compares like against like. Within one run the arrival
 stream and the quality stream use separate generators.
+
+A day costs the work done in it, not the head count. Every series is
+allocated once, at horizon length, and filled with zeros; ``tick``
+writes a day's slot only for an agent that got or holds work, so an
+idle agent costs a reset of its recent completions in the service
+phase and nothing in the recording phase. Congestion sums only the
+queues of agents served that day: every other agent's queues are
+empty. Under fcm-coupled mood every agent still takes one ``fcm.step``
+a day; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
+While a run is in progress, ``state.metrics`` therefore reads 0 for
+every day not yet ticked.
 
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
@@ -57,6 +68,9 @@ class SimState:
     backlog. Every task is in exactly one of: the common queue, an
     agent's ``pending``, or ``completed``. ``awr_assignee`` maps each
     type to its AWR assignee, fixed for the run (empty under SMART).
+
+    ``metrics`` holds every series at full horizon length from day 0;
+    the slots of days not yet ticked read 0.
     """
 
     day: int
@@ -126,15 +140,25 @@ class RepeatedResult:
 
 
 class _MetricsAccumulator:
-    def __init__(self, agents: list[AgentState]):
-        self.assigned_effort = {a.agent_id: [] for a in agents}
-        self.busy_effort = {a.agent_id: [] for a in agents}
-        self.pending_workload = {a.agent_id: [] for a in agents}
-        self.queue_sizes = {a.agent_id: [] for a in agents}
-        self.congestion: list[float] = []
-        self.arrivals: list[int] = []
-        self.completions: list[int] = []
-        self.utility: list[float] = []
+    """The per-day series of one run, one slot per day of the horizon.
+
+    Every series is allocated once, at horizon length, full of zeros.
+    ``tick`` writes an agent's slots for a day only when the agent got
+    or held work that day, and its ``pending_workload`` slot also when
+    ``pending_effort`` keeps a float residue after its queue emptied;
+    every other slot keeps the zero an idle agent would record. Read
+    mid-run, the days not yet ticked read 0.
+    """
+
+    def __init__(self, agents: list[AgentState], horizon: int):
+        self.assigned_effort = {a.agent_id: [0.0] * horizon for a in agents}
+        self.busy_effort = {a.agent_id: [0.0] * horizon for a in agents}
+        self.pending_workload = {a.agent_id: [0.0] * horizon for a in agents}
+        self.queue_sizes = {a.agent_id: [0] * horizon for a in agents}
+        self.congestion = [0.0] * horizon
+        self.arrivals = [0] * horizon
+        self.completions = [0] * horizon
+        self.utility = [0.0] * horizon
         self.delay_count = 0
 
 
@@ -202,7 +226,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         completed=[],
         arrivals_by_day=arrivals_by_day,
         quality_rng=quality_rng,
-        metrics=_MetricsAccumulator(agents),
+        metrics=_MetricsAccumulator(agents, config.horizon_days),
     )
     state._types_by_priority = sorted(
         types, key=lambda tid: (-types[tid].priority, tid)
@@ -230,6 +254,8 @@ def _claim(agent: AgentState, task: TaskInstance, effort: float, day: int) -> No
 
 def _check_conservation(state: SimState) -> None:
     in_common = sum(len(q) for q in state.common_queue.values())
+    # Every agent's deque, not only those served today: a task lost or
+    # duplicated in an idle agent's queue must be caught too.
     in_agents = sum(len(a.pending) for a in state.agents)
     total = in_common + in_agents + len(state.completed)
     if total != state.arrived_total:
@@ -248,15 +274,14 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     types = config.task_types()
     metrics = state.metrics
 
-    # (1) Admission: today's arrivals enter the common queue by priority,
-    # preserving the shuffled within-day order for equal priorities.
+    # (1) Admission: each task joins its type's queue in the shuffled
+    # within-day order; the backlog's priority order is by type.
     todays = state.arrivals_by_day.pop(day, [])
-    for task in sorted(todays, key=lambda t: -types[t.type_id].priority):
+    for task in todays:
         state.common_queue[task.type_id].append(task)
     state.arrived_total += len(todays)
 
     # (2) Allocation.
-    assigned_today = {agent.agent_id: 0.0 for agent in state.agents}
     if config.allocator is Allocator.SMART:
         offered = {
             tid: len(queue) for tid, queue in state.common_queue.items() if queue
@@ -282,21 +307,32 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                     queue = state.common_queue[tid]
                     for _ in range(count):
                         _claim(agent, queue.popleft(), types[tid].effort, day)
-                    assigned_today[agent.agent_id] += count * types[tid].effort
+                    metrics.assigned_effort[agent.agent_id][day] += (
+                        count * types[tid].effort
+                    )
             offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every queued task is assigned immediately, none rejected.
         for tid in state._types_by_priority:
             queue = state.common_queue[tid]
             agent = state.awr_assignee[tid]
+            assigned = metrics.assigned_effort[agent.agent_id]
             while queue:
                 _claim(agent, queue.popleft(), types[tid].effort, day)
-                assigned_today[agent.agent_id] += types[tid].effort
+                assigned[day] += types[tid].effort
 
-    # (3) Service, (4) quality outcomes.
+    # (3) Service, (4) quality outcomes, in roster order so the quality
+    # draws keep their order; only agents holding work are served.
     completions_today = 0
     utility_today = 0.0
-    per_agent_outcomes: dict[str, tuple[int, int, int]] = {}
+    working: list[AgentState] = []
+    outcomes: dict[str, tuple[int, int, int]] = {}
     for agent in state.agents:
+        if not agent.pending:
+            agent.recent_completions = {}
+            # A finished queue can leave a float residue in pending_effort.
+            if agent.pending_effort:
+                metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
+            continue
         budget = agent.max_effort
         served: dict[str, int] = {}
         done = on_time = high_quality = 0
@@ -330,29 +366,31 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                 completions_today += 1
                 utility_today += spec.utility if success else 0.0
         agent.recent_completions = served
-        per_agent_outcomes[agent.agent_id] = (done, on_time, high_quality)
-        metrics.busy_effort[agent.agent_id].append(agent.max_effort - budget)
+        outcomes[agent.agent_id] = (done, on_time, high_quality)
+        working.append(agent)
+        metrics.busy_effort[agent.agent_id][day] = agent.max_effort - budget
+        metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
+        metrics.queue_sizes[agent.agent_id][day] = len(agent.pending)
 
-    # (5) Mood update.
+    # (5) Mood update; an agent that was not served steps from
+    # (mood, 0.5, 0.5).
     if state.mood_map is not None:
         for agent in state.agents:
-            done, on_time, high_quality = per_agent_outcomes[agent.agent_id]
+            done, on_time, high_quality = outcomes.get(agent.agent_id, (0, 0, 0))
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5
             mood_state = fcm.StateVector(values=(agent.mood, progress, quality))
             agent.mood = fcm.step(state.mood_map, mood_state).values[0]
 
-    # (6) Record metrics and advance the clock.
-    for agent in state.agents:
-        metrics.assigned_effort[agent.agent_id].append(assigned_today[agent.agent_id])
-        metrics.pending_workload[agent.agent_id].append(agent.pending_effort)
-        metrics.queue_sizes[agent.agent_id].append(len(agent.pending))
-    metrics.congestion.append(
-        congestion(chain.from_iterable(agent.queued.values() for agent in state.agents))
+    # (6) Record the day's totals and advance the clock. Agents not
+    # served today hold no tasks, so their queues add nothing to
+    # congestion.
+    metrics.congestion[day] = congestion(
+        chain.from_iterable(agent.queued.values() for agent in working)
     )
-    metrics.arrivals.append(len(todays))
-    metrics.completions.append(completions_today)
-    metrics.utility.append(utility_today)
+    metrics.arrivals[day] = len(todays)
+    metrics.completions[day] = completions_today
+    metrics.utility[day] = utility_today
     _check_conservation(state)
     state.day += 1
     return state

@@ -1,7 +1,189 @@
+import math
+import random
+from itertools import chain
+from types import SimpleNamespace
+
 import pytest
 
-from agilesim import core, simulation
+from agilesim import core, fcm, simulation
+from agilesim.allocation import TypeEconomics, expected_utility, smart_plan
+from agilesim.metrics import congestion
 from conftest import make_scenario
+
+
+def reference_tick(state, config):
+    """The plain all-agents day: every agent served, mood-stepped and
+    recorded, appending to the series of a ``reference_metrics``."""
+    day = state.day
+    types = config.task_types()
+    metrics = state.metrics
+    todays = state.arrivals_by_day.pop(day, [])
+    for task in sorted(todays, key=lambda t: -types[t.type_id].priority):
+        state.common_queue[task.type_id].append(task)
+    state.arrived_total += len(todays)
+
+    assigned_today = {agent.agent_id: 0.0 for agent in state.agents}
+    if config.allocator is core.Allocator.SMART:
+        offered = {
+            tid: len(queue) for tid, queue in state.common_queue.items() if queue
+        }
+        for agent in state.agents:
+            if not offered:
+                break
+            economics = {
+                tid: TypeEconomics(
+                    type_id=tid,
+                    expected_utility=expected_utility(
+                        types[tid].utility, agent.competence_for(tid), agent.mood
+                    ),
+                    recent_service_rate=float(agent.recent_completions.get(tid, 0)),
+                    effort=types[tid].effort,
+                )
+                for tid in offered
+            }
+            plan = smart_plan(agent, offered, economics, config.psi)
+            for tid, count in plan.accepted.items():
+                if count:
+                    queue = state.common_queue[tid]
+                    for _ in range(count):
+                        task = queue.popleft()
+                        simulation._claim(agent, task, types[tid].effort, day)
+                    assigned_today[agent.agent_id] += count * types[tid].effort
+            offered = {tid: count for tid, count in plan.rejected.items() if count}
+    else:
+        for tid in state._types_by_priority:
+            queue = state.common_queue[tid]
+            agent = state.awr_assignee[tid]
+            while queue:
+                simulation._claim(agent, queue.popleft(), types[tid].effort, day)
+                assigned_today[agent.agent_id] += types[tid].effort
+
+    completions_today = 0
+    utility_today = 0.0
+    per_agent_outcomes = {}
+    for agent in state.agents:
+        budget = agent.max_effort
+        served = {}
+        done = on_time = high_quality = 0
+        while budget > simulation._EPS and agent.pending:
+            task = agent.pending[0]
+            spend = min(budget, task.remaining_effort)
+            task.remaining_effort -= spend
+            budget -= spend
+            agent.pending_effort -= spend
+            if task.remaining_effort <= simulation._EPS:
+                agent.pending.popleft()
+                agent.queued[task.type_id] -= 1
+                task.remaining_effort = 0.0
+                task.status = core.TaskStatus.COMPLETED
+                task.completion_day = day
+                spec = types[task.type_id]
+                success = state.quality_rng.random() < agent.competence_for(
+                    task.type_id
+                )
+                task.quality_success = success
+                nominal_days = math.ceil(spec.effort / agent.max_effort)
+                late = (day - task.assigned_day + 1) > nominal_days
+                state.completed.append(task)
+                served[task.type_id] = served.get(task.type_id, 0) + 1
+                done += 1
+                if late:
+                    metrics.delay_count += 1
+                else:
+                    on_time += 1
+                high_quality += 1 if success else 0
+                completions_today += 1
+                utility_today += spec.utility if success else 0.0
+        agent.recent_completions = served
+        per_agent_outcomes[agent.agent_id] = (done, on_time, high_quality)
+        metrics.busy_effort[agent.agent_id].append(agent.max_effort - budget)
+
+    if state.mood_map is not None:
+        for agent in state.agents:
+            done, on_time, high_quality = per_agent_outcomes[agent.agent_id]
+            progress = on_time / done if done else 0.5
+            quality = high_quality / done if done else 0.5
+            mood_state = fcm.StateVector(values=(agent.mood, progress, quality))
+            agent.mood = fcm.step(state.mood_map, mood_state).values[0]
+
+    for agent in state.agents:
+        metrics.assigned_effort[agent.agent_id].append(assigned_today[agent.agent_id])
+        metrics.pending_workload[agent.agent_id].append(agent.pending_effort)
+        metrics.queue_sizes[agent.agent_id].append(len(agent.pending))
+    metrics.congestion.append(
+        congestion(chain.from_iterable(agent.queued.values() for agent in state.agents))
+    )
+    metrics.arrivals.append(len(todays))
+    metrics.completions.append(completions_today)
+    metrics.utility.append(utility_today)
+    state.day += 1
+    return state
+
+
+def reference_metrics(agents):
+    def per_agent():
+        return {agent.agent_id: [] for agent in agents}
+
+    return SimpleNamespace(
+        assigned_effort=per_agent(), busy_effort=per_agent(),
+        pending_workload=per_agent(), queue_sizes=per_agent(), congestion=[],
+        arrivals=[], completions=[], utility=[], delay_count=0,
+    )
+
+
+def mood_trajectory(config, tick, state=None):
+    """Every agent's mood after each day, ticking ``state`` (a fresh one
+    if None) to the horizon."""
+    if state is None:
+        state = simulation.initial_state(config)
+    moods = []
+    for _ in range(config.horizon_days):
+        tick(state, config)
+        moods.append([agent.mood for agent in state.agents])
+    return moods
+
+
+SERIES = (
+    "assigned_effort", "busy_effort", "pending_workload", "queue_sizes",
+    "congestion", "arrivals", "completions", "utility", "delay_count",
+)
+
+
+def random_scenario(rng, case):
+    """A small scenario with fractional efforts, so pending_effort keeps
+    float residues, and competence and mood down to 0."""
+    categories = tuple(
+        (
+            category,
+            rng.randint(1, 4),
+            rng.choice((0.0, 1.0, round(rng.random(), 3))),
+            round(rng.uniform(0.5, 12.0), 2),
+        )
+        for category in rng.sample(list(core.Category), rng.randint(1, 3))
+    )
+    tasks = tuple(
+        (
+            f"T{t}",
+            round(rng.uniform(0.0, 10.0), 2),
+            round(rng.uniform(0.1, 8.0), 2),
+            round(rng.uniform(0.1, 9.0), 3),
+            rng.randint(0, 40),
+        )
+        for t in range(rng.randint(1, 4))
+    )
+    if case % 3 == 0:
+        mood = core.MoodMode.fcm_coupled()
+    else:
+        mood = core.MoodMode.constant(rng.choice((0.0, 1.0, round(rng.random(), 3))))
+    return make_scenario(
+        categories=categories,
+        tasks=tasks,
+        horizon_days=rng.randint(1, 30),
+        seed=rng.randint(0, 10_000),
+        psi=rng.choice((0.5, 1.0, 3.0)),
+        allocator=(core.Allocator.SMART, core.Allocator.AWR)[case % 2],
+        mood_mode=mood,
+    )
 
 
 class TestGenerateArrivals:
@@ -163,6 +345,35 @@ class TestConservationAndAccounting:
         with pytest.raises(simulation.SimulationInvariantError, match="dev-000"):
             simulation.run(config)
 
+    def test_task_conservation_breach_is_caught(self, monkeypatch):
+        # dev-000 holds the only task; a duplicate of it slipped into the
+        # queue of dev-001, which held no work and so was not served,
+        # must still be counted.
+        config = make_scenario(
+            categories=(
+                (core.Category.HCA, 1, 1.0, 3.0),
+                (core.Category.MCA, 1, 0.2, 3.0),
+            ),
+            tasks=(("T1", 10, 10, 10, 1),),
+            horizon_days=3,
+            allocator=core.Allocator.AWR,
+        )
+        real_check = simulation._check_conservation
+
+        def corrupting_check(state):
+            if state.day == 1:
+                holder, idle = state.agents
+                assert holder.pending and not idle.pending
+                idle.pending.append(holder.pending[0])
+            real_check(state)
+
+        monkeypatch.setattr(simulation, "_check_conservation", corrupting_check)
+        with pytest.raises(
+            simulation.SimulationInvariantError,
+            match="task conservation breached on day 1",
+        ):
+            simulation.run(config)
+
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
         result = simulation.run(config)
@@ -228,6 +439,64 @@ class TestRunAndRepetition:
         assert result.global_utility == 0.0
         assert all(v == 0.0 for v in result.utility)
         assert all(v == 0.0 for v in result.congestion)
+
+
+class TestIdleAgentEquivalence:
+    """``tick`` against the plain all-agents day of ``reference_tick``."""
+
+    def test_runs_are_identical(self):
+        rng = random.Random(17)
+        seen = set()
+        for case in range(150):
+            config = random_scenario(rng, case)
+            got = simulation.run(config)
+            got_moods = mood_trajectory(config, simulation.tick)
+            state = simulation.initial_state(config)
+            state.metrics = reference_metrics(state.agents)
+            want_moods = mood_trajectory(config, reference_tick, state)
+            want = state.metrics
+            for name in SERIES:
+                got_series, want_series = getattr(got, name), getattr(want, name)
+                assert got_series == want_series, (case, name)
+                # == takes 0 for 0.0 and -0.0 for 0.0; the CSVs would not
+                assert repr(got_series) == repr(want_series), (case, name)
+            assert [
+                (t.task_id, t.assignee, t.completion_day, t.quality_success)
+                for t in got.completed
+            ] == [
+                (t.task_id, t.assignee, t.completion_day, t.quality_success)
+                for t in state.completed
+            ], case
+            assert got_moods == want_moods, case
+            for agent in got.agent_ids:
+                if any(
+                    size == 0 and load != 0.0
+                    for size, load in zip(
+                        got.queue_sizes[agent], got.pending_workload[agent]
+                    )
+                ):
+                    seen.add("residue")
+            if got.completed_count:
+                seen.add((config.allocator, config.mood_mode.kind))
+        assert seen == {
+            "residue",
+            (core.Allocator.SMART, "constant"),
+            (core.Allocator.SMART, "fcm-coupled"),
+            (core.Allocator.AWR, "constant"),
+            (core.Allocator.AWR, "fcm-coupled"),
+        }
+
+    def test_mid_run_days_not_yet_ticked_read_zero(self):
+        config = make_scenario(
+            categories=((core.Category.HCA, 1, 1.0, 3.0),),
+            tasks=(("T1", 10, 10, 10, 1),),
+            horizon_days=4,
+            allocator=core.Allocator.AWR,
+        )
+        state = simulation.initial_state(config)
+        simulation.tick(state, config)
+        assert state.metrics.busy_effort["dev-000"] == [3.0, 0.0, 0.0, 0.0]
+        assert state.metrics.arrivals == [1, 0, 0, 0]
 
 
 class TestMoodCoupling:
