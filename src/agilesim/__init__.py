@@ -15,7 +15,6 @@ from .core import (
     ScenarioConfig,
     ScenarioValidationError,
     TaskInstance,
-    TaskStatus,
     TaskTypeSpec,
     TeamConfig,
     UnknownPresetError,

@@ -33,12 +33,6 @@ class Allocator(str, Enum):
     AWR = "AWR"
 
 
-class TaskStatus(str, Enum):
-    PENDING = "pending-in-common-queue"
-    ASSIGNED = "assigned"
-    COMPLETED = "completed"
-
-
 class InputError(ValueError):
     """Malformed input from outside the program.
 
@@ -74,7 +68,7 @@ class TaskTypeSpec:
     effort: float
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInstance:
     """One concrete task and its runtime state."""
 
@@ -82,7 +76,6 @@ class TaskInstance:
     type_id: str
     arrival_day: int
     remaining_effort: float
-    status: TaskStatus = TaskStatus.PENDING
     assignee: str | None = None
     assigned_day: int | None = None
     completion_day: int | None = None

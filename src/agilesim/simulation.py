@@ -15,6 +15,17 @@ depends only on the seed, never on the allocator, so toggling the
 allocator compares like against like. Within one run the arrival
 stream and the quality stream use separate generators.
 
+What depends only on the config and seed is built once. The arrival
+schedule comes from two memos: a catalog of every task (id, type,
+day, effort) per task mix and horizon, shared by all seeds, and a
+per-seed day order of catalog indices. Runs with the same mix,
+horizon and seed, such as both allocators of ``--compare``, share
+both and their id strings; each run still gets fresh task objects.
+SMART scores come from a per-agent table of every type's economics,
+rebuilt only when the agent's mood moves (every day under fcm-coupled
+mood, never under constant mood); entries for yesterday's completions
+are overlaid on a copy.
+
 A day costs the work done in it, not the head count. Every series is
 allocated once, at horizon length, and filled with zeros; ``tick``
 writes a day's slot only for an agent that got or holds work, so an
@@ -33,9 +44,11 @@ still in flight at the horizon credit nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -48,7 +61,7 @@ from .core import (
     Allocator,
     ScenarioConfig,
     TaskInstance,
-    TaskStatus,
+    TaskTypeSpec,
 )
 from .metrics import congestion
 
@@ -66,8 +79,15 @@ class SimState:
     ``common_queue`` holds unassigned tasks per type in arrival order;
     combined with the per-type priority this realizes a priority-ordered
     backlog. Every task is in exactly one of: the common queue, an
-    agent's ``pending``, or ``completed``. ``awr_assignee`` maps each
-    type to its AWR assignee, fixed for the run (empty under SMART).
+    agent's ``pending``, or ``completed``. ``types`` is the scenario's
+    task types by id. ``awr_assignee`` maps each type to its AWR
+    assignee, fixed for the run (empty under SMART).
+
+    ``score_tables`` maps an agent id to ``(mood, table, rated)``: the
+    mood the entries were built at, the SMART economics of every type
+    at zero recent service rate, and the entries built so far for a
+    (type, recent completions) pair. All three are rebuilt when the
+    agent's mood moves.
 
     ``metrics`` holds every series at full horizon length from day 0;
     the slots of days not yet ticked read 0.
@@ -75,6 +95,7 @@ class SimState:
 
     day: int
     agents: list[AgentState]
+    types: dict[str, TaskTypeSpec]
     common_queue: dict[str, deque[TaskInstance]]
     completed: list[TaskInstance]
     arrivals_by_day: dict[int, list[TaskInstance]]
@@ -83,14 +104,11 @@ class SimState:
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
+    score_tables: dict[
+        str,
+        tuple[float, dict[str, TypeEconomics], dict[tuple[str, int], TypeEconomics]],
+    ] = field(default_factory=dict)
     _types_by_priority: list[str] = field(default_factory=list)
-
-    def common_queue_tasks(self) -> list[TaskInstance]:
-        """Backlog snapshot in priority-then-arrival order."""
-        ordered: list[TaskInstance] = []
-        for tid in self._types_by_priority:
-            ordered.extend(self.common_queue[tid])
-        return ordered
 
 
 @dataclass
@@ -168,38 +186,83 @@ def _derive_rngs(seed: int) -> tuple[random.Random, random.Random]:
     return random.Random(2 * seed), random.Random(2 * seed + 1)
 
 
+# Arrival schedules are shared by every run with the same task mix,
+# horizon and seed: ``--compare`` replays seeds seed..seed+reps-1 once
+# per allocator, and the three presets of one size share a task mix,
+# so a preset's repetitions must all stay cached until the next
+# allocator and preset replay them. 32 holds the presets' 10 with room
+# for longer custom sweeps; an entry costs 4 bytes a task.
+_DAY_ORDER_CACHE_SIZE = 32
+
+
+# A sweep finishes with one task mix before it moves to the next.
+@functools.lru_cache(maxsize=4)
+def _arrival_catalog(
+    task_mix: tuple[tuple[TaskTypeSpec, int], ...], horizon: int
+) -> tuple[tuple[tuple[str, str, int, float], ...], tuple[int, ...]]:
+    """The seed-independent part of a schedule: every task as
+    ``(task_id, type_id, arrival_day, effort)``, day by day in
+    pre-shuffle order (types in mix order, then serial), and the index
+    where each day starts, with the total count appended.
+
+    Each type's count is spread uniformly over the horizon: either
+    floor(N/T) or ceil(N/T) per day, extras on the earliest days.
+    """
+    paces = [
+        (spec, spec.type_id.lower(), *divmod(count, horizon)) for spec, count in task_mix
+    ]
+    tasks: list[tuple[str, str, int, float]] = []
+    starts: list[int] = []
+    for day in range(horizon):
+        starts.append(len(tasks))
+        for spec, prefix, base, extra in paces:
+            # Serials run on across days: base a day plus one per earlier extra.
+            first = base * day + min(day, extra)
+            todays = base + (1 if day < extra else 0)
+            tasks.extend(
+                (f"{prefix}-{n:05d}", spec.type_id, day, spec.effort)
+                for n in range(first, first + todays)
+            )
+    starts.append(len(tasks))
+    return tuple(tasks), tuple(starts)
+
+
+@functools.lru_cache(maxsize=_DAY_ORDER_CACHE_SIZE)
+def _day_order(
+    task_mix: tuple[tuple[TaskTypeSpec, int], ...], horizon: int, seed: int
+) -> memoryview:
+    """Catalog indices in arrival order: each day's indices shuffled by
+    the seed's arrival generator. ``Random.shuffle`` draws the same
+    swaps for any list of one length, so shuffling indices permutes a
+    day exactly as shuffling its tasks would. Packed as unsigned ints
+    in read-only bytes, because every run of the seed shares it and a
+    tuple would hold an int object per task."""
+    arrivals_rng, _ = _derive_rngs(seed)
+    _, starts = _arrival_catalog(task_mix, horizon)
+    order: list[int] = []
+    for start, end in zip(starts, starts[1:]):
+        todays = list(range(start, end))
+        arrivals_rng.shuffle(todays)
+        order.extend(todays)
+    return memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
+
+
 def generate_arrivals(config: ScenarioConfig, seed: int) -> list[TaskInstance]:
     """Create every task with its arrival day.
 
     Each type's count is spread uniformly over the horizon (either
     floor(N/T) or ceil(N/T) per day, extras on the earliest days), and
-    the merged per-day order is shuffled by the seeded generator. The
-    result is ordered by day, then by within-day shuffle position.
+    each day's tasks are shuffled by the seeded generator. The result
+    is ordered by day, then by within-day shuffle position.
     Deterministic for a fixed seed and independent of the allocator.
+    The schedule is built once per (task mix, horizon, seed) and shared
+    with its id strings; every call returns fresh ``TaskInstance``s.
     """
-    arrivals_rng, _ = _derive_rngs(seed)
     horizon = config.horizon_days
-    per_day: list[list[TaskInstance]] = [[] for _ in range(horizon)]
-    for spec, count in config.task_mix:
-        base, extra = divmod(count, horizon)
-        serial = 0
-        for day in range(horizon):
-            todays = base + (1 if day < extra else 0)
-            for _ in range(todays):
-                per_day[day].append(
-                    TaskInstance(
-                        task_id=f"{spec.type_id.lower()}-{serial:05d}",
-                        type_id=spec.type_id,
-                        arrival_day=day,
-                        remaining_effort=spec.effort,
-                    )
-                )
-                serial += 1
-    ordered: list[TaskInstance] = []
-    for day in range(horizon):
-        arrivals_rng.shuffle(per_day[day])
-        ordered.extend(per_day[day])
-    return ordered
+    catalog, _ = _arrival_catalog(config.task_mix, horizon)
+    return [
+        TaskInstance(*catalog[i]) for i in _day_order(config.task_mix, horizon, seed)
+    ]
 
 
 def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
@@ -222,6 +285,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     state = SimState(
         day=0,
         agents=agents,
+        types=types,
         common_queue={tid: deque() for tid in types},
         completed=[],
         arrivals_by_day=arrivals_by_day,
@@ -246,10 +310,50 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
 def _claim(agent: AgentState, task: TaskInstance, effort: float, day: int) -> None:
     task.assignee = agent.agent_id
     task.assigned_day = day
-    task.status = TaskStatus.ASSIGNED
     agent.queued[task.type_id] += 1
     agent.pending.append(task)
     agent.pending_effort += effort
+
+
+def _economics(state: SimState, agent: AgentState) -> dict[str, TypeEconomics]:
+    """The agent's SMART economics for every type today.
+
+    The expected utilities change only with the agent's mood, so its
+    table is built once and again only when the mood moves. The recent
+    service rate is non-zero only for the types the agent completed
+    yesterday; those entries are overlaid on a copy, each built once
+    per (type, count) at a mood.
+    """
+    built = state.score_tables.get(agent.agent_id)
+    if built is None or built[0] != agent.mood:
+        mood = agent.mood
+        table = {
+            tid: TypeEconomics(
+                type_id=tid,
+                expected_utility=expected_utility(
+                    spec.utility, agent.competence_for(tid), mood
+                ),
+                recent_service_rate=0.0,
+                effort=spec.effort,
+            )
+            for tid, spec in state.types.items()
+        }
+        built = state.score_tables[agent.agent_id] = (mood, table, {})
+    _, table, rated = built
+    if not agent.recent_completions:
+        return table
+    today = dict(table)
+    for tid, count in agent.recent_completions.items():
+        econ = rated.get((tid, count))
+        if econ is None:
+            econ = rated[tid, count] = TypeEconomics(
+                type_id=tid,
+                expected_utility=table[tid].expected_utility,
+                recent_service_rate=float(count),
+                effort=table[tid].effort,
+            )
+        today[tid] = econ
+    return today
 
 
 def _check_conservation(state: SimState) -> None:
@@ -271,7 +375,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     if state.day >= config.horizon_days:
         raise ValueError(f"day {state.day} is already at the horizon")
     day = state.day
-    types = config.task_types()
+    types = state.types
     metrics = state.metrics
 
     # (1) Admission: each task joins its type's queue in the shuffled
@@ -289,18 +393,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         for agent in state.agents:
             if not offered:
                 break
-            economics = {
-                tid: TypeEconomics(
-                    type_id=tid,
-                    expected_utility=expected_utility(
-                        types[tid].utility, agent.competence_for(tid), agent.mood
-                    ),
-                    recent_service_rate=float(agent.recent_completions.get(tid, 0)),
-                    effort=types[tid].effort,
-                )
-                for tid in offered
-            }
-            plan = smart_plan(agent, offered, economics, config.psi)
+            plan = smart_plan(agent, offered, _economics(state, agent), config.psi)
             # plan.accepted is in visit order; its rejects go to the next agent.
             for tid, count in plan.accepted.items():
                 if count:
@@ -346,7 +439,6 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                 agent.pending.popleft()
                 agent.queued[task.type_id] -= 1
                 task.remaining_effort = 0.0
-                task.status = TaskStatus.COMPLETED
                 task.completion_day = day
                 spec = types[task.type_id]
                 success = state.quality_rng.random() < agent.competence_for(
@@ -396,10 +488,10 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     return state
 
 
-def _check_effort(state: SimState, config: ScenarioConfig) -> None:
+def _check_effort(state: SimState) -> None:
     """Per agent, the effort spent over the run must equal the effort of
     its completed tasks plus the progress on the tasks it still holds."""
-    types = config.task_types()
+    types = state.types
     received = {agent.agent_id: 0.0 for agent in state.agents}
     for task in state.completed:
         received[task.assignee] += types[task.type_id].effort
@@ -420,7 +512,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     state = initial_state(config, seed)
     for _ in range(config.horizon_days):
         tick(state, config)
-    _check_effort(state, config)
+    _check_effort(state)
     metrics = state.metrics
     completed = state.completed
     return RunResult(

@@ -75,7 +75,6 @@ def reference_tick(state, config):
                 agent.pending.popleft()
                 agent.queued[task.type_id] -= 1
                 task.remaining_effort = 0.0
-                task.status = core.TaskStatus.COMPLETED
                 task.completion_day = day
                 spec = types[task.type_id]
                 success = state.quality_rng.random() < agent.competence_for(
@@ -118,6 +117,33 @@ def reference_tick(state, config):
     metrics.utility.append(utility_today)
     state.day += 1
     return state
+
+
+def reference_arrivals(config, seed):
+    """The schedule built task by task: each type paced over the
+    horizon, then every day's tasks shuffled by the arrival stream."""
+    arrivals_rng = random.Random(2 * seed)
+    horizon = config.horizon_days
+    per_day = [[] for _ in range(horizon)]
+    for spec, count in config.task_mix:
+        base, extra = divmod(count, horizon)
+        serial = 0
+        for day in range(horizon):
+            for _ in range(base + (1 if day < extra else 0)):
+                per_day[day].append(
+                    core.TaskInstance(
+                        task_id=f"{spec.type_id.lower()}-{serial:05d}",
+                        type_id=spec.type_id,
+                        arrival_day=day,
+                        remaining_effort=spec.effort,
+                    )
+                )
+                serial += 1
+    ordered = []
+    for day in range(horizon):
+        arrivals_rng.shuffle(per_day[day])
+        ordered.extend(per_day[day])
+    return ordered
 
 
 def reference_metrics(agents):
@@ -231,6 +257,47 @@ class TestGenerateArrivals:
         d = [t.task_id for t in simulation.generate_arrivals(config, seed=10)]
         assert a != d
 
+    def test_matches_task_by_task_build(self):
+        rng = random.Random(5)
+        for case in range(60):
+            config = random_scenario(rng, case)
+            # More keys than the day-order memo holds; the second call
+            # of each is served from it.
+            seed = case % 40
+            for _ in range(2):
+                got = simulation.generate_arrivals(config, seed)
+                assert got == reference_arrivals(config, seed), case
+
+
+class TestScheduleIsolation:
+    """Runs share a schedule's catalog and day order, never its tasks."""
+
+    def test_mutated_tasks_do_not_reach_a_later_call(self):
+        config = core.preset("S-I")
+        first = simulation.generate_arrivals(config, seed=5)
+        want = reference_arrivals(config, 5)
+        for task in first:
+            task.remaining_effort = 0.0
+            task.assignee = "dev-000"
+        again = simulation.generate_arrivals(config, seed=5)
+        assert again == want
+        assert all(a is not b for a, b in zip(first, again))
+
+    def test_two_runs_in_one_process_are_identical(self):
+        config = core.with_overrides(core.preset("S-M"), seed=7)
+        a = simulation.run(config)
+        b = simulation.run(config)
+        for name in SERIES:
+            assert getattr(a, name) == getattr(b, name), name
+        assert a.completed == b.completed
+
+    def test_presets_of_one_size_share_the_schedule(self):
+        si, sc = core.preset("S-I"), core.preset("S-C")
+        a = simulation.generate_arrivals(si, seed=3)
+        b = simulation.generate_arrivals(sc, seed=3)
+        assert [t.task_id for t in a] == [t.task_id for t in b]
+        assert all(x.task_id is y.task_id for x, y in zip(a, b))
+
 
 class TestTickHandTraces:
     def test_single_task_single_day(self):
@@ -318,9 +385,18 @@ class TestConservationAndAccounting:
         state = simulation.initial_state(config)
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
+        elsewhere = {
+            id(task)
+            for task in chain(
+                chain.from_iterable(state.common_queue.values()),
+                chain.from_iterable(agent.pending for agent in state.agents),
+            )
+        }
+        assert state.completed
         for task in state.completed:
+            assert id(task) not in elsewhere
             assert task.remaining_effort == 0.0
-            assert task.status is core.TaskStatus.COMPLETED
+            assert task.completion_day is not None
             assert task.completion_day >= task.arrival_day
 
     def test_effort_conservation_breach_is_caught(self, monkeypatch):
@@ -444,12 +520,38 @@ class TestRunAndRepetition:
 class TestIdleAgentEquivalence:
     """``tick`` against the plain all-agents day of ``reference_tick``."""
 
-    def test_runs_are_identical(self):
+    def test_runs_are_identical(self, monkeypatch):
         rng = random.Random(17)
         seen = set()
+        real_plan = simulation.smart_plan
         for case in range(150):
             config = random_scenario(rng, case)
+            types = config.task_types()
+            visited_mood = {}
+
+            def checked_plan(agent, incoming, economics, psi):
+                # A visit that overlays yesterday's completions, or one
+                # whose table was built at another mood, must still see
+                # the economics of a from-scratch build.
+                if agent.recent_completions:
+                    seen.add("overlay")
+                if visited_mood.get(agent.agent_id, agent.mood) != agent.mood:
+                    seen.add("mood moved")
+                visited_mood[agent.agent_id] = agent.mood
+                for tid in incoming:
+                    assert economics[tid] == TypeEconomics(
+                        type_id=tid,
+                        expected_utility=expected_utility(
+                            types[tid].utility, agent.competence_for(tid), agent.mood
+                        ),
+                        recent_service_rate=float(agent.recent_completions.get(tid, 0)),
+                        effort=types[tid].effort,
+                    ), case
+                return real_plan(agent, incoming, economics, psi)
+
+            monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
+            monkeypatch.setattr(simulation, "smart_plan", real_plan)
             got_moods = mood_trajectory(config, simulation.tick)
             state = simulation.initial_state(config)
             state.metrics = reference_metrics(state.agents)
@@ -480,6 +582,8 @@ class TestIdleAgentEquivalence:
                 seen.add((config.allocator, config.mood_mode.kind))
         assert seen == {
             "residue",
+            "overlay",
+            "mood moved",
             (core.Allocator.SMART, "constant"),
             (core.Allocator.SMART, "fcm-coupled"),
             (core.Allocator.AWR, "constant"),
@@ -557,7 +661,11 @@ class TestCommonQueueOrdering:
         state = simulation.initial_state(config)
         for _ in range(3):
             simulation.tick(state, config)
-        backlog = state.common_queue_tasks()
+        backlog = [
+            task
+            for tid in state._types_by_priority
+            for task in state.common_queue[tid]
+        ]
         assert len(backlog) == 6
         assert [t.type_id for t in backlog] == ["high"] * 3 + ["low"] * 3
         for queue in ([t for t in backlog if t.type_id == "high"],
