@@ -28,6 +28,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, core, fcm, goalnet, metrics, simulation
@@ -174,12 +175,11 @@ def cmd_fcm(args) -> int:
         cmap = fcm.bundled_map(args.map)
     else:
         cmap = fcm.load_map(args.map)
-    doc = fcm.map_to_document(cmap)
-    if args.transform:
-        doc["transform"] = args.transform
-    if args.c is not None:
-        doc["c"] = args.c
-    cmap = fcm.map_from_document(doc)
+    cmap = replace(
+        cmap,
+        transform=args.transform or cmap.transform,
+        c=cmap.c if args.c is None else args.c,
+    )
     try:
         values = tuple(float(part) for part in args.initial.split(","))
     except ValueError:

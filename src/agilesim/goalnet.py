@@ -234,7 +234,8 @@ def build_goal_net(
         children[node_id] = []
 
     story_index = {story.id: story for story in stories}
-    for story in sorted(stories, key=lambda s: _story_order(s.id)):
+    ordered = sorted(stories, key=lambda s: _story_order(s.id))
+    for story in ordered:
         node_id = f"story-{story.id}"
         nodes[node_id] = GoalNode(
             id=node_id,
@@ -266,8 +267,7 @@ def build_goal_net(
             environment_variables=story.environment,
             tasks=story.tasks,
         )
-        for story in sorted(stories, key=lambda s: _story_order(s.id))
-        if story.tasks
+        for story in ordered if story.tasks
     )
     return GoalNet(
         root_id="root",

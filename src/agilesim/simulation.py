@@ -26,16 +26,16 @@ rebuilt only when the agent's mood moves (every day under fcm-coupled
 mood, never under constant mood); entries for yesterday's completions
 are overlaid on a copy.
 
-A day costs the work done in it, not the head count. Every series is
-allocated once, at horizon length, and filled with zeros; ``tick``
-writes a day's slot only for an agent that got or holds work, so an
-idle agent costs a reset of its recent completions in the service
-phase and nothing in the recording phase. Congestion sums only the
-queues of agents served that day: every other agent's queues are
-empty. Under fcm-coupled mood every agent still takes one ``fcm.step``
-a day; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
-While a run is in progress, ``state.metrics`` therefore reads 0 for
-every day not yet ticked.
+A day costs the work done in it, not the head count. The run's record,
+a ``RunResult``, is built at day 0 with every series at horizon length
+and full of zeros; ``tick`` writes a day's slot only for an agent that
+got or holds work, so an idle agent costs a reset of its recent
+completions in the service phase and nothing in the recording phase.
+Congestion sums only the queues of agents served that day: every other
+agent's queues are empty. Under fcm-coupled mood every agent still
+takes one ``fcm.step`` a day; one that completed nothing steps from
+``(mood, 0.5, 0.5)``. ``run`` fills in the record's totals at the
+horizon and returns that same record.
 
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
@@ -89,8 +89,8 @@ class SimState:
     (type, recent completions) pair. All three are rebuilt when the
     agent's mood moves.
 
-    ``metrics`` holds every series at full horizon length from day 0;
-    the slots of days not yet ticked read 0.
+    ``metrics`` is the run's ``RunResult``, built at day 0; ``tick``
+    writes each day into it and ``run`` returns it.
     """
 
     day: int
@@ -100,7 +100,7 @@ class SimState:
     completed: list[TaskInstance]
     arrivals_by_day: dict[int, list[TaskInstance]]
     quality_rng: random.Random
-    metrics: _MetricsAccumulator
+    metrics: RunResult
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
@@ -113,7 +113,13 @@ class SimState:
 
 @dataclass
 class RunResult:
-    """Per-day series and totals for one simulated run."""
+    """Per-day series and totals for one simulated run.
+
+    Built by ``initial_state`` with one slot per day, all 0; ``tick``
+    writes a day's slots for the agents that got or held work (and an
+    emptied queue's float residue in ``pending_workload``). Mid-run the
+    days not yet ticked read 0, and so do the totals except ``delay_count``.
+    """
 
     scenario: str
     allocator: Allocator
@@ -124,16 +130,14 @@ class RunResult:
     assigned_effort: dict[str, list[float]]
     busy_effort: dict[str, list[float]]
     pending_workload: dict[str, list[float]]
-    queue_sizes: dict[str, list[int]]
     congestion: list[float]
     arrivals: list[int]
     completions: list[int]
     utility: list[float]
-    completed: list[TaskInstance]
-    global_utility: float
-    completed_count: int
-    high_quality_count: int
-    delay_count: int
+    global_utility: float = 0.0
+    completed_count: int = 0
+    high_quality_count: int = 0
+    delay_count: int = 0
 
     def cumulative_utility(self) -> list[float]:
         total = 0.0
@@ -155,29 +159,6 @@ class RepeatedResult:
     runs: list[RunResult]
     mean: dict[str, float]
     std: dict[str, float]
-
-
-class _MetricsAccumulator:
-    """The per-day series of one run, one slot per day of the horizon.
-
-    Every series is allocated once, at horizon length, full of zeros.
-    ``tick`` writes an agent's slots for a day only when the agent got
-    or held work that day, and its ``pending_workload`` slot also when
-    ``pending_effort`` keeps a float residue after its queue emptied;
-    every other slot keeps the zero an idle agent would record. Read
-    mid-run, the days not yet ticked read 0.
-    """
-
-    def __init__(self, agents: list[AgentState], horizon: int):
-        self.assigned_effort = {a.agent_id: [0.0] * horizon for a in agents}
-        self.busy_effort = {a.agent_id: [0.0] * horizon for a in agents}
-        self.pending_workload = {a.agent_id: [0.0] * horizon for a in agents}
-        self.queue_sizes = {a.agent_id: [0] * horizon for a in agents}
-        self.congestion = [0.0] * horizon
-        self.arrivals = [0] * horizon
-        self.completions = [0] * horizon
-        self.utility = [0.0] * horizon
-        self.delay_count = 0
 
 
 def _derive_rngs(seed: int) -> tuple[random.Random, random.Random]:
@@ -282,6 +263,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     arrivals_by_day: dict[int, list[TaskInstance]] = {}
     for task in generate_arrivals(config, run_seed):
         arrivals_by_day.setdefault(task.arrival_day, []).append(task)
+    horizon = config.horizon_days
     state = SimState(
         day=0,
         agents=agents,
@@ -290,7 +272,21 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         completed=[],
         arrivals_by_day=arrivals_by_day,
         quality_rng=quality_rng,
-        metrics=_MetricsAccumulator(agents, config.horizon_days),
+        metrics=RunResult(
+            scenario=config.name,
+            allocator=config.allocator,
+            seed=run_seed,
+            horizon=horizon,
+            agent_ids=[a.agent_id for a in agents],
+            categories={a.agent_id: a.category.value for a in agents},
+            assigned_effort={a.agent_id: [0.0] * horizon for a in agents},
+            busy_effort={a.agent_id: [0.0] * horizon for a in agents},
+            pending_workload={a.agent_id: [0.0] * horizon for a in agents},
+            congestion=[0.0] * horizon,
+            arrivals=[0] * horizon,
+            completions=[0] * horizon,
+            utility=[0.0] * horizon,
+        ),
     )
     state._types_by_priority = sorted(
         types, key=lambda tid: (-types[tid].priority, tid)
@@ -462,7 +458,6 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         working.append(agent)
         metrics.busy_effort[agent.agent_id][day] = agent.max_effort - budget
         metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
-        metrics.queue_sizes[agent.agent_id][day] = len(agent.pending)
 
     # (5) Mood update; an agent that was not served steps from
     # (mood, 0.5, 0.5).
@@ -508,34 +503,17 @@ def _check_effort(state: SimState) -> None:
 
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
-    """Execute one full run from an empty state."""
+    """Execute one full run from an empty state and return the record
+    its days were written into."""
     state = initial_state(config, seed)
     for _ in range(config.horizon_days):
         tick(state, config)
     _check_effort(state)
-    metrics = state.metrics
-    completed = state.completed
-    return RunResult(
-        scenario=config.name,
-        allocator=config.allocator,
-        seed=config.seed if seed is None else seed,
-        horizon=config.horizon_days,
-        agent_ids=[agent.agent_id for agent in state.agents],
-        categories={a.agent_id: a.category.value for a in state.agents},
-        assigned_effort=metrics.assigned_effort,
-        busy_effort=metrics.busy_effort,
-        pending_workload=metrics.pending_workload,
-        queue_sizes=metrics.queue_sizes,
-        congestion=metrics.congestion,
-        arrivals=metrics.arrivals,
-        completions=metrics.completions,
-        utility=metrics.utility,
-        completed=completed,
-        global_utility=sum(metrics.utility),
-        completed_count=len(completed),
-        high_quality_count=sum(1 for c in completed if c.quality_success),
-        delay_count=metrics.delay_count,
-    )
+    result = state.metrics
+    result.global_utility = sum(result.utility)
+    result.completed_count = len(state.completed)
+    result.high_quality_count = sum(1 for c in state.completed if c.quality_success)
+    return result
 
 
 def run_repeated(config: ScenarioConfig) -> RepeatedResult:

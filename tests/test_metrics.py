@@ -45,12 +45,10 @@ def synthetic_result(assigned: dict[str, float]) -> simulation.RunResult:
         assigned_effort={a: [v] for a, v in assigned.items()},
         busy_effort={a: [0.0] for a in agents},
         pending_workload={a: [0.0] for a in agents},
-        queue_sizes={a: [0] for a in agents},
         congestion=[0.0],
         arrivals=[0],
         completions=[0],
         utility=[0.0],
-        completed=[],
         global_utility=0.0,
         completed_count=0,
         high_quality_count=0,

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import chain
@@ -147,6 +148,10 @@ def reference_arrivals(config, seed):
 
 
 def reference_metrics(agents):
+    """Empty series for ``reference_tick`` to append to, plus a
+    ``queue_sizes`` series the run's record does not keep: it shows
+    which days leave a float residue in an emptied queue."""
+
     def per_agent():
         return {agent.agent_id: [] for agent in agents}
 
@@ -155,6 +160,14 @@ def reference_metrics(agents):
         pending_workload=per_agent(), queue_sizes=per_agent(), congestion=[],
         arrivals=[], completions=[], utility=[], delay_count=0,
     )
+
+
+def ticked(config):
+    """A fresh state ticked to the horizon, for its ``completed`` tasks."""
+    state = simulation.initial_state(config)
+    for _ in range(config.horizon_days):
+        simulation.tick(state, config)
+    return state
 
 
 def mood_trajectory(config, tick, state=None):
@@ -170,8 +183,8 @@ def mood_trajectory(config, tick, state=None):
 
 
 SERIES = (
-    "assigned_effort", "busy_effort", "pending_workload", "queue_sizes",
-    "congestion", "arrivals", "completions", "utility", "delay_count",
+    "assigned_effort", "busy_effort", "pending_workload", "congestion",
+    "arrivals", "completions", "utility", "delay_count",
 )
 
 
@@ -289,7 +302,7 @@ class TestScheduleIsolation:
         b = simulation.run(config)
         for name in SERIES:
             assert getattr(a, name) == getattr(b, name), name
-        assert a.completed == b.completed
+        assert ticked(config).completed == ticked(config).completed
 
     def test_presets_of_one_size_share_the_schedule(self):
         si, sc = core.preset("S-I"), core.preset("S-C")
@@ -310,7 +323,7 @@ class TestTickHandTraces:
         )
         result = simulation.run(config)
         assert result.completed_count == 1
-        record = result.completed[0]
+        [record] = ticked(config).completed
         assert record.completion_day == 0
         assert record.quality_success is True
         assert result.global_utility == pytest.approx(10.0)
@@ -326,7 +339,7 @@ class TestTickHandTraces:
         )
         result = simulation.run(config)
         assert result.completed_count == 1
-        assert result.completed[0].completion_day == 3
+        assert ticked(config).completed[0].completion_day == 3
         assert result.busy_effort["dev-000"][:4] == [3.0, 3.0, 3.0, 1.0]
 
     def test_zero_mood_agent_accepts_nothing(self):
@@ -478,10 +491,9 @@ class TestRunAndRepetition:
         a = simulation.run(config)
         b = simulation.run(config)
         assert a.utility == b.utility
-        assert [c.task_id for c in a.completed] == [c.task_id for c in b.completed]
-        assert [c.quality_success for c in a.completed] == [
-            c.quality_success for c in b.completed
-        ]
+        a, b = ticked(config).completed, ticked(config).completed
+        assert [c.task_id for c in a] == [c.task_id for c in b]
+        assert [c.quality_success for c in a] == [c.quality_success for c in b]
 
     def test_allocator_changes_decisions_not_schedule(self):
         smart = core.with_overrides(core.preset("S-I"), seed=3)
@@ -505,6 +517,15 @@ class TestRunAndRepetition:
         # re-execution reproduces the final run exactly
         again = simulation.run_repeated(config)
         assert again.runs[-1].utility == repeated.runs[-1].utility
+
+    def test_repeated_result_holds_no_tasks(self):
+        # Counts and series are all a run's record keeps; its tasks are
+        # garbage once the run returns.
+        config = core.with_overrides(core.preset("S-M"), repetitions=3)
+        repeated = simulation.run_repeated(config)
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, core.TaskInstance)]
+        assert sum(r.completed_count for r in repeated.runs) > 0
 
     def test_zero_task_scenario_all_metrics_zero(self):
         # validate() rejects an empty mix, but run() honors its
@@ -552,7 +573,8 @@ class TestIdleAgentEquivalence:
             monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
             monkeypatch.setattr(simulation, "smart_plan", real_plan)
-            got_moods = mood_trajectory(config, simulation.tick)
+            got_state = simulation.initial_state(config)
+            got_moods = mood_trajectory(config, simulation.tick, got_state)
             state = simulation.initial_state(config)
             state.metrics = reference_metrics(state.agents)
             want_moods = mood_trajectory(config, reference_tick, state)
@@ -564,7 +586,7 @@ class TestIdleAgentEquivalence:
                 assert repr(got_series) == repr(want_series), (case, name)
             assert [
                 (t.task_id, t.assignee, t.completion_day, t.quality_success)
-                for t in got.completed
+                for t in got_state.completed
             ] == [
                 (t.task_id, t.assignee, t.completion_day, t.quality_success)
                 for t in state.completed
@@ -574,7 +596,7 @@ class TestIdleAgentEquivalence:
                 if any(
                     size == 0 and load != 0.0
                     for size, load in zip(
-                        got.queue_sizes[agent], got.pending_workload[agent]
+                        want.queue_sizes[agent], got.pending_workload[agent]
                     )
                 ):
                     seen.add("residue")
