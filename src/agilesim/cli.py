@@ -229,10 +229,19 @@ def cmd_goalnet(args) -> int:
 
 def cmd_ingest(args) -> int:
     records = metrics.ingest_log(args.log)
-    agents = sorted({record.assignee_id for record in records})
-    competence = {agent: metrics.competence(records, agent) for agent in agents}
+    # One pass groups the log by agent; each bucket keeps file order, so
+    # the per-agent metrics sum the same values in the same order as a
+    # scan of the whole log would.
+    by_agent: dict[str, list[metrics.SprintRecord]] = {}
+    for record in records:
+        by_agent.setdefault(record.assignee_id, []).append(record)
+    agents = sorted(by_agent)
+    competence = {
+        agent: metrics.competence(by_agent[agent], agent) for agent in agents
+    }
     productivity = {
-        agent: metrics.technical_productivity(records, agent) for agent in agents
+        agent: metrics.technical_productivity(by_agent[agent], agent)
+        for agent in agents
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

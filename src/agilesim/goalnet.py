@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -297,9 +298,9 @@ def _infer_transitions(
         return None
 
     # Breadth-first over composites keeps transition ids deterministic.
-    queue = ["root"]
+    queue = deque(["root"])
     while queue:
-        parent_id = queue.pop(0)
+        parent_id = queue.popleft()
         kids = [k for k in children.get(parent_id, ()) if not nodes[k].cut_across]
         queue.extend(children.get(parent_id, ()))
         if not kids:
@@ -446,20 +447,20 @@ def validate_net(net: GoalNet) -> list[str]:
                 f"transition {transition.id}: unknown kind {transition.kind!r}"
             )
 
+    # A node is reached through the hierarchy or as the output of a
+    # transition with a reached input.
+    successors: dict[str, list[str]] = {}
+    for transition in net.transitions:
+        for origin in transition.inputs:
+            successors.setdefault(origin, []).extend(transition.outputs)
     reachable = {net.root_id}
     frontier = [net.root_id]
     while frontier:
         current = frontier.pop()
-        for kid in net.children.get(current, ()):
-            if kid in net.nodes and kid not in reachable:
-                reachable.add(kid)
-                frontier.append(kid)
-        for transition in net.transitions:
-            if current in transition.inputs:
-                for out in transition.outputs:
-                    if out in net.nodes and out not in reachable:
-                        reachable.add(out)
-                        frontier.append(out)
+        for nxt in (*net.children.get(current, ()), *successors.get(current, ())):
+            if nxt in net.nodes and nxt not in reachable:
+                reachable.add(nxt)
+                frontier.append(nxt)
     for node_id in net.nodes:
         if node_id not in reachable:
             violations.append(f"node {node_id}: unreachable from root")

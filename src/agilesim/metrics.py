@@ -31,7 +31,7 @@ class LogSchemaError(InputError):
     """Raised by :func:`ingest_log`; carries one entry per problem."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SprintRecord:
     """One completed task as logged in a sprint activity record.
 
@@ -207,9 +207,10 @@ _RANGES = {
 def ingest_log(path: str | Path) -> list[SprintRecord]:
     """Parse and range-validate a sprint activity CSV.
 
-    Every problem is collected (with its row number, header = row 1)
-    and raised together as a :class:`LogSchemaError`, as is a log
-    without records.
+    Every problem is collected (with its row number: the file line on
+    which the record ends, header = row 1, blank lines counted) and
+    raised together as a :class:`LogSchemaError`, as is a log without
+    records.
     """
     return load_input(path, "log", _read_log)
 
@@ -226,7 +227,8 @@ def _read_log(handle) -> list[SprintRecord]:
     records: list[SprintRecord] = []
     errors: list[str] = []
     isfinite = math.isfinite
-    for row_no, row in enumerate(reader, start=2):
+    for row in reader:
+        row_no = reader.line_num
         parsed: dict[str, float] = {}
         row_bad = False
         for column in numeric:

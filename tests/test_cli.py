@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import random
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from agilesim import core
+from agilesim import core, metrics
 from agilesim.cli import main
 
 
@@ -487,6 +488,52 @@ class TestIngestCommand:
         path.write_bytes(LOG_HEADER.encode() + b"\nt1,s\xff1,1,8,5,7,3,3,8,1,3,4\n")
         assert main(["ingest", "--log", str(path), "--out", str(tmp_path)]) == 2
         assert f"invalid log file {path}" in capsys.readouterr().err
+
+    def test_grouped_metrics_equal_whole_log_scans(self, tmp_path, capsys):
+        # Interleaved agents, several sprints, fractional difficulties
+        # (so the order of each float sum matters) and the optional
+        # pass-through columns.
+        rng = random.Random(11)
+        rows = []
+        for i in range(240):
+            rows.append(
+                ",".join(
+                    [
+                        f"t{i}",
+                        f"a{rng.randrange(7)}",
+                        str(rng.randrange(1, 5)),
+                        f"{rng.uniform(0, 10):.3f}",
+                        "5",
+                        "7",
+                        f"{rng.uniform(0, 6):.2f}",
+                        f"{rng.uniform(0, 6):.2f}",
+                        f"{rng.uniform(0, 10):.1f}",
+                        str(rng.randrange(1, 4)),
+                        "3",
+                        "4",
+                        f"{rng.uniform(0, 20):.1f}",
+                        "",
+                        "31",
+                    ]
+                )
+            )
+        path = tmp_path / "log.csv"
+        path.write_text(
+            "\n".join([LOG_HEADER + ",workload,final_score,team_score", *rows])
+            + "\n",
+            encoding="utf-8",
+        )
+        assert main(["ingest", "--log", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        records = metrics.ingest_log(path)
+        agents = sorted({r.assignee_id for r in records})
+        assert read_csv(tmp_path / "competence.csv")[1:] == [
+            [agent, repr(metrics.competence(records, agent))] for agent in agents
+        ]
+        assert read_csv(tmp_path / "productivity.csv")[1:] == [
+            [agent, repr(metrics.technical_productivity(records, agent))]
+            for agent in agents
+        ]
 
     def test_unknown_correlation_series(self, tmp_path, capsys):
         path = self.write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,8,1,3,4"])

@@ -226,6 +226,38 @@ class TestValidateNet:
         broken = replace(net, nodes=nodes)
         assert any("unreachable" in v for v in validate_net(broken))
 
+    def detach_fan_out_child(self):
+        """The reference net with one output of a concurrency transition
+        removed from its parent's children."""
+        net = self.build_reference()
+        fan_out = next(t for t in net.transitions if t.kind == goalnet.CONCURRENCY)
+        kid = fan_out.outputs[0]
+        children = {
+            parent: tuple(k for k in kids if k != kid)
+            for parent, kids in net.children.items()
+        }
+        return replace(net, children=children), kid
+
+    def test_reachable_through_transition_alone(self):
+        net, kid = self.detach_fan_out_child()
+        assert all(kid not in kids for kids in net.children.values())
+        assert validate_net(net) == []
+
+    def test_transition_from_orphan_does_not_reach(self):
+        net, kid = self.detach_fan_out_child()
+        nodes = dict(net.nodes)
+        nodes["ghost"] = GoalNode(id="ghost", label="Ghost", kind=goalnet.ATOMIC, level=2)
+        transitions = tuple(t for t in net.transitions if kid not in t.outputs) + (
+            Transition(
+                id="tr-ghost", kind=goalnet.SEQUENCE, inputs=("ghost",), outputs=(kid,)
+            ),
+        )
+        violations = validate_net(
+            replace(net, nodes=nodes, transitions=transitions)
+        )
+        assert f"node {kid}: unreachable from root" in violations
+        assert "node ghost: unreachable from root" in violations
+
     def test_sync_arity(self):
         net = self.build_reference()
         bad = replace(

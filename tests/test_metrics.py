@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -119,6 +122,26 @@ class TestTechnicalProductivity:
 
     def test_no_completions(self):
         assert metrics.technical_productivity([], "s1") == 0.0
+
+
+class TestSprintRecord:
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record().quality = 1.0
+
+    def test_equality_and_hash_ignore_extras(self):
+        plain = record()
+        tagged = record(extras={"workload": 12.0})
+        assert plain == tagged
+        assert hash(plain) == hash(tagged)
+        assert record(quality=2.0) != plain
+
+    def test_pickle_and_copy_round_trip(self):
+        original = record(assignee="s7", extras={"team_score": 25.0})
+        for clone in (pickle.loads(pickle.dumps(original)), copy.copy(original)):
+            assert clone == original
+            assert clone.assignee_id == "s7"
+            assert clone.extras == {"team_score": 25.0}
 
 
 class TestCongestion:
@@ -301,6 +324,14 @@ class TestIngestLog:
         with pytest.raises(metrics.LogSchemaError) as err:
             metrics.ingest_log(path)
         assert any("difficulty" in e and "not numeric" in e for e in err.value.errors)
+
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        path = write_log(tmp_path, ["", "t1,s1,1,8,5,7,3,3,11,1,3,4"])
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: row 3: quality 11.0 outside [0, 10]"
+        ]
 
     def test_all_errors_reported_with_rows(self, tmp_path):
         path = write_log(
