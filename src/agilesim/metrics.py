@@ -175,8 +175,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 # --- sprint activity logs ---------------------------------------------------
 #
-# CSV schema: one header row with exactly the SprintRecord field names;
-# the three optional pass-through columns are kept in ``extras``.
+# CSV schema: one header row naming every SprintRecord field, in any
+# order and each once; the three optional pass-through columns are kept
+# in ``extras`` and any other column is ignored.
 
 _REQUIRED_COLUMNS = (
     "task_id",
@@ -216,75 +217,168 @@ def ingest_log(path: str | Path) -> list[SprintRecord]:
 
 
 def _read_log(handle) -> list[SprintRecord]:
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
+    # A byte-order mark (as spreadsheet exports write) is not part of
+    # the first column name.
+    if handle.read(1) != "\ufeff":
+        handle.seek(0)
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
         raise LogSchemaError(["file is empty: no header row"])
-    missing = [col for col in _REQUIRED_COLUMNS if col not in reader.fieldnames]
-    if missing:
-        raise LogSchemaError([f"missing required column: {col}" for col in missing])
-    optional = tuple(col for col in _OPTIONAL_COLUMNS if col in reader.fieldnames)
+    problems = [
+        f"missing required column: {col}"
+        for col in _REQUIRED_COLUMNS
+        if col not in header
+    ]
+    problems += [
+        f"duplicate column: {col}"
+        for col in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
+        if header.count(col) > 1
+    ]
+    if problems:
+        raise LogSchemaError(problems)
+    position = {name: index for index, name in enumerate(header)}
+    (
+        task_at, assignee_at, sprint_at, difficulty_at, priority_at,
+        confidence_at, estimated_at, actual_at, quality_at,
+        collaborators_at, mood_begin_at, mood_end_at,
+    ) = (position[col] for col in _REQUIRED_COLUMNS)
+    optional = tuple(col for col in _OPTIONAL_COLUMNS if col in position)
+    optional_at = tuple((col, position[col]) for col in optional)
     numeric = _REQUIRED_COLUMNS[2:] + optional
+    width = len(header)
     records: list[SprintRecord] = []
     errors: list[str] = []
     isfinite = math.isfinite
+    inf = math.inf
+    # Each row is read by position and checked in one expression; the
+    # bounds are those of _RANGES. A row that fails here, or is shorter
+    # than the header, is re-read cell by cell to word its errors.
     for row in reader:
-        row_no = reader.line_num
-        parsed: dict[str, float] = {}
-        row_bad = False
-        for column in numeric:
-            raw = (row.get(column) or "").strip()
-            if not raw and column in optional:
-                continue
+        if not row:  # a blank line
+            continue
+        if len(row) >= width:
             try:
-                value = float(raw)
+                sprint = float(row[sprint_at])
+                difficulty = float(row[difficulty_at])
+                priority = float(row[priority_at])
+                confidence = float(row[confidence_at])
+                estimated = float(row[estimated_at])
+                actual = float(row[actual_at])
+                quality = float(row[quality_at])
+                collaborators = float(row[collaborators_at])
+                mood_begin = float(row[mood_begin_at])
+                mood_end = float(row[mood_end_at])
+                extras = {}
+                for col, index in optional_at:
+                    raw = row[index]
+                    if raw and not raw.isspace():
+                        extras[col] = value = float(raw)
+                        if not isfinite(value):
+                            raise ValueError(col)
             except ValueError:
-                errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
-                row_bad = True
-                continue
-            if not isfinite(value):
-                errors.append(f"row {row_no}: {column} must be finite")
-                row_bad = True
-            parsed[column] = value
-        if row_bad:
-            continue
-        for column, (low, high) in _RANGES.items():
-            value = parsed[column]
-            if not low <= value <= high:
-                errors.append(
-                    f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
-                )
-                row_bad = True
-        if parsed["actual_days"] < 0:
-            errors.append(f"row {row_no}: actual_days must be >= 0")
-            row_bad = True
-        if parsed["estimated_days"] < 0:
-            errors.append(f"row {row_no}: estimated_days must be >= 0")
-            row_bad = True
-        if parsed["collaborators"] < 1:
-            errors.append(f"row {row_no}: collaborators must be >= 1")
-            row_bad = True
-        if parsed["sprint_index"] != int(parsed["sprint_index"]):
-            errors.append(f"row {row_no}: sprint_index must be an integer")
-            row_bad = True
-        if row_bad:
-            continue
-        records.append(
-            SprintRecord(
-                task_id=(row.get("task_id") or "").strip(),
-                assignee_id=(row.get("assignee_id") or "").strip(),
-                sprint_index=int(parsed["sprint_index"]),
-                difficulty=parsed["difficulty"],
-                priority=parsed["priority"],
-                confidence=parsed["confidence"],
-                estimated_days=parsed["estimated_days"],
-                actual_days=parsed["actual_days"],
-                quality=parsed["quality"],
-                collaborators=int(parsed["collaborators"]),
-                mood_begin=parsed["mood_begin"],
-                mood_end=parsed["mood_end"],
-                extras={c: parsed[c] for c in optional if c in parsed},
-            )
+                pass
+            else:
+                if (
+                    sprint.is_integer()
+                    and 0.0 <= difficulty <= 10.0
+                    and 0.0 <= priority <= 10.0
+                    and 0.0 <= confidence <= 10.0
+                    and 0.0 <= estimated < inf
+                    and 0.0 <= actual < inf
+                    and 0.0 <= quality <= 10.0
+                    and collaborators >= 1.0
+                    and collaborators.is_integer()
+                    and 1.0 <= mood_begin <= 5.0
+                    and 1.0 <= mood_end <= 5.0
+                ):
+                    records.append(
+                        SprintRecord(
+                            row[task_at].strip(),
+                            row[assignee_at].strip(),
+                            int(sprint),
+                            difficulty,
+                            priority,
+                            confidence,
+                            estimated,
+                            actual,
+                            quality,
+                            int(collaborators),
+                            mood_begin,
+                            mood_end,
+                            extras,
+                        )
+                    )
+                    continue
+        record = _check_row(
+            dict(zip(header, row)), reader.line_num, numeric, optional, errors
         )
+        if record is not None:
+            records.append(record)
     if errors or not records:
         raise LogSchemaError(errors or ["no records"])
     return records
+
+
+def _check_row(row, row_no, numeric, optional, errors) -> SprintRecord | None:
+    """One row read cell by cell (``row`` maps column name to cell);
+    appends its problems to ``errors`` and returns its record if it has
+    none."""
+    isfinite = math.isfinite
+    parsed: dict[str, float] = {}
+    row_bad = False
+    for column in numeric:
+        raw = (row.get(column) or "").strip()
+        if not raw and column in optional:
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
+            row_bad = True
+            continue
+        if not isfinite(value):
+            errors.append(f"row {row_no}: {column} must be finite")
+            row_bad = True
+        parsed[column] = value
+    if row_bad:
+        return None
+    for column, (low, high) in _RANGES.items():
+        value = parsed[column]
+        if not low <= value <= high:
+            errors.append(
+                f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
+            )
+            row_bad = True
+    if parsed["actual_days"] < 0:
+        errors.append(f"row {row_no}: actual_days must be >= 0")
+        row_bad = True
+    if parsed["estimated_days"] < 0:
+        errors.append(f"row {row_no}: estimated_days must be >= 0")
+        row_bad = True
+    if parsed["collaborators"] < 1:
+        errors.append(f"row {row_no}: collaborators must be >= 1")
+        row_bad = True
+    if parsed["sprint_index"] != int(parsed["sprint_index"]):
+        errors.append(f"row {row_no}: sprint_index must be an integer")
+        row_bad = True
+    if parsed["collaborators"] != int(parsed["collaborators"]):
+        errors.append(f"row {row_no}: collaborators must be an integer")
+        row_bad = True
+    if row_bad:
+        return None
+    return SprintRecord(
+        task_id=(row.get("task_id") or "").strip(),
+        assignee_id=(row.get("assignee_id") or "").strip(),
+        sprint_index=int(parsed["sprint_index"]),
+        difficulty=parsed["difficulty"],
+        priority=parsed["priority"],
+        confidence=parsed["confidence"],
+        estimated_days=parsed["estimated_days"],
+        actual_days=parsed["actual_days"],
+        quality=parsed["quality"],
+        collaborators=int(parsed["collaborators"]),
+        mood_begin=parsed["mood_begin"],
+        mood_end=parsed["mood_end"],
+        extras={c: parsed[c] for c in optional if c in parsed},
+    )

@@ -1,5 +1,8 @@
 import copy
+import csv
 import dataclasses
+import io
+import math
 import pickle
 import random
 
@@ -386,4 +389,233 @@ class TestIngestLog:
             "workload": 12.0,
             "final_score": 88.0,
             "team_score": 25.0,
+        }
+
+    def test_non_integer_collaborators_rejected(self, tmp_path):
+        path = write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,7,2.7,3,4"])
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: row 2: collaborators must be an integer"
+        ]
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = write_log(
+            tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3,4,12"], header=LOG_HEADER + ",quality"
+        )
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: duplicate column: quality"
+        ]
+
+    @pytest.mark.parametrize(
+        "header",
+        ["\ufeff" + LOG_HEADER, '\ufeff"task_id"' + LOG_HEADER.removeprefix("task_id")],
+    )
+    def test_byte_order_mark_accepted(self, header, tmp_path):
+        path = write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3,4"], header=header)
+        (record,) = metrics.ingest_log(path)
+        assert record.task_id == "t1"
+        assert record.mood_end == 4.0
+
+    def test_valid_rows_never_reread_cell_by_cell(self, tmp_path, monkeypatch):
+        def reread(*args):
+            raise AssertionError(f"re-read a valid row: {args}")
+
+        monkeypatch.setattr(metrics, "_check_row", reread)
+        header = "notes,team_score," + LOG_HEADER
+        path = write_log(
+            tmp_path,
+            [", ,t1,s1,1,8,5,7,3,3,7,1,3,4", "x, 25 ,t2,s2,2,0,10,7,0,0,10,4,1,5,extra"],
+            header=header,
+        )
+        records = metrics.ingest_log(path)
+        assert [r.extras for r in records] == [{}, {"team_score": 25.0}]
+
+
+def reference_read_log(handle):
+    """The cell-by-cell parser that ``metrics._read_log`` replaced: each
+    ``DictReader`` row has every numeric cell stripped, parsed and checked
+    on its own, then the ranges checked over ``_RANGES``."""
+    reader = csv.DictReader(handle)
+    if reader.fieldnames is None:
+        raise metrics.LogSchemaError(["file is empty: no header row"])
+    missing = [col for col in metrics._REQUIRED_COLUMNS if col not in reader.fieldnames]
+    if missing:
+        raise metrics.LogSchemaError([f"missing required column: {col}" for col in missing])
+    optional = tuple(col for col in metrics._OPTIONAL_COLUMNS if col in reader.fieldnames)
+    numeric = metrics._REQUIRED_COLUMNS[2:] + optional
+    records = []
+    errors = []
+    for row in reader:
+        row_no = reader.line_num
+        parsed = {}
+        row_bad = False
+        for column in numeric:
+            raw = (row.get(column) or "").strip()
+            if not raw and column in optional:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
+                row_bad = True
+                continue
+            if not math.isfinite(value):
+                errors.append(f"row {row_no}: {column} must be finite")
+                row_bad = True
+            parsed[column] = value
+        if row_bad:
+            continue
+        for column, (low, high) in metrics._RANGES.items():
+            value = parsed[column]
+            if not low <= value <= high:
+                errors.append(
+                    f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
+                )
+                row_bad = True
+        if parsed["actual_days"] < 0:
+            errors.append(f"row {row_no}: actual_days must be >= 0")
+            row_bad = True
+        if parsed["estimated_days"] < 0:
+            errors.append(f"row {row_no}: estimated_days must be >= 0")
+            row_bad = True
+        if parsed["collaborators"] < 1:
+            errors.append(f"row {row_no}: collaborators must be >= 1")
+            row_bad = True
+        if parsed["sprint_index"] != int(parsed["sprint_index"]):
+            errors.append(f"row {row_no}: sprint_index must be an integer")
+            row_bad = True
+        if row_bad:
+            continue
+        records.append(
+            SprintRecord(
+                task_id=(row.get("task_id") or "").strip(),
+                assignee_id=(row.get("assignee_id") or "").strip(),
+                sprint_index=int(parsed["sprint_index"]),
+                difficulty=parsed["difficulty"],
+                priority=parsed["priority"],
+                confidence=parsed["confidence"],
+                estimated_days=parsed["estimated_days"],
+                actual_days=parsed["actual_days"],
+                quality=parsed["quality"],
+                collaborators=int(parsed["collaborators"]),
+                mood_begin=parsed["mood_begin"],
+                mood_end=parsed["mood_end"],
+                extras={c: parsed[c] for c in optional if c in parsed},
+            )
+        )
+    if errors or not records:
+        raise metrics.LogSchemaError(errors or ["no records"])
+    return records
+
+
+# Cells for the equivalence fuzz. Non-integer collaborators, a repeated
+# known column and a byte-order mark are left out: those are the three
+# places where ``_read_log`` deliberately differs from the reference.
+TEXT_CELLS = ["t1", " dev-3 ", "a,b", "two\nlines", '"quoted"', "", "  "]
+PAD = ["", "", "", " ", "\t", "\xa0"]
+
+
+def valid_cell(rng, column):
+    if column in ("task_id", "assignee_id"):
+        return rng.choice(TEXT_CELLS)
+    if column == "sprint_index":
+        return rng.choice(["0", "3", "12", "2.0", "-1", "1e1"])
+    if column == "collaborators":
+        return rng.choice(["1", "2", "4", "3.0", "1e0"])
+    if column in metrics._RANGES:
+        low, high = metrics._RANGES[column]
+        return repr(rng.choice([low, high, round(rng.uniform(low, high), 2)]))
+    if column in ("estimated_days", "actual_days"):
+        return rng.choice(["0", "-0.0", "3", repr(rng.uniform(0, 9)), "1e300"])
+    if column in metrics._OPTIONAL_COLUMNS:
+        return rng.choice(["", " ", "12", "-7.5", "88", "1e-300"])
+    return rng.choice(TEXT_CELLS + ["nan", "1"])
+
+
+def bad_cell(rng, column):
+    choices = ["nan", "inf", "-inf", "NaN", "hard", "1e", "", " "]
+    if column in metrics._RANGES:
+        low, high = metrics._RANGES[column]
+        choices += [
+            repr(math.nextafter(low, -math.inf)),
+            repr(math.nextafter(high, math.inf)),
+            repr(high + 1),
+        ]
+    elif column in ("estimated_days", "actual_days"):
+        choices += ["-1", "-5e-324"]
+    elif column == "sprint_index":
+        choices += ["1.5", "2.000001"]
+    elif column == "collaborators":
+        choices += ["0", "-3", "0.0"]
+    return rng.choice(choices)
+
+
+def fuzz_log(rng):
+    """A log text mixing valid rows, blank lines, padded, empty and
+    non-finite cells, values on and past each bound, short and long rows,
+    optional and unknown columns in any order, and quoted cells."""
+    header = list(metrics._REQUIRED_COLUMNS)
+    header += rng.sample(metrics._OPTIONAL_COLUMNS, rng.randint(0, 3))
+    header += rng.choice([[], ["notes"], ["notes", "sprint_name", "notes"]])
+    rng.shuffle(header)
+    dirty = rng.random() < 0.5
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=rng.choice(["\n", "\r\n"]))
+    writer.writerow(header)
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.15:
+            out.write("\n")
+            continue
+        cells = [valid_cell(rng, column) for column in header]
+        for index, column in enumerate(header):
+            if rng.random() < 0.1:
+                cells[index] = rng.choice(PAD) + cells[index] + rng.choice(PAD)
+            if dirty and rng.random() < 0.05:
+                cells[index] = bad_cell(rng, column)
+        if rng.random() < 0.15:
+            del cells[rng.randrange(len(cells)) :]
+        elif rng.random() < 0.15:
+            cells += ["extra", "1,2"][: rng.randint(1, 2)]
+        writer.writerow(cells)
+    return out.getvalue()
+
+
+class TestReadLogEquivalence:
+    """``_read_log`` against the cell-by-cell ``reference_read_log``."""
+
+    def test_same_records_or_same_errors(self, tmp_path, monkeypatch):
+        rng = random.Random(29)
+        seen = set()
+        real_check_row = metrics._check_row
+
+        def check_row(row, row_no, numeric, optional, errors):
+            record = real_check_row(row, row_no, numeric, optional, errors)
+            seen.add("re-read row kept" if record else "re-read row rejected")
+            return record
+
+        monkeypatch.setattr(metrics, "_check_row", check_row)
+        path = tmp_path / "log.csv"
+        for case in range(300):
+            path.write_text(fuzz_log(rng), encoding="utf-8", newline="")
+            outcomes = []
+            for parse in (metrics._read_log, reference_read_log):
+                try:
+                    outcomes.append((core.load_input(path, "log", parse), None))
+                except metrics.LogSchemaError as exc:
+                    outcomes.append((None, exc.errors))
+            (got, got_errors), (want, want_errors) = outcomes
+            assert got_errors == want_errors, case
+            if want is None:
+                seen.add("errors")
+                continue
+            seen.add("records")
+            assert got == want, case
+            # repr shows the extras, and tells -0.0 from 0.0
+            assert repr(got) == repr(want), case
+            assert [r.extras for r in got] == [r.extras for r in want], case
+        assert seen == {
+            "records", "errors", "re-read row kept", "re-read row rejected"
         }
