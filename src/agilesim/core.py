@@ -383,13 +383,16 @@ class DocumentReader:
 def load_input(path: str | Path, kind: str, build: Callable[[TextIO], Any]) -> Any:
     """Open a UTF-8 text file and build it from the handle.
 
-    Undecodable text, invalid JSON or CSV and every :class:`InputError`
-    that ``build`` raises come out as entries prefixed
-    ``invalid <kind> file <path>: ``; the error keeps its class.
+    A leading byte-order mark, as spreadsheet exports and some editors
+    write, is skipped. Undecodable text, invalid JSON or CSV and every
+    :class:`InputError` that ``build`` raises come out as entries
+    prefixed ``invalid <kind> file <path>: ``; the error keeps its class.
     """
     where = f"invalid {kind} file {path}"
     try:
         with open(path, encoding="utf-8", newline="") as handle:
+            if handle.read(1) != "\ufeff":
+                handle.seek(0)
             return build(handle)
     except InputError as exc:
         exc.errors = [f"{where}: {error}" for error in exc.errors]

@@ -134,10 +134,6 @@ def parse_story(
     role = match.group("role").strip()
     goal = match.group("goal").strip()
     benefit = match.group("benefit")
-    if not role:
-        raise StoryParseError("role must be non-empty", 0)
-    if not goal:
-        raise StoryParseError("goal must be non-empty", 0)
     return UserStory(
         id=story_id,
         role=role,
@@ -174,30 +170,25 @@ def _story_order(story_id: str) -> tuple:
 
 
 def _check_parents(stories: Sequence[UserStory]) -> None:
-    by_id: dict[str, UserStory] = {}
+    ids: set[str] = set()
     for story in stories:
-        if story.id in by_id:
+        if story.id in ids:
             raise GoalNetError(f"story ids must be unique (repeated id {story.id!r})")
-        by_id[story.id] = story
+        ids.add(story.id)
     for story in stories:
         if story.parent is None:
             continue
-        if story.parent not in by_id:
+        if story.parent not in ids:
             raise GoalNetError(
                 f"story {story.id!r} references unknown parent {story.parent!r}"
             )
+        # A parent id is strictly shorter than its child's, so no chain
+        # of parents can come back to a story.
         if not story.id.startswith(story.parent + "."):
             raise GoalNetError(
                 f"story {story.id!r}: parent {story.parent!r} is not a proper "
                 "prefix of the id"
             )
-        seen = {story.id}
-        cursor = story.parent
-        while cursor is not None:
-            if cursor in seen:
-                raise GoalNetError(f"cyclic parent references at story {cursor!r}")
-            seen.add(cursor)
-            cursor = by_id[cursor].parent
 
 
 def build_goal_net(
@@ -292,10 +283,9 @@ def _infer_transitions(
         counter += 1
         return f"tr-{counter:03d}"
 
-    def story_for(node_id: str) -> UserStory | None:
-        if node_id.startswith("story-"):
-            return story_index.get(node_id[len("story-") :])
-        return None
+    def story_for(node_id: str) -> UserStory:
+        # Children of stories and of high-level goals are always stories.
+        return story_index[node_id[len("story-") :]]
 
     # Breadth-first over composites keeps transition ids deterministic.
     queue = deque(["root"])
@@ -309,14 +299,13 @@ def _infer_transitions(
         if parent_is_story:
             # Leaf group: concurrent sub-goals joined back to the parent.
             if len(kids) == 1:
-                child_story = story_for(kids[0])
                 transitions.append(
                     Transition(
                         id=next_id(),
                         kind=SEQUENCE,
                         inputs=(kids[0],),
                         outputs=(parent_id,),
-                        tasks=child_story.tasks if child_story else (),
+                        tasks=story_for(kids[0]).tasks,
                     )
                 )
             else:
@@ -328,18 +317,15 @@ def _infer_transitions(
                         outputs=tuple(kids),
                     )
                 )
-                joined_tasks: list[str] = []
-                for kid in kids:
-                    child_story = story_for(kid)
-                    if child_story:
-                        joined_tasks.extend(child_story.tasks)
                 transitions.append(
                     Transition(
                         id=next_id(),
                         kind=SYNCHRONIZATION,
                         inputs=tuple(kids),
                         outputs=(parent_id,),
-                        tasks=tuple(joined_tasks),
+                        tasks=tuple(
+                            task for kid in kids for task in story_for(kid).tasks
+                        ),
                     )
                 )
         else:
@@ -358,14 +344,13 @@ def _infer_transitions(
             if parent_id != "root" and len(kids) == 1:
                 only = kids[0]
                 if not children.get(only):
-                    only_story = story_for(only)
                     transitions.append(
                         Transition(
                             id=next_id(),
                             kind=SEQUENCE,
                             inputs=(only,),
                             outputs=(parent_id,),
-                            tasks=only_story.tasks if only_story else (),
+                            tasks=story_for(only).tasks,
                         )
                     )
     return tuple(transitions)

@@ -217,10 +217,6 @@ def ingest_log(path: str | Path) -> list[SprintRecord]:
 
 
 def _read_log(handle) -> list[SprintRecord]:
-    # A byte-order mark (as spreadsheet exports write) is not part of
-    # the first column name.
-    if handle.read(1) != "\ufeff":
-        handle.seek(0)
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:

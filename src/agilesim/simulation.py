@@ -21,10 +21,9 @@ day, effort) per task mix and horizon, shared by all seeds, and a
 per-seed day order of catalog indices. Runs with the same mix,
 horizon and seed, such as both allocators of ``--compare``, share
 both and their id strings; each run still gets fresh task objects.
-SMART scores come from a per-agent table of every type's economics,
-rebuilt only when the agent's mood moves (every day under fcm-coupled
-mood, never under constant mood); entries for yesterday's completions
-are overlaid on a copy.
+SMART economics are memoized per agent by (type, yesterday's
+completions of the type) and dropped when the agent's mood moves
+(every day under fcm-coupled mood, never under constant mood).
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with every series at horizon length
@@ -83,11 +82,9 @@ class SimState:
     task types by id. ``awr_assignee`` maps each type to its AWR
     assignee, fixed for the run (empty under SMART).
 
-    ``score_tables`` maps an agent id to ``(mood, table, rated)``: the
-    mood the entries were built at, the SMART economics of every type
-    at zero recent service rate, and the entries built so far for a
-    (type, recent completions) pair. All three are rebuilt when the
-    agent's mood moves.
+    ``score_tables`` maps an agent id to ``(mood, entries)``: the mood
+    the entries were built at and the SMART economics built so far for
+    a (type, tasks of it completed yesterday) pair.
 
     ``metrics`` is the run's ``RunResult``, built at day 0; ``tick``
     writes each day into it and ``run`` returns it.
@@ -105,8 +102,7 @@ class SimState:
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
     score_tables: dict[
-        str,
-        tuple[float, dict[str, TypeEconomics], dict[tuple[str, int], TypeEconomics]],
+        str, tuple[float, dict[tuple[str, int], TypeEconomics]]
     ] = field(default_factory=dict)
     _types_by_priority: list[str] = field(default_factory=list)
 
@@ -311,45 +307,35 @@ def _claim(agent: AgentState, task: TaskInstance, effort: float, day: int) -> No
     agent.pending_effort += effort
 
 
-def _economics(state: SimState, agent: AgentState) -> dict[str, TypeEconomics]:
-    """The agent's SMART economics for every type today.
+def _economics(
+    state: SimState, agent: AgentState, offered: dict[str, int]
+) -> dict[str, TypeEconomics]:
+    """The agent's SMART economics for each offered type today.
 
-    The expected utilities change only with the agent's mood, so its
-    table is built once and again only when the mood moves. The recent
-    service rate is non-zero only for the types the agent completed
-    yesterday; those entries are overlaid on a copy, each built once
-    per (type, count) at a mood.
+    An entry depends only on the type, the agent's mood and how many
+    tasks of the type it completed yesterday, so each is built once per
+    (type, count) and all are dropped when the agent's mood moves.
     """
-    built = state.score_tables.get(agent.agent_id)
-    if built is None or built[0] != agent.mood:
-        mood = agent.mood
-        table = {
-            tid: TypeEconomics(
+    memo = state.score_tables.get(agent.agent_id)
+    if memo is None or memo[0] != agent.mood:
+        memo = state.score_tables[agent.agent_id] = (agent.mood, {})
+    mood, entries = memo
+    economics = {}
+    for tid in offered:
+        count = agent.recent_completions.get(tid, 0)
+        econ = entries.get((tid, count))
+        if econ is None:
+            spec = state.types[tid]
+            econ = entries[tid, count] = TypeEconomics(
                 type_id=tid,
                 expected_utility=expected_utility(
                     spec.utility, agent.competence_for(tid), mood
                 ),
-                recent_service_rate=0.0,
+                recent_service_rate=float(count),
                 effort=spec.effort,
             )
-            for tid, spec in state.types.items()
-        }
-        built = state.score_tables[agent.agent_id] = (mood, table, {})
-    _, table, rated = built
-    if not agent.recent_completions:
-        return table
-    today = dict(table)
-    for tid, count in agent.recent_completions.items():
-        econ = rated.get((tid, count))
-        if econ is None:
-            econ = rated[tid, count] = TypeEconomics(
-                type_id=tid,
-                expected_utility=table[tid].expected_utility,
-                recent_service_rate=float(count),
-                effort=table[tid].effort,
-            )
-        today[tid] = econ
-    return today
+        economics[tid] = econ
+    return economics
 
 
 def _check_conservation(state: SimState) -> None:
@@ -389,7 +375,9 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         for agent in state.agents:
             if not offered:
                 break
-            plan = smart_plan(agent, offered, _economics(state, agent), config.psi)
+            plan = smart_plan(
+                agent, offered, _economics(state, agent, offered), config.psi
+            )
             # plan.accepted is in visit order; its rejects go to the next agent.
             for tid, count in plan.accepted.items():
                 if count:

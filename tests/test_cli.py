@@ -432,6 +432,21 @@ class TestMalformedCorpus:
         assert f"error: invalid {kind} file {paths[name]}: {message}" in err
         assert "Traceback" not in err
 
+    def test_unknown_parent_of_a_later_story(self, tmp_path, capsys):
+        # "1.1" names a parent listed after it, whose own parent is unknown.
+        stories = tmp_path / "stories.json"
+        stories.write_text(json.dumps({"stories": [
+            {"id": "1.1", "parent": "1", "text": "As a user, I want to y"},
+            {"id": "1", "parent": "0", "text": "As a user, I want to x"},
+        ]}), encoding="utf-8")
+        argv = ["goalnet", "--stories", str(stories), "--goals",
+                corpus_path("goals.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "story '1' references unknown parent '0'" in err
+        assert "Traceback" not in err
+
 
 LOG_HEADER = (
     "task_id,assignee_id,sprint_index,difficulty,priority,confidence,"

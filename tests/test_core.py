@@ -175,6 +175,29 @@ class TestScenarioFiles:
         core.save_scenario(config, path)
         assert core.load_scenario(path) == config
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        config = core.preset("S-M")
+        path = tmp_path / "scenario.json"
+        core.save_scenario(config, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert core.load_scenario(path) == config
+
+    @pytest.mark.parametrize(
+        "key,entry,message",
+        [
+            ("XYZ", {"count": 1, "competence": 0.5, "max_effort": 1.0},
+             "team.XYZ: unknown category"),
+            ("HCA", 3, "team.HCA: expected an object"),
+        ],
+        ids=["unknown-category", "entry-not-object"],
+    )
+    def test_bad_team_entry(self, key, entry, message):
+        doc = core.scenario_to_document(core.preset("S-I"))
+        doc["team"][key] = entry
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.scenario_from_document(doc)
+        assert err.value.errors == [message]
+
     def test_document_keys(self):
         doc = core.scenario_to_document(core.preset("S-I"))
         assert set(doc) == {

@@ -429,6 +429,12 @@ class TestMapValidationAndFiles:
         fcm.save_map(GRACE1, path)
         assert fcm.load_map(path) == GRACE1
 
+    def test_map_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "map.json"
+        fcm.save_map(GRACE1, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert fcm.load_map(path) == GRACE1
+
     def test_bundled_names(self):
         for name in fcm.bundled_map_names():
             cmap = fcm.bundled_map(name)

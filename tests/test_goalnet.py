@@ -181,6 +181,49 @@ class TestBuildGoalNet:
         with pytest.raises(goalnet.GoalNetError, match="unknown parent"):
             build_goal_net(stories, ["G"], {})
 
+    def test_unknown_grandparent_listed_after_its_child(self):
+        # The child's parent is known; the parent's own parent is not.
+        stories = [
+            goalnet.UserStory(id="1.1", role="user", goal="y", parent="1"),
+            goalnet.UserStory(id="1", role="user", goal="x", parent="0"),
+        ]
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G"})
+        assert err.value.errors == ["story '1' references unknown parent '0'"]
+
+    def test_cyclic_parents_fail_the_prefix_rule(self):
+        stories = [
+            goalnet.UserStory(id="1", role="user", goal="x", parent="1.1"),
+            goalnet.UserStory(id="1.1", role="user", goal="y", parent="1"),
+        ]
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G"})
+        assert err.value.errors == [
+            "story '1': parent '1.1' is not a proper prefix of the id"
+        ]
+
+    def test_single_substory_is_one_sequence(self):
+        stories = [
+            parse_story("As a user, I want to search", story_id="1"),
+            parse_story(
+                "As a user, I want to search by voice",
+                story_id="1.1",
+                parent="1",
+                tasks=("record", "transcribe"),
+            ),
+        ]
+        net = build_goal_net(stories, ["Search"], {"1": "Search"})
+        assert net.transitions == (
+            Transition(
+                id="tr-001",
+                kind=goalnet.SEQUENCE,
+                inputs=("story-1.1",),
+                outputs=("story-1",),
+                tasks=("record", "transcribe"),
+            ),
+        )
+        assert validate_net(net) == []
+
     def test_explicit_transitions_override(self):
         stories = [
             parse_story("As a user, I want to search", story_id="1"),
@@ -372,6 +415,14 @@ class TestDocumentsAndExport:
         )
         with pytest.raises(goalnet.GoalNetError, match="story ids must be unique"):
             goalnet.load_stories(path)
+
+    @pytest.mark.parametrize("name", ["stories.json", "goals.json"])
+    def test_byte_order_mark_accepted(self, name, tmp_path):
+        path = tmp_path / name
+        bundled = resources.files("agilesim.data").joinpath(name).read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf" + bundled)
+        load = goalnet.load_stories if name == "stories.json" else goalnet.load_goals
+        assert load(path) == load(corpus_path(name))
 
     def test_story_file_bad_line(self, tmp_path):
         path = tmp_path / "stories.txt"

@@ -409,6 +409,15 @@ class TestIngestLog:
             f"invalid log file {path}: duplicate column: quality"
         ]
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"")
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: file is empty: no header row"
+        ]
+
     @pytest.mark.parametrize(
         "header",
         ["\ufeff" + LOG_HEADER, '\ufeff"task_id"' + LOG_HEADER.removeprefix("task_id")],

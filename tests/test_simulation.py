@@ -559,6 +559,7 @@ class TestIdleAgentEquivalence:
                 if visited_mood.get(agent.agent_id, agent.mood) != agent.mood:
                     seen.add("mood moved")
                 visited_mood[agent.agent_id] = agent.mood
+                assert set(economics) == set(incoming), case
                 for tid in incoming:
                     assert economics[tid] == TypeEconomics(
                         type_id=tid,
