@@ -14,7 +14,6 @@ from .core import (
     PRESET_NAMES,
     ScenarioConfig,
     ScenarioValidationError,
-    TaskInstance,
     TaskTypeSpec,
     TeamConfig,
     UnknownPresetError,

@@ -68,20 +68,6 @@ class TaskTypeSpec:
     effort: float
 
 
-@dataclass(slots=True)
-class TaskInstance:
-    """One concrete task and its runtime state."""
-
-    task_id: str
-    type_id: str
-    arrival_day: int
-    remaining_effort: float
-    assignee: str | None = None
-    assigned_day: int | None = None
-    completion_day: int | None = None
-    quality_success: bool | None = None
-
-
 @dataclass
 class AgentState:
     """A developer agent: identity, context, and pending work.
@@ -89,8 +75,10 @@ class AgentState:
     ``competence`` is a scalar in [0, 1]; a per-type override map may be
     supplied for agents whose skill differs across task types.
     ``pending`` holds accepted-but-unfinished tasks in acceptance order,
-    which is the service order; only its head can be partly served.
-    ``queued`` counts those tasks per type.
+    which is the service order, as ``[type_id, claim_day, count]`` runs.
+    Only the head task can be partly served; ``head_remaining`` is its
+    remaining effort while ``pending`` is non-empty. ``queued`` counts
+    the pending tasks per type.
     """
 
     agent_id: str
@@ -99,7 +87,8 @@ class AgentState:
     mood: float
     max_effort: float
     competence_by_type: dict[str, float] | None = None
-    pending: deque[TaskInstance] = field(default_factory=deque)
+    pending: deque[list] = field(default_factory=deque)
+    head_remaining: float = 0.0
     queued: dict[str, int] = field(default_factory=dict)
     pending_effort: float = 0.0
     recent_completions: dict[str, int] = field(default_factory=dict)
@@ -273,6 +262,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(f"horizon_days: must satisfy horizon_days >= 1 (got {config.horizon_days})")
     if config.repetitions < 1:
         errors.append(f"repetitions: must satisfy repetitions >= 1 (got {config.repetitions})")
+    # random.Random seeds from abs(n), so a negative seed would replay the
+    # quality draws of a non-negative one.
+    if config.seed < 0:
+        errors.append(f"seed: must satisfy seed >= 0 (got {config.seed})")
     check("psi", config.psi, config.psi >= 0, "must satisfy psi >= 0")
     if config.team.head_count() <= 0:
         errors.append("team: total head-count must be > 0")
@@ -314,6 +307,14 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
 _REQUIRED = object()
 
 
+def integer(value) -> int:
+    """Field kind for a whole number: an int or an integral float such
+    as ``3.0``. A bool, a fraction or any other type is rejected."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"not a whole number: {value!r}")
+
+
 def list_of(kind: Callable) -> Callable:
     """Field kind for a JSON list whose items all convert with ``kind``."""
 
@@ -331,8 +332,8 @@ class DocumentReader:
     Every problem is collected with its field path (``tasks[3].effort``)
     and :meth:`check` raises them together as one ``error``. A field kind
     is ``dict`` or ``list``, which the value must already be, or a
-    converter such as ``int``, ``str`` or :func:`list_of`. A JSON null
-    counts as a missing key.
+    converter such as :func:`integer`, ``str`` or :func:`list_of`. A
+    JSON null counts as a missing key.
     """
 
     def __init__(self, doc, error: type[InputError] = InputError):
@@ -474,7 +475,7 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
         categories.append(
             CategorySpec(
                 category=category,
-                count=read(entry, "count", int, path),
+                count=read(entry, "count", integer, path),
                 competence=read(entry, "competence", float, path),
                 max_effort=read(entry, "max_effort", float, path),
             )
@@ -487,14 +488,14 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
             utility=read(entry, "utility", float, path),
             effort=read(entry, "effort", float, path),
         )
-        task_mix.append((spec, read(entry, "count", int, path)))
+        task_mix.append((spec, read(entry, "count", integer, path)))
     config = ScenarioConfig(
         name=read(doc, "name", str),
         team=TeamConfig(categories=tuple(categories)),
         task_mix=tuple(task_mix),
-        horizon_days=read(doc, "horizon_days", int),
-        repetitions=read(doc, "repetitions", int),
-        seed=read(doc, "seed", int),
+        horizon_days=read(doc, "horizon_days", integer),
+        repetitions=read(doc, "repetitions", integer),
+        seed=read(doc, "seed", integer),
         psi=read(doc, "psi", float, default=1.0),
         allocator=read(doc, "allocator", Allocator, default=Allocator.SMART),
         mood_mode=read(

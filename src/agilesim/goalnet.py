@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import DocumentReader, InputError, list_of, load_input
+from .core import DocumentReader, InputError, integer, list_of, load_input
 
 SEQUENCE = "sequence"
 CONCURRENCY = "concurrency"
@@ -512,7 +512,7 @@ def from_document(doc: dict) -> GoalNet:
             id=read(entry, "id", str, at),
             label=read(entry, "label", str, at),
             kind=read(entry, "kind", str, at),
-            level=read(entry, "level", int, at),
+            level=read(entry, "level", integer, at),
             cut_across=read(entry, "cut_across", bool, at, False),
         )
         nodes[node.id] = node

@@ -10,17 +10,16 @@ equal to the worker's competence for the type; (5) moods update
 according to the scenario's mood mode; (6) the day's metrics are
 recorded.
 
-Runs are bit-reproducible for a fixed seed. The arrival schedule
-depends only on the seed, never on the allocator, so toggling the
-allocator compares like against like. Within one run the arrival
-stream and the quality stream use separate generators.
+Tasks are counts, not objects: tasks of one type share their effort,
+utility and priority, and no output depends on which task of a type was
+served. The arrival schedule is a count per type per day that depends
+only on the task mix and the horizon, so every seed and both
+allocators see the same arrivals; the seed drives only the quality
+draws, one generator per run. An agent's queue is a run of claimed
+tasks per (type, claim day), and only the head task carries partial
+effort. Service still works task by task, so every float sum is taken
+in the order a task-by-task simulator would take it.
 
-What depends only on the config and seed is built once. The arrival
-schedule comes from two memos: a catalog of every task (id, type,
-day, effort) per task mix and horizon, shared by all seeds, and a
-per-seed day order of catalog indices. Runs with the same mix,
-horizon and seed, such as both allocators of ``--compare``, share
-both and their id strings; each run still gets fresh task objects.
 SMART economics are memoized per agent by (type, yesterday's
 completions of the type) and dropped when the agent's mood moves
 (every day under fcm-coupled mood, never under constant mood).
@@ -33,8 +32,9 @@ completions in the service phase and nothing in the recording phase.
 Congestion sums only the queues of agents served that day: every other
 agent's queues are empty. Under fcm-coupled mood every agent still
 takes one ``fcm.step`` a day; one that completed nothing steps from
-``(mood, 0.5, 0.5)``. ``run`` fills in the record's totals at the
-horizon and returns that same record.
+``(mood, 0.5, 0.5)``. ``tick`` keeps the record's completion counts;
+``run`` sums its global utility at the horizon and returns that same
+record.
 
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
@@ -43,25 +43,16 @@ still in flight at the horizon credit nothing.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import statistics
-import struct
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
 from . import fcm
 from .allocation import TypeEconomics, awr_assign, expected_utility, smart_plan
 from .allocation import visit_order  # noqa: F401  perfbench/tracing.py patches it here
-from .core import (
-    AgentState,
-    Allocator,
-    ScenarioConfig,
-    TaskInstance,
-    TaskTypeSpec,
-)
+from .core import AgentState, Allocator, ScenarioConfig, TaskTypeSpec
 from .metrics import congestion
 
 _EPS = 1e-9
@@ -75,12 +66,15 @@ class SimulationInvariantError(RuntimeError):
 class SimState:
     """Complete state of one run between days.
 
-    ``common_queue`` holds unassigned tasks per type in arrival order;
-    combined with the per-type priority this realizes a priority-ordered
-    backlog. Every task is in exactly one of: the common queue, an
-    agent's ``pending``, or ``completed``. ``types`` is the scenario's
-    task types by id. ``awr_assignee`` maps each type to its AWR
-    assignee, fixed for the run (empty under SMART).
+    ``arrivals_by_day`` is the run's schedule from ``generate_arrivals``.
+    ``common_queue`` counts the unassigned tasks of each type; with the
+    per-type priority it realizes a priority-ordered backlog. Every
+    arrived task is counted once: in the common queue, in a run of an
+    agent's ``pending``, or in ``metrics.completed_count``.
+    ``effort_received`` sums, per agent, the effort of the tasks it
+    completed, in completion order. ``types`` is the scenario's task
+    types by id. ``awr_assignee`` maps each type to its AWR assignee,
+    fixed for the run (empty under SMART).
 
     ``score_tables`` maps an agent id to ``(mood, entries)``: the mood
     the entries were built at and the SMART economics built so far for
@@ -93,11 +87,11 @@ class SimState:
     day: int
     agents: list[AgentState]
     types: dict[str, TaskTypeSpec]
-    common_queue: dict[str, deque[TaskInstance]]
-    completed: list[TaskInstance]
-    arrivals_by_day: dict[int, list[TaskInstance]]
+    common_queue: dict[str, int]
+    arrivals_by_day: list[list[tuple[str, int]]]
     quality_rng: random.Random
     metrics: RunResult
+    effort_received: dict[str, float]
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
@@ -113,8 +107,9 @@ class RunResult:
 
     Built by ``initial_state`` with one slot per day, all 0; ``tick``
     writes a day's slots for the agents that got or held work (and an
-    emptied queue's float residue in ``pending_workload``). Mid-run the
-    days not yet ticked read 0, and so do the totals except ``delay_count``.
+    emptied queue's float residue in ``pending_workload``) and adds to
+    the counts. Mid-run the days not yet ticked read 0, and so does
+    ``global_utility`` until ``run`` sums it.
     """
 
     scenario: str
@@ -157,88 +152,19 @@ class RepeatedResult:
     std: dict[str, float]
 
 
-def _derive_rngs(seed: int) -> tuple[random.Random, random.Random]:
-    # Disjoint integer seeds keep the arrival stream independent of the
-    # quality stream and distinct across repetition seeds.
-    return random.Random(2 * seed), random.Random(2 * seed + 1)
-
-
-# Arrival schedules are shared by every run with the same task mix,
-# horizon and seed: ``--compare`` replays seeds seed..seed+reps-1 once
-# per allocator, and the three presets of one size share a task mix,
-# so a preset's repetitions must all stay cached until the next
-# allocator and preset replay them. 32 holds the presets' 10 with room
-# for longer custom sweeps; an entry costs 4 bytes a task.
-_DAY_ORDER_CACHE_SIZE = 32
-
-
-# A sweep finishes with one task mix before it moves to the next.
-@functools.lru_cache(maxsize=4)
-def _arrival_catalog(
-    task_mix: tuple[tuple[TaskTypeSpec, int], ...], horizon: int
-) -> tuple[tuple[tuple[str, str, int, float], ...], tuple[int, ...]]:
-    """The seed-independent part of a schedule: every task as
-    ``(task_id, type_id, arrival_day, effort)``, day by day in
-    pre-shuffle order (types in mix order, then serial), and the index
-    where each day starts, with the total count appended.
+def generate_arrivals(config: ScenarioConfig) -> list[list[tuple[str, int]]]:
+    """Each day's arrivals as ``(type_id, count)`` pairs in task-mix order.
 
     Each type's count is spread uniformly over the horizon: either
-    floor(N/T) or ceil(N/T) per day, extras on the earliest days.
-    """
-    paces = [
-        (spec, spec.type_id.lower(), *divmod(count, horizon)) for spec, count in task_mix
-    ]
-    tasks: list[tuple[str, str, int, float]] = []
-    starts: list[int] = []
-    for day in range(horizon):
-        starts.append(len(tasks))
-        for spec, prefix, base, extra in paces:
-            # Serials run on across days: base a day plus one per earlier extra.
-            first = base * day + min(day, extra)
-            todays = base + (1 if day < extra else 0)
-            tasks.extend(
-                (f"{prefix}-{n:05d}", spec.type_id, day, spec.effort)
-                for n in range(first, first + todays)
-            )
-    starts.append(len(tasks))
-    return tuple(tasks), tuple(starts)
-
-
-@functools.lru_cache(maxsize=_DAY_ORDER_CACHE_SIZE)
-def _day_order(
-    task_mix: tuple[tuple[TaskTypeSpec, int], ...], horizon: int, seed: int
-) -> memoryview:
-    """Catalog indices in arrival order: each day's indices shuffled by
-    the seed's arrival generator. ``Random.shuffle`` draws the same
-    swaps for any list of one length, so shuffling indices permutes a
-    day exactly as shuffling its tasks would. Packed as unsigned ints
-    in read-only bytes, because every run of the seed shares it and a
-    tuple would hold an int object per task."""
-    arrivals_rng, _ = _derive_rngs(seed)
-    _, starts = _arrival_catalog(task_mix, horizon)
-    order: list[int] = []
-    for start, end in zip(starts, starts[1:]):
-        todays = list(range(start, end))
-        arrivals_rng.shuffle(todays)
-        order.extend(todays)
-    return memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
-
-
-def generate_arrivals(config: ScenarioConfig, seed: int) -> list[TaskInstance]:
-    """Create every task with its arrival day.
-
-    Each type's count is spread uniformly over the horizon (either
-    floor(N/T) or ceil(N/T) per day, extras on the earliest days), and
-    each day's tasks are shuffled by the seeded generator. The result
-    is ordered by day, then by within-day shuffle position.
-    Deterministic for a fixed seed and independent of the allocator.
-    The schedule is built once per (task mix, horizon, seed) and shared
-    with its id strings; every call returns fresh ``TaskInstance``s.
+    floor(N/T) or ceil(N/T) per day, extras on the earliest days. The
+    schedule depends only on the task mix and the horizon, never on the
+    seed or the allocator.
     """
     horizon = config.horizon_days
-    catalog, _ = _arrival_catalog(config.task_mix, horizon)
+    paces = [(spec.type_id, *divmod(count, horizon)) for spec, count in config.task_mix]
     return [
-        TaskInstance(*catalog[i]) for i in _day_order(config.task_mix, horizon, seed)
+        [(tid, base + (day < extra)) for tid, base, extra in paces]
+        for day in range(horizon)
     ]
 
 
@@ -250,24 +176,20 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     such as an empty task mix, runnable for experiments.
     """
     run_seed = config.seed if seed is None else seed
-    _, quality_rng = _derive_rngs(run_seed)
     mood = 0.5 if config.mood_mode.kind == "fcm-coupled" else config.mood_mode.value
     agents = config.team.build_agents(mood=mood)
     types = config.task_types()
     for agent in agents:
         agent.queued = dict.fromkeys(types, 0)
-    arrivals_by_day: dict[int, list[TaskInstance]] = {}
-    for task in generate_arrivals(config, run_seed):
-        arrivals_by_day.setdefault(task.arrival_day, []).append(task)
     horizon = config.horizon_days
     state = SimState(
         day=0,
         agents=agents,
         types=types,
-        common_queue={tid: deque() for tid in types},
-        completed=[],
-        arrivals_by_day=arrivals_by_day,
-        quality_rng=quality_rng,
+        common_queue=dict.fromkeys(types, 0),
+        arrivals_by_day=generate_arrivals(config),
+        # The stream the committed fingerprint's CSVs were drawn from.
+        quality_rng=random.Random(2 * run_seed + 1),
         metrics=RunResult(
             scenario=config.name,
             allocator=config.allocator,
@@ -283,6 +205,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
             completions=[0] * horizon,
             utility=[0.0] * horizon,
         ),
+        effort_received={a.agent_id: 0.0 for a in agents},
     )
     state._types_by_priority = sorted(
         types, key=lambda tid: (-types[tid].priority, tid)
@@ -299,12 +222,14 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     return state
 
 
-def _claim(agent: AgentState, task: TaskInstance, effort: float, day: int) -> None:
-    task.assignee = agent.agent_id
-    task.assigned_day = day
-    agent.queued[task.type_id] += 1
-    agent.pending.append(task)
-    agent.pending_effort += effort
+def _claim(agent: AgentState, tid: str, count: int, effort: float, day: int) -> None:
+    if not agent.pending:
+        agent.head_remaining = effort
+    agent.pending.append([tid, day, count])
+    agent.queued[tid] += count
+    # Once per task: one count * effort can round differently.
+    for _ in range(count):
+        agent.pending_effort += effort
 
 
 def _economics(
@@ -339,16 +264,17 @@ def _economics(
 
 
 def _check_conservation(state: SimState) -> None:
-    in_common = sum(len(q) for q in state.common_queue.values())
-    # Every agent's deque, not only those served today: a task lost or
-    # duplicated in an idle agent's queue must be caught too.
-    in_agents = sum(len(a.pending) for a in state.agents)
-    total = in_common + in_agents + len(state.completed)
-    if total != state.arrived_total:
+    in_common = sum(state.common_queue.values())
+    # Every agent's runs, not only those served today: a task lost or
+    # duplicated in an idle agent's queue must be caught too. The runs'
+    # own counts, not ``queued``, which is kept beside them.
+    in_agents = sum(run[2] for a in state.agents for run in a.pending)
+    completed = state.metrics.completed_count
+    if in_common + in_agents + completed != state.arrived_total:
         raise SimulationInvariantError(
             f"task conservation breached on day {state.day}: "
             f"{in_common} queued + {in_agents} assigned + "
-            f"{len(state.completed)} completed != {state.arrived_total} arrived"
+            f"{completed} completed != {state.arrived_total} arrived"
         )
 
 
@@ -360,18 +286,16 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     types = state.types
     metrics = state.metrics
 
-    # (1) Admission: each task joins its type's queue in the shuffled
-    # within-day order; the backlog's priority order is by type.
-    todays = state.arrivals_by_day.pop(day, [])
-    for task in todays:
-        state.common_queue[task.type_id].append(task)
-    state.arrived_total += len(todays)
+    # (1) Admission; the backlog's priority order is by type.
+    arrived = 0
+    for tid, count in state.arrivals_by_day[day]:
+        state.common_queue[tid] += count
+        arrived += count
+    state.arrived_total += arrived
 
     # (2) Allocation.
     if config.allocator is Allocator.SMART:
-        offered = {
-            tid: len(queue) for tid, queue in state.common_queue.items() if queue
-        }
+        offered = {tid: count for tid, count in state.common_queue.items() if count}
         for agent in state.agents:
             if not offered:
                 break
@@ -381,71 +305,80 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             # plan.accepted is in visit order; its rejects go to the next agent.
             for tid, count in plan.accepted.items():
                 if count:
-                    queue = state.common_queue[tid]
-                    for _ in range(count):
-                        _claim(agent, queue.popleft(), types[tid].effort, day)
+                    state.common_queue[tid] -= count
+                    _claim(agent, tid, count, types[tid].effort, day)
                     metrics.assigned_effort[agent.agent_id][day] += (
                         count * types[tid].effort
                     )
             offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every queued task is assigned immediately, none rejected.
         for tid in state._types_by_priority:
-            queue = state.common_queue[tid]
-            agent = state.awr_assignee[tid]
-            assigned = metrics.assigned_effort[agent.agent_id]
-            while queue:
-                _claim(agent, queue.popleft(), types[tid].effort, day)
-                assigned[day] += types[tid].effort
+            count = state.common_queue[tid]
+            if count:
+                state.common_queue[tid] = 0
+                agent = state.awr_assignee[tid]
+                effort = types[tid].effort
+                _claim(agent, tid, count, effort, day)
+                assigned = metrics.assigned_effort[agent.agent_id]
+                # Once per task, as in _claim.
+                for _ in range(count):
+                    assigned[day] += effort
 
-    # (3) Service, (4) quality outcomes, in roster order so the quality
-    # draws keep their order; only agents holding work are served.
+    # (3) Service, (4) quality outcomes, task by task in roster order so
+    # the quality draws keep their order; only agents holding work are
+    # served.
     completions_today = 0
     utility_today = 0.0
     working: list[AgentState] = []
     outcomes: dict[str, tuple[int, int, int]] = {}
     for agent in state.agents:
-        if not agent.pending:
+        pending = agent.pending
+        if not pending:
             agent.recent_completions = {}
             # A finished queue can leave a float residue in pending_effort.
             if agent.pending_effort:
                 metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
             continue
         budget = agent.max_effort
+        received = state.effort_received[agent.agent_id]
         served: dict[str, int] = {}
         done = on_time = high_quality = 0
-        while budget > _EPS and agent.pending:
-            task = agent.pending[0]
-            spend = min(budget, task.remaining_effort)
-            task.remaining_effort -= spend
+        while budget > _EPS and pending:
+            spend = min(budget, agent.head_remaining)
+            agent.head_remaining -= spend
             budget -= spend
             agent.pending_effort -= spend
-            if task.remaining_effort <= _EPS:
-                agent.pending.popleft()
-                agent.queued[task.type_id] -= 1
-                task.remaining_effort = 0.0
-                task.completion_day = day
-                spec = types[task.type_id]
-                success = state.quality_rng.random() < agent.competence_for(
-                    task.type_id
-                )
-                task.quality_success = success
+            if agent.head_remaining <= _EPS:
+                head = pending[0]
+                tid, claim_day = head[0], head[1]
+                head[2] -= 1
+                if not head[2]:
+                    pending.popleft()
+                if pending:
+                    agent.head_remaining = types[pending[0][0]].effort
+                agent.queued[tid] -= 1
+                spec = types[tid]
+                received += spec.effort
+                success = state.quality_rng.random() < agent.competence_for(tid)
                 nominal_days = math.ceil(spec.effort / agent.max_effort)
-                late = (day - task.assigned_day + 1) > nominal_days
-                state.completed.append(task)
-                served[task.type_id] = served.get(task.type_id, 0) + 1
+                late = (day - claim_day + 1) > nominal_days
+                served[tid] = served.get(tid, 0) + 1
                 done += 1
                 if late:
                     metrics.delay_count += 1
                 else:
                     on_time += 1
                 high_quality += 1 if success else 0
-                completions_today += 1
                 utility_today += spec.utility if success else 0.0
+        state.effort_received[agent.agent_id] = received
         agent.recent_completions = served
         outcomes[agent.agent_id] = (done, on_time, high_quality)
+        completions_today += done
+        metrics.high_quality_count += high_quality
         working.append(agent)
         metrics.busy_effort[agent.agent_id][day] = agent.max_effort - budget
         metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
+    metrics.completed_count += completions_today
 
     # (5) Mood update; an agent that was not served steps from
     # (mood, 0.5, 0.5).
@@ -463,7 +396,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     metrics.congestion[day] = congestion(
         chain.from_iterable(agent.queued.values() for agent in working)
     )
-    metrics.arrivals[day] = len(todays)
+    metrics.arrivals[day] = arrived
     metrics.completions[day] = completions_today
     metrics.utility[day] = utility_today
     _check_conservation(state)
@@ -474,14 +407,11 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
 def _check_effort(state: SimState) -> None:
     """Per agent, the effort spent over the run must equal the effort of
     its completed tasks plus the progress on the tasks it still holds."""
-    types = state.types
-    received = {agent.agent_id: 0.0 for agent in state.agents}
-    for task in state.completed:
-        received[task.assignee] += types[task.type_id].effort
     for agent in state.agents:
-        expected = received[agent.agent_id] + sum(
-            types[task.type_id].effort - task.remaining_effort for task in agent.pending
-        )
+        expected = state.effort_received[agent.agent_id]
+        if agent.pending:
+            head_type = agent.pending[0][0]
+            expected += state.types[head_type].effort - agent.head_remaining
         spent = sum(state.metrics.busy_effort[agent.agent_id])
         if not math.isclose(spent, expected, rel_tol=1e-9, abs_tol=1e-6):
             raise SimulationInvariantError(
@@ -499,8 +429,6 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     _check_effort(state)
     result = state.metrics
     result.global_utility = sum(result.utility)
-    result.completed_count = len(state.completed)
-    result.high_quality_count = sum(1 for c in state.completed if c.quality_success)
     return result
 
 

@@ -82,14 +82,11 @@ def preset_sweep() -> SweepSummary:
     started = time.perf_counter()
     for name in core.PRESET_NAMES:
         base = core.preset(name)
-        schedule = simulation.generate_arrivals(base, base.seed)
         types = base.task_types()
-        daily: dict[int, float] = {}
-        for task in schedule:
-            daily[task.arrival_day] = (
-                daily.get(task.arrival_day, 0.0) + types[task.type_id].effort
-            )
-        summary.max_daily_arrival_workload[name] = max(daily.values())
+        summary.max_daily_arrival_workload[name] = max(
+            sum(count * types[tid].effort for tid, count in todays)
+            for todays in simulation.generate_arrivals(base)
+        )
         for allocator in (core.Allocator.SMART, core.Allocator.AWR):
             config = core.with_overrides(base, allocator=allocator)
             key = (name, allocator.value)

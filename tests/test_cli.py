@@ -166,6 +166,15 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "repetitions: must satisfy repetitions >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # Seed -1 would replay seed 0's quality draws.
+        argv = ["simulate", "--preset", "S-M", "--repetitions", "1", "--seed=-1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: must satisfy seed >= 0 (got -1)")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field,value,path",
         [

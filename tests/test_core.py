@@ -237,6 +237,49 @@ class TestScenarioFiles:
         with pytest.raises(core.ScenarioValidationError, match="allocator"):
             core.scenario_from_document(doc)
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from abs(n): seed -1 would replay seed 0.
+        doc = core.scenario_to_document(core.preset("S-I"))
+        doc["seed"] = -1
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.scenario_from_document(doc)
+        assert err.value.errors == ["seed: must satisfy seed >= 0 (got -1)"]
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("horizon_days", True),
+            ("repetitions", 2.5),
+            ("tasks[0].count", 2.7),
+            ("team.HCA.count", False),
+            ("team.HCA.count", "3"),
+        ],
+        ids=[
+            "seed-fraction", "seed-bool", "horizon-bool", "repetitions-fraction",
+            "task-count-fraction", "team-count-bool", "team-count-string",
+        ],
+    )
+    def test_integer_field_rejects_bool_and_fraction(self, path, value):
+        doc = core.scenario_to_document(core.preset("S-I"))
+        entry = doc
+        *parents, key = path.replace("[0]", ".0").split(".")
+        for part in parents:
+            entry = entry[int(part) if part.isdigit() else part]
+        entry[key] = value
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.scenario_from_document(doc)
+        assert err.value.errors == [f"{path}: invalid value {value!r}"]
+
+    def test_integer_field_accepts_integral_float(self):
+        doc = core.scenario_to_document(core.preset("S-I"))
+        doc["seed"] = 3.0
+        doc["tasks"][0]["count"] = 100.0
+        config = core.scenario_from_document(doc)
+        assert config.seed == 3 and type(config.seed) is int
+        assert config.task_mix[0][1] == 100 and type(config.task_mix[0][1]) is int
+
 
 class TestTeamConfig:
     def test_agent_ids_follow_roster_order(self):

@@ -383,6 +383,14 @@ class TestDocumentsAndExport:
         with pytest.raises(goalnet.GoalNetError, match="unknown node"):
             goalnet.from_document(doc)
 
+    @pytest.mark.parametrize("level", [1.5, True], ids=["fraction", "bool"])
+    def test_non_integral_level_rejected(self, level):
+        doc = goalnet.to_document(self.build_reference())
+        doc["nodes"][0]["level"] = level
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.from_document(doc)
+        assert err.value.errors == [f"nodes[0].level: invalid value {level!r}"]
+
     def test_dot_export_styles(self):
         net = self.build_reference()
         dot = goalnet.export_dot(net)

@@ -1,20 +1,76 @@
-import gc
 import math
 import random
+from collections import deque
+from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
 
 import pytest
 
 from agilesim import core, fcm, simulation
-from agilesim.allocation import TypeEconomics, expected_utility, smart_plan
+from agilesim.allocation import TypeEconomics, awr_assign, expected_utility, smart_plan
 from agilesim.metrics import congestion
 from conftest import make_scenario
 
 
+@dataclass
+class ReferenceTask:
+    """One task as an object, for the task-by-task oracle."""
+
+    task_id: str
+    type_id: str
+    arrival_day: int
+    remaining_effort: float
+    assignee: str | None = None
+    assigned_day: int | None = None
+    completion_day: int | None = None
+    quality_success: bool | None = None
+
+
+def reference_claim(agent, task, effort, day):
+    task.assignee = agent.agent_id
+    task.assigned_day = day
+    agent.queued[task.type_id] += 1
+    agent.pending.append(task)
+    agent.pending_effort += effort
+
+
+def reference_state(config):
+    """The day-0 state ``reference_tick`` works on: every task is a
+    ``ReferenceTask`` from ``reference_arrivals``, the common queues and
+    each agent's ``pending`` hold them, and completed tasks go to
+    ``completed``."""
+    mood = 0.5 if config.mood_mode.kind == "fcm-coupled" else config.mood_mode.value
+    agents = config.team.build_agents(mood=mood)
+    types = config.task_types()
+    for agent in agents:
+        agent.queued = dict.fromkeys(types, 0)
+    arrivals_by_day = {}
+    for task in reference_arrivals(config, config.seed):
+        arrivals_by_day.setdefault(task.arrival_day, []).append(task)
+    agents_by_id = {agent.agent_id: agent for agent in agents}
+    return SimpleNamespace(
+        day=0,
+        agents=agents,
+        common_queue={tid: deque() for tid in types},
+        completed=[],
+        arrivals_by_day=arrivals_by_day,
+        arrived_total=0,
+        quality_rng=random.Random(2 * config.seed + 1),
+        mood_map=(
+            fcm.bundled_map("michael_scenario1")
+            if config.mood_mode.kind == "fcm-coupled"
+            else None
+        ),
+        metrics=reference_metrics(agents),
+        types_by_priority=sorted(types, key=lambda tid: (-types[tid].priority, tid)),
+        awr_assignee={tid: agents_by_id[awr_assign(tid, agents)] for tid in types},
+    )
+
+
 def reference_tick(state, config):
-    """The plain all-agents day: every agent served, mood-stepped and
-    recorded, appending to the series of a ``reference_metrics``."""
+    """The plain all-agents day on a ``reference_state``, task by task:
+    every agent served, mood-stepped and recorded."""
     day = state.day
     types = config.task_types()
     metrics = state.metrics
@@ -48,15 +104,15 @@ def reference_tick(state, config):
                     queue = state.common_queue[tid]
                     for _ in range(count):
                         task = queue.popleft()
-                        simulation._claim(agent, task, types[tid].effort, day)
+                        reference_claim(agent, task, types[tid].effort, day)
                     assigned_today[agent.agent_id] += count * types[tid].effort
             offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:
-        for tid in state._types_by_priority:
+        for tid in state.types_by_priority:
             queue = state.common_queue[tid]
             agent = state.awr_assignee[tid]
             while queue:
-                simulation._claim(agent, queue.popleft(), types[tid].effort, day)
+                reference_claim(agent, queue.popleft(), types[tid].effort, day)
                 assigned_today[agent.agent_id] += types[tid].effort
 
     completions_today = 0
@@ -132,7 +188,7 @@ def reference_arrivals(config, seed):
         for day in range(horizon):
             for _ in range(base + (1 if day < extra else 0)):
                 per_day[day].append(
-                    core.TaskInstance(
+                    ReferenceTask(
                         task_id=f"{spec.type_id.lower()}-{serial:05d}",
                         type_id=spec.type_id,
                         arrival_day=day,
@@ -163,7 +219,7 @@ def reference_metrics(agents):
 
 
 def ticked(config):
-    """A fresh state ticked to the horizon, for its ``completed`` tasks."""
+    """A fresh state ticked to the horizon."""
     state = simulation.initial_state(config)
     for _ in range(config.horizon_days):
         simulation.tick(state, config)
@@ -225,76 +281,63 @@ def random_scenario(rng, case):
     )
 
 
+def arrival_counts(tasks):
+    """Per day, the count of each type among ``reference_arrivals``."""
+    per_day = {}
+    for task in tasks:
+        todays = per_day.setdefault(task.arrival_day, {})
+        todays[task.type_id] = todays.get(task.type_id, 0) + 1
+    return per_day
+
+
 class TestGenerateArrivals:
     def test_sm_pacing(self):
-        config = core.preset("S-M")
-        tasks = simulation.generate_arrivals(config, seed=0)
-        assert len(tasks) == 500
-        per_day = {}
-        per_type = {}
-        for task in tasks:
-            per_day[task.arrival_day] = per_day.get(task.arrival_day, 0) + 1
-            per_type[task.type_id] = per_type.get(task.type_id, 0) + 1
-        assert set(per_day.values()) == {5}
-        assert len(per_day) == 100
-        assert per_type == {f"T{i}": 100 for i in range(1, 6)}
+        schedule = simulation.generate_arrivals(core.preset("S-M"))
+        assert len(schedule) == 100
+        assert all(todays == [(f"T{i}", 1) for i in range(1, 6)] for todays in schedule)
 
     def test_mm_pacing(self):
-        tasks = simulation.generate_arrivals(core.preset("M-M"), seed=1)
-        assert len(tasks) == 1500
-        first_day = [t for t in tasks if t.arrival_day == 0]
-        assert len(first_day) == 15
+        schedule = simulation.generate_arrivals(core.preset("M-M"))
+        assert sum(count for todays in schedule for _, count in todays) == 1500
+        assert schedule[0] == [(f"T{i}", 3) for i in range(1, 6)]
 
     def test_degenerate_horizon(self):
         config = make_scenario(tasks=(("T1", 1, 1, 1, 5),), horizon_days=1)
-        tasks = simulation.generate_arrivals(config, seed=3)
-        assert len(tasks) == 5
-        assert all(t.arrival_day == 0 for t in tasks)
+        assert simulation.generate_arrivals(config) == [[("T1", 5)]]
 
     def test_uneven_split_uses_floor_and_ceil(self):
         config = make_scenario(tasks=(("T1", 1, 1, 1, 7),), horizon_days=3)
-        tasks = simulation.generate_arrivals(config, seed=3)
-        per_day = {}
-        for task in tasks:
-            per_day[task.arrival_day] = per_day.get(task.arrival_day, 0) + 1
-        assert sorted(per_day.values(), reverse=True) == [3, 2, 2]
+        assert simulation.generate_arrivals(config) == [
+            [("T1", 3)], [("T1", 2)], [("T1", 2)]
+        ]
 
     def test_deterministic_and_allocator_independent(self):
         config = core.preset("S-I")
-        a = [t.task_id for t in simulation.generate_arrivals(config, seed=9)]
-        b = [t.task_id for t in simulation.generate_arrivals(config, seed=9)]
-        assert a == b
         awr = core.with_overrides(config, allocator=core.Allocator.AWR)
-        c = [t.task_id for t in simulation.generate_arrivals(awr, seed=9)]
-        assert a == c
-        d = [t.task_id for t in simulation.generate_arrivals(config, seed=10)]
-        assert a != d
+        want = simulation.run(config, seed=9).arrivals
+        assert simulation.run(config, seed=9).arrivals == want
+        assert simulation.run(awr, seed=9).arrivals == want
+        assert simulation.run(config, seed=10).arrivals == want
 
     def test_matches_task_by_task_build(self):
+        # The task-by-task schedule shuffles each day by the seed; any two
+        # seeds still give each type the same count on each day.
         rng = random.Random(5)
         for case in range(60):
             config = random_scenario(rng, case)
-            # More keys than the day-order memo holds; the second call
-            # of each is served from it.
-            seed = case % 40
-            for _ in range(2):
-                got = simulation.generate_arrivals(config, seed)
-                assert got == reference_arrivals(config, seed), case
+            got = {
+                day: {tid: count for tid, count in todays if count}
+                for day, todays in enumerate(simulation.generate_arrivals(config))
+            }
+            got = {day: todays for day, todays in got.items() if todays}
+            for seed in (case, case + 1):
+                want = arrival_counts(reference_arrivals(config, seed))
+                assert got == want, case
 
 
 class TestScheduleIsolation:
-    """Runs share a schedule's catalog and day order, never its tasks."""
-
-    def test_mutated_tasks_do_not_reach_a_later_call(self):
-        config = core.preset("S-I")
-        first = simulation.generate_arrivals(config, seed=5)
-        want = reference_arrivals(config, 5)
-        for task in first:
-            task.remaining_effort = 0.0
-            task.assignee = "dev-000"
-        again = simulation.generate_arrivals(config, seed=5)
-        assert again == want
-        assert all(a is not b for a, b in zip(first, again))
+    """Runs in one process share no state: each builds its own schedule,
+    queues and quality generator."""
 
     def test_two_runs_in_one_process_are_identical(self):
         config = core.with_overrides(core.preset("S-M"), seed=7)
@@ -302,14 +345,13 @@ class TestScheduleIsolation:
         b = simulation.run(config)
         for name in SERIES:
             assert getattr(a, name) == getattr(b, name), name
-        assert ticked(config).completed == ticked(config).completed
+        first, second = ticked(config), ticked(config)
+        assert first.quality_rng.getstate() == second.quality_rng.getstate()
+        assert first.effort_received == second.effort_received
 
     def test_presets_of_one_size_share_the_schedule(self):
         si, sc = core.preset("S-I"), core.preset("S-C")
-        a = simulation.generate_arrivals(si, seed=3)
-        b = simulation.generate_arrivals(sc, seed=3)
-        assert [t.task_id for t in a] == [t.task_id for t in b]
-        assert all(x.task_id is y.task_id for x, y in zip(a, b))
+        assert simulation.generate_arrivals(si) == simulation.generate_arrivals(sc)
 
 
 class TestTickHandTraces:
@@ -322,10 +364,9 @@ class TestTickHandTraces:
             horizon_days=1,
         )
         result = simulation.run(config)
-        assert result.completed_count == 1
-        [record] = ticked(config).completed
-        assert record.completion_day == 0
-        assert record.quality_success is True
+        assert result.completions == [1]
+        assert result.high_quality_count == 1
+        assert result.delay_count == 0
         assert result.global_utility == pytest.approx(10.0)
 
     def test_carryover_service_under_awr(self):
@@ -338,8 +379,7 @@ class TestTickHandTraces:
             allocator=core.Allocator.AWR,
         )
         result = simulation.run(config)
-        assert result.completed_count == 1
-        assert ticked(config).completed[0].completion_day == 3
+        assert result.completions == [0, 0, 0, 1, 0]
         assert result.busy_effort["dev-000"][:4] == [3.0, 3.0, 3.0, 1.0]
 
     def test_zero_mood_agent_accepts_nothing(self):
@@ -366,10 +406,11 @@ class TestTickHandTraces:
         state = simulation.initial_state(config)
         simulation.tick(state, config)
         agent = state.agents[0]
-        assert agent.pending[0].remaining_effort == pytest.approx(7.0)
+        assert list(agent.pending) == [["T1", 0, 1]]
+        assert agent.head_remaining == pytest.approx(7.0)
         assert agent.pending_effort == pytest.approx(7.0)
         simulation.tick(state, config)
-        assert agent.pending[0].remaining_effort == pytest.approx(4.0)
+        assert agent.head_remaining == pytest.approx(4.0)
 
     def test_tick_past_horizon_rejected(self):
         config = make_scenario(horizon_days=1)
@@ -385,9 +426,15 @@ class TestConservationAndAccounting:
         state = simulation.initial_state(config)
         for _ in range(30):
             simulation.tick(state, config)
-            in_common = sum(len(q) for q in state.common_queue.values())
-            in_agents = sum(len(a.pending) for a in state.agents)
-            assert in_common + in_agents + len(state.completed) == state.arrived_total
+            in_common = sum(state.common_queue.values())
+            in_agents = sum(run[2] for a in state.agents for run in a.pending)
+            completed = state.metrics.completed_count
+            assert in_common + in_agents + completed == state.arrived_total
+            for agent in state.agents:
+                queued = dict.fromkeys(agent.queued, 0)
+                for tid, _, count in agent.pending:
+                    queued[tid] += count
+                assert queued == agent.queued
 
     def test_completed_tasks_received_exact_effort(self):
         config = make_scenario(
@@ -398,19 +445,14 @@ class TestConservationAndAccounting:
         state = simulation.initial_state(config)
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
-        elsewhere = {
-            id(task)
-            for task in chain(
-                chain.from_iterable(state.common_queue.values()),
-                chain.from_iterable(agent.pending for agent in state.agents),
-            )
-        }
-        assert state.completed
-        for task in state.completed:
-            assert id(task) not in elsewhere
-            assert task.remaining_effort == 0.0
-            assert task.completion_day is not None
-            assert task.completion_day >= task.arrival_day
+        # Efforts are whole numbers, so every sum below is exact.
+        left = dict(state.common_queue)
+        for agent in state.agents:
+            for tid, _, count in agent.pending:
+                left[tid] += count
+        done = {tid: 6 - count for tid, count in left.items()}
+        assert state.metrics.completed_count == sum(done.values()) > 0
+        assert sum(state.effort_received.values()) == 5 * done["T1"] + 3 * done["T2"]
 
     def test_effort_conservation_breach_is_caught(self, monkeypatch):
         # Effort 10 against a 3-per-day budget is still in flight at the
@@ -427,7 +469,7 @@ class TestConservationAndAccounting:
         def corrupting_tick(state, config):
             real_tick(state, config)
             if state.day == 1:
-                state.agents[0].pending[0].remaining_effort -= 1.0
+                state.agents[0].head_remaining -= 1.0
             return state
 
         monkeypatch.setattr(simulation, "tick", corrupting_tick)
@@ -453,7 +495,7 @@ class TestConservationAndAccounting:
             if state.day == 1:
                 holder, idle = state.agents
                 assert holder.pending and not idle.pending
-                idle.pending.append(holder.pending[0])
+                idle.pending.append(list(holder.pending[0]))
             real_check(state)
 
         monkeypatch.setattr(simulation, "_check_conservation", corrupting_check)
@@ -491,9 +533,9 @@ class TestRunAndRepetition:
         a = simulation.run(config)
         b = simulation.run(config)
         assert a.utility == b.utility
-        a, b = ticked(config).completed, ticked(config).completed
-        assert [c.task_id for c in a] == [c.task_id for c in b]
-        assert [c.quality_success for c in a] == [c.quality_success for c in b]
+        a, b = ticked(config), ticked(config)
+        assert a.quality_rng.getstate() == b.quality_rng.getstate()
+        assert a.effort_received == b.effort_received
 
     def test_allocator_changes_decisions_not_schedule(self):
         smart = core.with_overrides(core.preset("S-I"), seed=3)
@@ -518,15 +560,6 @@ class TestRunAndRepetition:
         again = simulation.run_repeated(config)
         assert again.runs[-1].utility == repeated.runs[-1].utility
 
-    def test_repeated_result_holds_no_tasks(self):
-        # Counts and series are all a run's record keeps; its tasks are
-        # garbage once the run returns.
-        config = core.with_overrides(core.preset("S-M"), repetitions=3)
-        repeated = simulation.run_repeated(config)
-        gc.collect()
-        assert not [o for o in gc.get_objects() if isinstance(o, core.TaskInstance)]
-        assert sum(r.completed_count for r in repeated.runs) > 0
-
     def test_zero_task_scenario_all_metrics_zero(self):
         # validate() rejects an empty mix, but run() honors its
         # precondition contract and simply produces an empty workload.
@@ -539,7 +572,8 @@ class TestRunAndRepetition:
 
 
 class TestIdleAgentEquivalence:
-    """``tick`` against the plain all-agents day of ``reference_tick``."""
+    """``tick`` on counts against the task-by-task, all-agents day of
+    ``reference_tick``."""
 
     def test_runs_are_identical(self, monkeypatch):
         rng = random.Random(17)
@@ -576,8 +610,7 @@ class TestIdleAgentEquivalence:
             monkeypatch.setattr(simulation, "smart_plan", real_plan)
             got_state = simulation.initial_state(config)
             got_moods = mood_trajectory(config, simulation.tick, got_state)
-            state = simulation.initial_state(config)
-            state.metrics = reference_metrics(state.agents)
+            state = reference_state(config)
             want_moods = mood_trajectory(config, reference_tick, state)
             want = state.metrics
             for name in SERIES:
@@ -585,14 +618,18 @@ class TestIdleAgentEquivalence:
                 assert got_series == want_series, (case, name)
                 # == takes 0 for 0.0 and -0.0 for 0.0; the CSVs would not
                 assert repr(got_series) == repr(want_series), (case, name)
-            assert [
-                (t.task_id, t.assignee, t.completion_day, t.quality_success)
-                for t in got_state.completed
-            ] == [
-                (t.task_id, t.assignee, t.completion_day, t.quality_success)
-                for t in state.completed
-            ], case
+            assert got.completed_count == len(state.completed), case
+            assert got.high_quality_count == sum(
+                t.quality_success for t in state.completed
+            ), case
+            assert got.global_utility == sum(want.utility), case
             assert got_moods == want_moods, case
+            # The same number of quality draws, taken in the same order.
+            assert got_state.quality_rng.getstate() == state.quality_rng.getstate(), case
+            received = {agent.agent_id: 0.0 for agent in state.agents}
+            for task in state.completed:
+                received[task.assignee] += types[task.type_id].effort
+            assert got_state.effort_received == received, case
             for agent in got.agent_ids:
                 if any(
                     size == 0 and load != 0.0
@@ -674,7 +711,7 @@ class TestSmartVersusAwrQuick:
 
 class TestCommonQueueOrdering:
     def test_backlog_is_priority_then_arrival_ordered(self):
-        # zero mood keeps every offer in the backlog, exposing the order
+        # zero mood keeps every offer in the backlog
         config = make_scenario(
             categories=((core.Category.HCA, 1, 1.0, 10.0),),
             tasks=(("low", 1, 1, 1, 3), ("high", 9, 9, 1, 3)),
@@ -684,14 +721,6 @@ class TestCommonQueueOrdering:
         state = simulation.initial_state(config)
         for _ in range(3):
             simulation.tick(state, config)
-        backlog = [
-            task
-            for tid in state._types_by_priority
-            for task in state.common_queue[tid]
-        ]
-        assert len(backlog) == 6
-        assert [t.type_id for t in backlog] == ["high"] * 3 + ["low"] * 3
-        for queue in ([t for t in backlog if t.type_id == "high"],
-                      [t for t in backlog if t.type_id == "low"]):
-            days = [t.arrival_day for t in queue]
-            assert days == sorted(days)
+        assert state.common_queue == {"low": 3, "high": 3}
+        assert state._types_by_priority == ["high", "low"]
+        assert not state.agents[0].pending
