@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import AgentState
 
@@ -96,11 +96,23 @@ def visit_order(
     )
 
 
+def plan_order(
+    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Iterable[str]
+) -> list[tuple[str, float, bool]]:
+    """The visit order compiled for ``smart_plan``: one ``(type_id,
+    effort, score > 0)`` triple per type, in ``visit_order``'s order,
+    with each availability score computed once."""
+    ranked = sorted((-economics[tid].availability_score(psi), tid) for tid in type_ids)
+    # -score < 0 exactly when score > 0, for a zero of either sign too.
+    return [(tid, economics[tid].effort, neg_score < 0) for neg_score, tid in ranked]
+
+
 def smart_plan(
     agent: AgentState,
     incoming: Mapping[str, int],
     economics: Mapping[str, TypeEconomics],
     psi: float,
+    order: Sequence[tuple[str, float, bool]] | None = None,
 ) -> AllocationPlan:
     """Greedy daily acceptance plan for one agent.
 
@@ -108,33 +120,42 @@ def smart_plan(
     Types are visited in descending availability score; each strictly
     positive type accepts ``min(offered, floor(budget / effort))`` tasks
     and debits the budget, starting from the agent's full daily effort.
+
+    ``order`` is ``plan_order(economics, psi, incoming)`` compiled by a
+    caller that plans the same offers many times. Given it, the plan
+    trusts it: it neither checks ``incoming`` for unknown types and
+    negative counts nor sorts. Without it, both checks run and raise
+    ``UnknownTaskTypeError`` and ``ValueError``.
     """
-    unknown = [tid for tid in incoming if tid not in economics]
-    if unknown:
-        raise UnknownTaskTypeError(
-            f"no economics for incoming task type(s): {', '.join(sorted(unknown))}"
-        )
-    for tid, count in incoming.items():
-        if count < 0:
-            raise ValueError(f"incoming count for {tid!r} must be >= 0 (got {count})")
+    if order is None:
+        unknown = [tid for tid in incoming if tid not in economics]
+        if unknown:
+            raise UnknownTaskTypeError(
+                f"no economics for incoming task type(s): {', '.join(sorted(unknown))}"
+            )
+        for tid, count in incoming.items():
+            if count < 0:
+                raise ValueError(
+                    f"incoming count for {tid!r} must be >= 0 (got {count})"
+                )
+        order = plan_order(economics, psi, incoming)
     if agent.max_effort <= 0:
         raise ValueError(f"agent max_effort must be > 0 (got {agent.max_effort})")
 
     budget = agent.max_effort
     accepted: dict[str, int] = {}
-    for tid in visit_order(economics, psi, list(incoming)):
-        econ = economics[tid]
-        offered = incoming[tid]
-        if econ.availability_score(psi) > 0:
-            if offered * econ.effort <= budget:
+    rejected = dict(incoming)
+    for tid, effort, positive in order:
+        count = 0
+        if positive:
+            offered = incoming[tid]
+            if offered * effort <= budget:
                 count = offered
             else:
-                count = math.floor(budget / econ.effort)
-            budget -= count * econ.effort
-        else:
-            count = 0
+                count = math.floor(budget / effort)
+            budget -= count * effort
+            rejected[tid] = offered - count
         accepted[tid] = count
-    rejected = {tid: incoming[tid] - accepted[tid] for tid in incoming}
     return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
 
 

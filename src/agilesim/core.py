@@ -315,6 +315,23 @@ def integer(value) -> int:
     raise ValueError(f"not a whole number: {value!r}")
 
 
+def real(value) -> float:
+    """Field kind for a real number: an int or a float. A bool, which
+    ``float`` would read as 0.0 or 1.0, a string or any other type is
+    rejected."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ValueError(f"not a number: {value!r}")
+
+
+def boolean(value) -> bool:
+    """Field kind for a JSON ``true`` or ``false``; ``bool`` would read
+    any non-empty string, ``"false"`` too, as true."""
+    if type(value) is bool:
+        return value
+    raise ValueError(f"not true or false: {value!r}")
+
+
 def list_of(kind: Callable) -> Callable:
     """Field kind for a JSON list whose items all convert with ``kind``."""
 
@@ -332,8 +349,8 @@ class DocumentReader:
     Every problem is collected with its field path (``tasks[3].effort``)
     and :meth:`check` raises them together as one ``error``. A field kind
     is ``dict`` or ``list``, which the value must already be, or a
-    converter such as :func:`integer`, ``str`` or :func:`list_of`. A
-    JSON null counts as a missing key.
+    converter such as :func:`integer`, :func:`real`, :func:`boolean`,
+    ``str`` or :func:`list_of`. A JSON null counts as a missing key.
     """
 
     def __init__(self, doc, error: type[InputError] = InputError):
@@ -476,17 +493,17 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
             CategorySpec(
                 category=category,
                 count=read(entry, "count", integer, path),
-                competence=read(entry, "competence", float, path),
-                max_effort=read(entry, "max_effort", float, path),
+                competence=read(entry, "competence", real, path),
+                max_effort=read(entry, "max_effort", real, path),
             )
         )
     task_mix = []
     for path, entry in reader.objects(doc, "tasks"):
         spec = TaskTypeSpec(
             type_id=read(entry, "type_id", str, path),
-            priority=read(entry, "priority", float, path),
-            utility=read(entry, "utility", float, path),
-            effort=read(entry, "effort", float, path),
+            priority=read(entry, "priority", real, path),
+            utility=read(entry, "utility", real, path),
+            effort=read(entry, "effort", real, path),
         )
         task_mix.append((spec, read(entry, "count", integer, path)))
     config = ScenarioConfig(
@@ -496,7 +513,7 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
         horizon_days=read(doc, "horizon_days", integer),
         repetitions=read(doc, "repetitions", integer),
         seed=read(doc, "seed", integer),
-        psi=read(doc, "psi", float, default=1.0),
+        psi=read(doc, "psi", real, default=1.0),
         allocator=read(doc, "allocator", Allocator, default=Allocator.SMART),
         mood_mode=read(
             doc, "mood_mode", _parse_mood_mode, default=MoodMode.constant()

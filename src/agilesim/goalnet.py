@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import DocumentReader, InputError, integer, list_of, load_input
+from .core import DocumentReader, InputError, boolean, integer, list_of, load_input
 
 SEQUENCE = "sequence"
 CONCURRENCY = "concurrency"
@@ -513,7 +513,7 @@ def from_document(doc: dict) -> GoalNet:
             label=read(entry, "label", str, at),
             kind=read(entry, "kind", str, at),
             level=read(entry, "level", integer, at),
-            cut_across=read(entry, "cut_across", bool, at, False),
+            cut_across=read(entry, "cut_across", boolean, at, False),
         )
         nodes[node.id] = node
     hierarchy = read(doc, "hierarchy", dict) or {}
@@ -628,7 +628,7 @@ def _stories_from_document(doc: dict) -> list[UserStory]:
         parent = read(entry, "parent", str, at, None)
         tasks = read(entry, "tasks", list_of(str), at, ())
         env = read(entry, "environment", list_of(_name_value), at, ())
-        cut_across = read(entry, "cut_across", bool, at, False)
+        cut_across = read(entry, "cut_across", boolean, at, False)
         if None in (story_id, text, tasks, env):
             continue
         if parent is None and "." in story_id:

@@ -20,9 +20,15 @@ tasks per (type, claim day), and only the head task carries partial
 effort. Service still works task by task, so every float sum is taken
 in the order a task-by-task simulator would take it.
 
-SMART economics are memoized per agent by (type, yesterday's
-completions of the type) and dropped when the agent's mood moves
-(every day under fcm-coupled mood, never under constant mood).
+A SMART visit is compiled once: the economics of the offered types and
+their visit order are memoized per agent profile (agents with one
+competence and the same daily effort share one) by the offered (type,
+yesterday's completions of the type) pairs, and dropped when the
+profile is visited at another mood (most days under fcm-coupled mood,
+never under constant mood). ``smart_plan`` is handed that order and
+neither re-checks nor re-sorts the offers. A served agent's terms for a
+type (effort, utility, competence, nominal days) are looked up once per
+run and profile.
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with every series at horizon length
@@ -50,12 +56,25 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import fcm
-from .allocation import TypeEconomics, awr_assign, expected_utility, smart_plan
+from .allocation import (
+    TypeEconomics,
+    awr_assign,
+    expected_utility,
+    plan_order,
+    smart_plan,
+)
 from .allocation import visit_order  # noqa: F401  perfbench/tracing.py patches it here
 from .core import AgentState, Allocator, ScenarioConfig, TaskTypeSpec
 from .metrics import congestion
 
 _EPS = 1e-9
+
+# One compiled SMART visit: the economics of each offered type and their
+# visit order as ``allocation.plan_order`` triples.
+Visit = tuple[dict[str, TypeEconomics], list[tuple[str, float, bool]]]
+# What an agent's economics and service terms depend on besides its mood
+# (see ``_profile``).
+Profile = tuple[float, float] | str
 
 
 class SimulationInvariantError(RuntimeError):
@@ -76,9 +95,14 @@ class SimState:
     types by id. ``awr_assignee`` maps each type to its AWR assignee,
     fixed for the run (empty under SMART).
 
-    ``score_tables`` maps an agent id to ``(mood, entries)``: the mood
-    the entries were built at and the SMART economics built so far for
-    a (type, tasks of it completed yesterday) pair.
+    ``score_tables`` maps an agent ``Profile`` to ``(mood, visits)``:
+    the mood the visits were compiled at, and one ``Visit`` (the SMART
+    economics of the offered types and their visit order) per offered
+    set, keyed by its tuple of (type, tasks of it completed yesterday)
+    pairs. ``service_terms`` maps the profile of each agent that has
+    held work to ``(effort, utility, competence, nominal days)`` per
+    type it has completed. Agents of one profile share both, so their
+    size follows the roster's categories, not its head count.
 
     ``metrics`` is the run's ``RunResult``, built at day 0; ``tick``
     writes each day into it and ``run`` returns it.
@@ -96,7 +120,10 @@ class SimState:
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
     score_tables: dict[
-        str, tuple[float, dict[tuple[str, int], TypeEconomics]]
+        Profile, tuple[float, dict[tuple[tuple[str, int], ...], Visit]]
+    ] = field(default_factory=dict)
+    service_terms: dict[
+        Profile, dict[str, tuple[float, float, float, int]]
     ] = field(default_factory=dict)
     _types_by_priority: list[str] = field(default_factory=list)
 
@@ -223,52 +250,71 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
 
 
 def _claim(agent: AgentState, tid: str, count: int, effort: float, day: int) -> None:
-    if not agent.pending:
+    pending = agent.pending
+    if not pending:
         agent.head_remaining = effort
-    agent.pending.append([tid, day, count])
+    pending.append([tid, day, count])
     agent.queued[tid] += count
     # Once per task: one count * effort can round differently.
+    pending_effort = agent.pending_effort
     for _ in range(count):
-        agent.pending_effort += effort
+        pending_effort += effort
+    agent.pending_effort = pending_effort
 
 
-def _economics(
-    state: SimState, agent: AgentState, offered: dict[str, int]
-) -> dict[str, TypeEconomics]:
-    """The agent's SMART economics for each offered type today.
+def _profile(agent: AgentState) -> Profile:
+    """An agent's economics and service terms are functions of its
+    competence for the type and its daily effort, so agents with one
+    competence for every type and the same effort share them; an agent
+    with per-type competences has a profile of its own."""
+    if agent.competence_by_type:
+        return agent.agent_id
+    return (agent.competence, agent.max_effort)
 
-    An entry depends only on the type, the agent's mood and how many
-    tasks of the type it completed yesterday, so each is built once per
-    (type, count) and all are dropped when the agent's mood moves.
+
+def _visit(
+    state: SimState, agent: AgentState, offered: dict[str, int], psi: float
+) -> Visit:
+    """The agent's SMART economics for the types offered today and their
+    compiled visit order (``allocation.plan_order``).
+
+    Both depend only on the agent's profile and mood and on which types
+    are offered with how many tasks of each the agent completed
+    yesterday, so they are built once per such set and dropped when a
+    visit of the profile comes at another mood.
     """
-    memo = state.score_tables.get(agent.agent_id)
+    profile = _profile(agent)
+    memo = state.score_tables.get(profile)
     if memo is None or memo[0] != agent.mood:
-        memo = state.score_tables[agent.agent_id] = (agent.mood, {})
-    mood, entries = memo
-    economics = {}
-    for tid in offered:
-        count = agent.recent_completions.get(tid, 0)
-        econ = entries.get((tid, count))
-        if econ is None:
-            spec = state.types[tid]
-            econ = entries[tid, count] = TypeEconomics(
+        memo = state.score_tables[profile] = (agent.mood, {})
+    mood, visits = memo
+    recent = agent.recent_completions
+    key = tuple([(tid, recent.get(tid, 0)) for tid in offered])
+    visit = visits.get(key)
+    if visit is None:
+        types = state.types
+        economics = {
+            tid: TypeEconomics(
                 type_id=tid,
                 expected_utility=expected_utility(
-                    spec.utility, agent.competence_for(tid), mood
+                    types[tid].utility, agent.competence_for(tid), mood
                 ),
                 recent_service_rate=float(count),
-                effort=spec.effort,
+                effort=types[tid].effort,
             )
-        economics[tid] = econ
-    return economics
+            for tid, count in key
+        }
+        visit = visits[key] = (economics, plan_order(economics, psi, economics))
+    return visit
 
 
 def _check_conservation(state: SimState) -> None:
     in_common = sum(state.common_queue.values())
     # Every agent's runs, not only those served today: a task lost or
     # duplicated in an idle agent's queue must be caught too. The runs'
-    # own counts, not ``queued``, which is kept beside them.
-    in_agents = sum(run[2] for a in state.agents for run in a.pending)
+    # own counts, not ``queued``, which is kept beside them. Skipping an
+    # empty queue skips no run and halves the cost of the walk.
+    in_agents = sum([run[2] for a in state.agents if a.pending for run in a.pending])
     completed = state.metrics.completed_count
     if in_common + in_agents + completed != state.arrived_total:
         raise SimulationInvariantError(
@@ -285,37 +331,37 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     day = state.day
     types = state.types
     metrics = state.metrics
+    common_queue = state.common_queue
 
     # (1) Admission; the backlog's priority order is by type.
     arrived = 0
     for tid, count in state.arrivals_by_day[day]:
-        state.common_queue[tid] += count
+        common_queue[tid] += count
         arrived += count
     state.arrived_total += arrived
 
     # (2) Allocation.
     if config.allocator is Allocator.SMART:
-        offered = {tid: count for tid, count in state.common_queue.items() if count}
+        psi = config.psi
+        offered = {tid: count for tid, count in common_queue.items() if count}
         for agent in state.agents:
             if not offered:
                 break
-            plan = smart_plan(
-                agent, offered, _economics(state, agent, offered), config.psi
-            )
+            economics, order = _visit(state, agent, offered, psi)
+            plan = smart_plan(agent, offered, economics, psi, order=order)
             # plan.accepted is in visit order; its rejects go to the next agent.
             for tid, count in plan.accepted.items():
                 if count:
-                    state.common_queue[tid] -= count
-                    _claim(agent, tid, count, types[tid].effort, day)
-                    metrics.assigned_effort[agent.agent_id][day] += (
-                        count * types[tid].effort
-                    )
+                    common_queue[tid] -= count
+                    effort = types[tid].effort
+                    _claim(agent, tid, count, effort, day)
+                    metrics.assigned_effort[agent.agent_id][day] += count * effort
             offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every queued task is assigned immediately, none rejected.
         for tid in state._types_by_priority:
-            count = state.common_queue[tid]
+            count = common_queue[tid]
             if count:
-                state.common_queue[tid] = 0
+                common_queue[tid] = 0
                 agent = state.awr_assignee[tid]
                 effort = types[tid].effort
                 _claim(agent, tid, count, effort, day)
@@ -326,58 +372,80 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
 
     # (3) Service, (4) quality outcomes, task by task in roster order so
     # the quality draws keep their order; only agents holding work are
-    # served.
+    # served. Each agent's day runs on locals, written back once.
     completions_today = 0
     utility_today = 0.0
+    delayed = 0
+    draw = state.quality_rng.random
     working: list[AgentState] = []
     outcomes: dict[str, tuple[int, int, int]] = {}
     for agent in state.agents:
+        agent_id = agent.agent_id
         pending = agent.pending
         if not pending:
-            agent.recent_completions = {}
+            if agent.recent_completions:
+                agent.recent_completions = {}
             # A finished queue can leave a float residue in pending_effort.
             if agent.pending_effort:
-                metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
+                metrics.pending_workload[agent_id][day] = agent.pending_effort
             continue
-        budget = agent.max_effort
-        received = state.effort_received[agent.agent_id]
+        max_effort = budget = agent.max_effort
+        head_remaining = agent.head_remaining
+        pending_effort = agent.pending_effort
+        queued = agent.queued
+        received = state.effort_received[agent_id]
+        profile = _profile(agent)
+        terms = state.service_terms.get(profile)
+        if terms is None:
+            terms = state.service_terms[profile] = {}
         served: dict[str, int] = {}
         done = on_time = high_quality = 0
         while budget > _EPS and pending:
-            spend = min(budget, agent.head_remaining)
-            agent.head_remaining -= spend
+            spend = min(budget, head_remaining)
+            head_remaining -= spend
             budget -= spend
-            agent.pending_effort -= spend
-            if agent.head_remaining <= _EPS:
+            pending_effort -= spend
+            if head_remaining <= _EPS:
                 head = pending[0]
-                tid, claim_day = head[0], head[1]
+                tid = head[0]
                 head[2] -= 1
                 if not head[2]:
                     pending.popleft()
                 if pending:
-                    agent.head_remaining = types[pending[0][0]].effort
-                agent.queued[tid] -= 1
-                spec = types[tid]
-                received += spec.effort
-                success = state.quality_rng.random() < agent.competence_for(tid)
-                nominal_days = math.ceil(spec.effort / agent.max_effort)
-                late = (day - claim_day + 1) > nominal_days
+                    head_remaining = types[pending[0][0]].effort
+                queued[tid] -= 1
+                term = terms.get(tid)
+                if term is None:
+                    spec = types[tid]
+                    term = terms[tid] = (
+                        spec.effort,
+                        spec.utility,
+                        agent.competence_for(tid),
+                        math.ceil(spec.effort / max_effort),
+                    )
+                effort, utility, competence, nominal_days = term
+                received += effort
                 served[tid] = served.get(tid, 0) + 1
                 done += 1
-                if late:
-                    metrics.delay_count += 1
+                # Lateness counts from the run's claim day.
+                if day - head[1] + 1 > nominal_days:
+                    delayed += 1
                 else:
                     on_time += 1
-                high_quality += 1 if success else 0
-                utility_today += spec.utility if success else 0.0
-        state.effort_received[agent.agent_id] = received
+                if draw() < competence:
+                    high_quality += 1
+                    utility_today += utility
+        agent.head_remaining = head_remaining
+        agent.pending_effort = pending_effort
+        state.effort_received[agent_id] = received
         agent.recent_completions = served
-        outcomes[agent.agent_id] = (done, on_time, high_quality)
+        outcomes[agent_id] = (done, on_time, high_quality)
         completions_today += done
         metrics.high_quality_count += high_quality
         working.append(agent)
-        metrics.busy_effort[agent.agent_id][day] = agent.max_effort - budget
-        metrics.pending_workload[agent.agent_id][day] = agent.pending_effort
+        metrics.busy_effort[agent_id][day] = max_effort - budget
+        metrics.pending_workload[agent_id][day] = pending_effort
+    metrics.delay_count += delayed
     metrics.completed_count += completions_today
 
     # (5) Mood update; an agent that was not served steps from

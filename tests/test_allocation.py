@@ -214,6 +214,100 @@ class TestPlanProperties:
             assert all(order == base for order in orders.values())
 
 
+def reference_smart_plan(agent, incoming, economics, psi):
+    """``smart_plan`` as it was before the compiled visit order: checks,
+    a sort by a lambda, and the score computed again in the loop."""
+    unknown = [tid for tid in incoming if tid not in economics]
+    if unknown:
+        raise allocation.UnknownTaskTypeError(", ".join(sorted(unknown)))
+    for tid, count in incoming.items():
+        if count < 0:
+            raise ValueError(tid)
+    budget = agent.max_effort
+    accepted = {}
+    order = sorted(
+        incoming, key=lambda tid: (-economics[tid].availability_score(psi), tid)
+    )
+    for tid in order:
+        econ = economics[tid]
+        offered = incoming[tid]
+        if econ.availability_score(psi) > 0:
+            if offered * econ.effort <= budget:
+                count = offered
+            else:
+                count = math.floor(budget / econ.effort)
+            budget -= count * econ.effort
+        else:
+            count = 0
+        accepted[tid] = count
+    rejected = {tid: incoming[tid] - accepted[tid] for tid in incoming}
+    return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
+
+
+class TestCompiledOrder:
+    """``smart_plan`` handed ``plan_order`` against ``smart_plan`` without
+    it and against the implementation before the compiled order."""
+
+    def case(self, rng):
+        # Few distinct utilities, competences and counts make score ties
+        # and exact zeros common; mood 0 zeroes every expected utility.
+        mood = rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 1.0)])
+        psi = rng.choice([0.25, 0.5, 1.0, 2.0])
+        planner = agent(max_effort=rng.choice([rng.uniform(1.0, 30.0), 8.0]), mood=mood)
+        economics, offers = {}, {}
+        for i in rng.sample(range(8), rng.randint(1, 6)):
+            tid = f"T{i}"
+            economics[tid] = TypeEconomics(
+                type_id=tid,
+                expected_utility=allocation.expected_utility(
+                    rng.choice([1.0, 2.0, 3.0, rng.uniform(0.0, 12.0)]),
+                    rng.choice([0.5, 1.0, rng.random()]),
+                    mood,
+                ),
+                recent_service_rate=float(rng.randint(0, 3)),
+                effort=rng.choice([1.0, 2.0, 3.0, rng.uniform(0.5, 8.0)]),
+            )
+            offers[tid] = rng.randint(0, 10)
+        return planner, offers, economics, psi
+
+    def test_equivalent_to_unordered_and_reference(self):
+        rng = random.Random(2024)
+        seen = set()
+        for case in range(2000):
+            planner, offers, economics, psi = self.case(rng)
+            order = allocation.plan_order(economics, psi, offers)
+            assert [tid for tid, _, _ in order] == allocation.visit_order(
+                economics, psi, list(offers)
+            ), case
+            compiled = allocation.smart_plan(
+                planner, offers, economics, psi, order=order
+            )
+            unordered = allocation.smart_plan(planner, offers, economics, psi)
+            want = reference_smart_plan(planner, offers, economics, psi)
+            for got in (compiled, unordered):
+                # Accepted in visit order (the claim order), rejected in
+                # offer order, every float bit for bit.
+                assert list(got.accepted.items()) == list(want.accepted.items()), case
+                assert list(got.rejected.items()) == list(want.rejected.items()), case
+                assert got.leftover_effort == want.leftover_effort, case
+                assert repr(got.leftover_effort) == repr(want.leftover_effort), case
+            scores = [economics[tid].availability_score(psi) for tid in offers]
+            if len(set(scores)) < len(scores):
+                seen.add("tie")
+            if any(score <= 0 for score in scores):
+                seen.add("non-positive")
+            if 0.0 in scores:
+                seen.add("zero")
+            if planner.mood == 0.0:
+                seen.add("zero mood")
+            if any(
+                score > 0 and want.accepted[tid] < offers[tid]
+                for tid, score in zip(offers, scores)
+            ):
+                seen.add("floor")
+        assert seen == {"tie", "non-positive", "zero", "zero mood", "floor"}
+
+
 class TestAwrAssign:
     def agents(self, *rows):
         return [

@@ -181,11 +181,12 @@ class TestSimulateCommand:
             ("mood_mode", "constant:abc", "mood_mode: invalid value"),
             ("team", {"HCA": {"competence": 0.9, "max_effort": 20}}, "team.HCA.count"),
             ("psi", float("nan"), "psi: must be finite"),
+            ("psi", True, "psi: invalid value True"),
             ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
                         "effort": float("nan"), "count": 5}],
              "task_mix[0].effort: must be finite"),
         ],
-        ids=["mood-mode", "team-count", "psi-nan", "effort-nan"],
+        ids=["mood-mode", "team-count", "psi-nan", "psi-bool", "effort-nan"],
     )
     def test_malformed_scenario_field_exits_2(self, field, value, path, tmp_path, capsys):
         doc = core.scenario_to_document(core.preset("S-M"))
@@ -420,10 +421,12 @@ class TestMalformedCorpus:
              "stories[0].text: expected role clause"),
             ("stories.json", ["stories", 2, "id"], "1.1",
              "story ids must be unique (repeated id '1.1')"),
+            ("stories.json", ["stories", 1, "cut_across"], "false",
+             "stories[1].cut_across: invalid value 'false'"),
         ],
         ids=["goals-number", "assignment-list", "story-without-text",
              "story-without-id", "story-string", "environment-number",
-             "story-text", "duplicate-id"],
+             "story-text", "duplicate-id", "cut-across-string"],
     )
     def test_exits_2_with_path(self, name, location, value, message, tmp_path, capsys):
         paths = {}

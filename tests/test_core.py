@@ -245,6 +245,20 @@ class TestScenarioFiles:
             core.scenario_from_document(doc)
         assert err.value.errors == ["seed: must satisfy seed >= 0 (got -1)"]
 
+    @staticmethod
+    def assert_rejected(path, value):
+        """Set the field at ``path`` of the S-I document to ``value`` and
+        expect exactly one error naming it."""
+        doc = core.scenario_to_document(core.preset("S-I"))
+        entry = doc
+        *parents, key = path.replace("[0]", ".0").split(".")
+        for part in parents:
+            entry = entry[int(part) if part.isdigit() else part]
+        entry[key] = value
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.scenario_from_document(doc)
+        assert err.value.errors == [f"{path}: invalid value {value!r}"]
+
     @pytest.mark.parametrize(
         "path,value",
         [
@@ -262,15 +276,27 @@ class TestScenarioFiles:
         ],
     )
     def test_integer_field_rejects_bool_and_fraction(self, path, value):
+        self.assert_rejected(path, value)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("psi", True),
+            ("team.HCA.competence", True),
+            ("team.HCA.max_effort", False),
+            ("tasks[0].effort", "2.5"),
+        ],
+        ids=["psi-bool", "competence-bool", "max-effort-bool", "effort-string"],
+    )
+    def test_real_field_rejects_bool_and_string(self, path, value):
+        # float(True) is 1.0: a boolean must not run as a number.
+        self.assert_rejected(path, value)
+
+    def test_real_field_accepts_int(self):
         doc = core.scenario_to_document(core.preset("S-I"))
-        entry = doc
-        *parents, key = path.replace("[0]", ".0").split(".")
-        for part in parents:
-            entry = entry[int(part) if part.isdigit() else part]
-        entry[key] = value
-        with pytest.raises(core.ScenarioValidationError) as err:
-            core.scenario_from_document(doc)
-        assert err.value.errors == [f"{path}: invalid value {value!r}"]
+        doc["psi"] = 2
+        config = core.scenario_from_document(doc)
+        assert config.psi == 2.0 and type(config.psi) is float
 
     def test_integer_field_accepts_integral_float(self):
         doc = core.scenario_to_document(core.preset("S-I"))

@@ -429,6 +429,22 @@ class TestMapValidationAndFiles:
         fcm.save_map(GRACE1, path)
         assert fcm.load_map(path) == GRACE1
 
+    @pytest.mark.parametrize("key", ["weights", "c"])
+    def test_map_file_rejects_bool_number(self, key, tmp_path):
+        # float(True) is 1.0: a boolean weight or steepness must not load.
+        doc = fcm.map_to_document(GRACE1)
+        if key == "weights":
+            doc["weights"][0][1] = True
+        else:
+            doc["c"] = True
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            fcm.load_map(path)
+        assert err.value.errors == [
+            f"invalid map file {path}: {key}: invalid value {doc[key]!r}"
+        ]
+
     def test_map_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "map.json"
         fcm.save_map(GRACE1, path)

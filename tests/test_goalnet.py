@@ -391,6 +391,30 @@ class TestDocumentsAndExport:
             goalnet.from_document(doc)
         assert err.value.errors == [f"nodes[0].level: invalid value {level!r}"]
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_cut_across_must_be_boolean(self, value):
+        # bool("false") is True: only JSON true or false may load.
+        doc = goalnet.to_document(self.build_reference())
+        doc["nodes"][0]["cut_across"] = value
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.from_document(doc)
+        assert err.value.errors == [f"nodes[0].cut_across: invalid value {value!r}"]
+
+    def test_story_cut_across_must_be_boolean(self, tmp_path):
+        with open(corpus_path("stories.json"), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["stories"][1]["cut_across"] = "false"
+        path = tmp_path / "stories.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: stories[1].cut_across: invalid value 'false'"
+        ]
+        doc["stories"][1]["cut_across"] = False
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert not goalnet.load_stories(path)[1].cut_across
+
     def test_dot_export_styles(self):
         net = self.build_reference()
         dot = goalnet.export_dot(net)

@@ -8,7 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from agilesim import core, fcm, simulation
-from agilesim.allocation import TypeEconomics, awr_assign, expected_utility, smart_plan
+from agilesim.allocation import (
+    TypeEconomics,
+    awr_assign,
+    expected_utility,
+    smart_plan,
+    visit_order,
+)
 from agilesim.metrics import congestion
 from conftest import make_scenario
 
@@ -584,10 +590,11 @@ class TestIdleAgentEquivalence:
             types = config.task_types()
             visited_mood = {}
 
-            def checked_plan(agent, incoming, economics, psi):
+            def checked_plan(agent, incoming, economics, psi, order=None):
                 # A visit that overlays yesterday's completions, or one
                 # whose table was built at another mood, must still see
-                # the economics of a from-scratch build.
+                # the economics of a from-scratch build, and the visit
+                # order of those economics.
                 if agent.recent_completions:
                     seen.add("overlay")
                 if visited_mood.get(agent.agent_id, agent.mood) != agent.mood:
@@ -603,7 +610,15 @@ class TestIdleAgentEquivalence:
                         recent_service_rate=float(agent.recent_completions.get(tid, 0)),
                         effort=types[tid].effort,
                     ), case
-                return real_plan(agent, incoming, economics, psi)
+                assert order == [
+                    (
+                        tid,
+                        economics[tid].effort,
+                        economics[tid].availability_score(psi) > 0,
+                    )
+                    for tid in visit_order(economics, psi, list(incoming))
+                ], case
+                return real_plan(agent, incoming, economics, psi, order=order)
 
             monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
@@ -661,6 +676,37 @@ class TestIdleAgentEquivalence:
         simulation.tick(state, config)
         assert state.metrics.busy_effort["dev-000"] == [3.0, 0.0, 0.0, 0.0]
         assert state.metrics.arrivals == [1, 0, 0, 0]
+
+
+    def test_tables_shared_only_by_agents_of_one_competence(self, monkeypatch):
+        # dev-000 and dev-001 share SMART visits and service terms;
+        # dev-002, given its own competence for T2, must not read theirs.
+        config = make_scenario(
+            categories=((core.Category.HCA, 3, 0.5, 4.0),),
+            tasks=(("T1", 5.0, 5.0, 2.0, 60), ("T2", 3.0, 3.0, 1.0, 60)),
+            horizon_days=6,
+        )
+        types = config.task_types()
+        state = simulation.initial_state(config)
+        state.agents[2].competence_by_type = {"T2": 1.0}
+        real_plan = simulation.smart_plan
+        visited = set()
+
+        def checked_plan(agent, incoming, economics, psi, order=None):
+            visited.add(agent.agent_id)
+            for tid in incoming:
+                assert economics[tid].expected_utility == expected_utility(
+                    types[tid].utility, agent.competence_for(tid), agent.mood
+                )
+            return real_plan(agent, incoming, economics, psi, order=order)
+
+        monkeypatch.setattr(simulation, "smart_plan", checked_plan)
+        for _ in range(config.horizon_days):
+            simulation.tick(state, config)
+        assert visited == {"dev-000", "dev-001", "dev-002"}
+        assert set(state.score_tables) == {(0.5, 4.0), "dev-002"}
+        assert state.service_terms["dev-002"]["T2"][2] == 1.0
+        assert state.service_terms[0.5, 4.0]["T1"][2] == 0.5
 
 
 class TestMoodCoupling:
