@@ -19,7 +19,19 @@ c)``. :func:`step` walks only those edges, so one update costs
 O(nodes + edges) with no per-node dispatch. Each sum starts from
 ``0.0`` and adds ``w * value[i]`` in ascending ``i`` with zero weights
 skipped, the order of the plain double loop over the matrix, so every
-state is bit-identical to that loop's.
+state is bit-identical to that loop's. The sigmoid is compiled too: a
+closure with ``c`` and ``math.exp`` bound.
+
+Each map also remembers its last step, the pair of input and output
+values, and :func:`step` answers an input equal to the last one from
+that pair. The simulator steps one shared mood map for every agent on
+every day, and an idle agent's input repeats: after one idle day its
+mood is the map's idle constant. Equal inputs give bit-identical
+outputs: a sum starting from ``0.0`` never reads as ``-0.0``, so inputs
+that differ only in the sign of a zero sum alike; a number that equals
+a float converts to that float; a NaN equals only the very same object.
+The pair is one tuple, replaced whole, so a reader never sees half of
+an update.
 """
 
 from __future__ import annotations
@@ -80,16 +92,6 @@ def _trivalent(n: float) -> float:
     return 0.0
 
 
-def _sigmoid(c: float, n: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-c * n))
-    except OverflowError:
-        # -c * n is above ~709, so exp(c * n) is tiny or 0: the same
-        # value, computed from the side that cannot overflow.
-        e = math.exp(c * n)
-        return e / (1.0 + e)
-
-
 def _squash_function(kind: str, c: float) -> Callable[[float], float]:
     """Resolve the squashing function for ``kind`` and steepness ``c``."""
     if kind == BIVALENT:
@@ -97,9 +99,20 @@ def _squash_function(kind: str, c: float) -> Callable[[float], float]:
     if kind == TRIVALENT:
         return _trivalent
     if kind == SIGMOID:
-        if c <= 0:
-            raise ValueError(f"sigmoid steepness must be > 0 (got {c})")
-        return functools.partial(_sigmoid, c)
+        if not 0 < c < math.inf:
+            raise ValueError(f"sigmoid steepness must be in (0, inf) (got {c})")
+        exp = math.exp
+
+        def sigmoid(n: float) -> float:
+            try:
+                return 1.0 / (1.0 + exp(-c * n))
+            except OverflowError:
+                # -c * n is above ~709, so exp(c * n) is tiny or 0: the
+                # same value, computed from the side that cannot overflow.
+                e = exp(c * n)
+                return e / (1.0 + e)
+
+        return sigmoid
     raise ValueError(f"unknown transformation function {kind!r}")
 
 
@@ -130,6 +143,10 @@ class ConceptMap:
         init=False, repr=False, compare=False
     )
     _squash: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    # The last step's (input values, output values); see step().
+    _last: tuple[tuple[float, ...], tuple[float, ...]] = field(
+        default=((), ()), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.labels)
@@ -163,13 +180,28 @@ class ConceptMap:
     def node_count(self) -> int:
         return len(self.labels)
 
+    def __reduce__(self):
+        # The compiled form and the memo are rebuilt from the fields (the
+        # sigmoid closure cannot be pickled).
+        return ConceptMap, (self.labels, self.weights, self.transform, self.c)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class StateVector:
     """One fuzzy activation per node, at iteration k."""
 
     values: tuple[float, ...]
     iteration: int = 0
+
+    def __init__(self, values: tuple[float, ...], iteration: int = 0):
+        # The slots' own setters: cheaper than the frozen class's
+        # object.__setattr__ per field.
+        _set_values(self, values)
+        _set_iteration(self, iteration)
+
+
+_set_values = StateVector.values.__set__
+_set_iteration = StateVector.iteration.__set__
 
 
 @dataclass(frozen=True)
@@ -183,20 +215,30 @@ class Trajectory:
 
 
 def step(cmap: ConceptMap, state: StateVector) -> StateVector:
-    """One synchronous update of every node from the k-state only."""
+    """One synchronous update of every node from the k-state only.
+
+    An input equal to the map's last one is answered from its memo.
+    """
     values = state.values
-    if len(values) != cmap.node_count:
+    incoming = cmap._incoming
+    if len(values) != len(incoming):
         raise DimensionMismatchError(
             f"state has {len(values)} values for a {cmap.node_count}-node map"
         )
+    last_input, last_output = cmap._last
+    if values == last_input:
+        return StateVector(last_output, state.iteration + 1)
     squash = cmap._squash
     new_values = []
-    for edges in cmap._incoming:
+    for edges in incoming:
         total = 0.0
         for i, w in edges:
             total += w * values[i]
         new_values.append(squash(total))
-    return StateVector(values=tuple(new_values), iteration=state.iteration + 1)
+    new_values = tuple(new_values)
+    # tuple() so that a list passed as values cannot change the key later.
+    object.__setattr__(cmap, "_last", (tuple(values), new_values))
+    return StateVector(new_values, state.iteration + 1)
 
 
 def _max_norm(a: Sequence[float], b: Sequence[float]) -> float:

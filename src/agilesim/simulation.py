@@ -38,7 +38,10 @@ completions in the service phase and nothing in the recording phase.
 Congestion sums only the queues of agents served that day: every other
 agent's queues are empty. Under fcm-coupled mood every agent still
 takes one ``fcm.step`` a day; one that completed nothing steps from
-``(mood, 0.5, 0.5)``. ``tick`` keeps the record's completion counts;
+``(mood, 0.5, 0.5)``. All agents step one shared map, and after an idle
+day an agent's mood is that map's idle constant, so a repeated idle
+step is served from the map's last-step memo (see ``fcm``) and costs
+no update. ``tick`` keeps the record's completion counts;
 ``run`` sums its global utility at the horizon and returns that same
 record.
 
@@ -449,14 +452,15 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     metrics.completed_count += completions_today
 
     # (5) Mood update; an agent that was not served steps from
-    # (mood, 0.5, 0.5).
-    if state.mood_map is not None:
+    # (mood, 0.5, 0.5), most days an input the map's memo answers.
+    mood_map = state.mood_map
+    if mood_map is not None:
         for agent in state.agents:
             done, on_time, high_quality = outcomes.get(agent.agent_id, (0, 0, 0))
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5
-            mood_state = fcm.StateVector(values=(agent.mood, progress, quality))
-            agent.mood = fcm.step(state.mood_map, mood_state).values[0]
+            mood_state = fcm.StateVector((agent.mood, progress, quality))
+            agent.mood = fcm.step(mood_map, mood_state).values[0]
 
     # (6) Record the day's totals and advance the clock. Agents not
     # served today hold no tasks, so their queues add nothing to

@@ -1,12 +1,14 @@
-"""Shared fixtures: tiny scenario builders and the cached preset sweep."""
+"""Shared fixtures: tiny scenario builders, the plain fcm update and the
+cached preset sweep."""
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 
-from agilesim import core, simulation
+from agilesim import core, fcm, simulation
 
 
 def make_scenario(
@@ -46,6 +48,28 @@ def make_scenario(
         allocator=allocator,
         mood_mode=mood_mode or core.MoodMode.constant(1.0),
     )
+
+
+def reference_transform(kind, n, c):
+    if kind == fcm.BIVALENT:
+        return 0.0 if n <= 0 else 1.0
+    if kind == fcm.TRIVALENT:
+        return -1.0 if n <= -0.5 else 1.0 if n >= 0.5 else 0.0
+    return 1.0 / (1.0 + math.exp(-c * n))
+
+
+def reference_step(cmap, values):
+    """The plain n x n update: every weight read, the transform per node."""
+    n = cmap.node_count
+    new_values = []
+    for j in range(n):
+        total = 0.0
+        for i in range(n):
+            w = cmap.weights[i][j]
+            if w:
+                total += w * values[i]
+        new_values.append(reference_transform(cmap.transform, total, cmap.c))
+    return tuple(new_values)
 
 
 class SweepSummary:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from agilesim import core, metrics
+from agilesim import core, fcm, metrics
 from agilesim.cli import main
 
 
@@ -87,6 +88,28 @@ class TestSimulateCommand:
         assert main([*args, "--out", str(out_a)]) == 0
         assert main([*args, "--out", str(out_b)]) == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_fcm_coupled_run_independent_of_earlier_runs(self, tmp_path):
+        # The bundled mood map is cached per process, so its last-step
+        # memo outlives a run.
+        def simulate(preset, out):
+            scenario = tmp_path / f"{preset}.json"
+            core.save_scenario(
+                dataclasses.replace(
+                    core.preset(preset), mood_mode=core.MoodMode.fcm_coupled()
+                ),
+                scenario,
+            )
+            argv = ["simulate", "--scenario", str(scenario), "--compare",
+                    "--repetitions", "2", "--out", str(out)]
+            assert main(argv) == 0
+            return tree_bytes(out)
+
+        fcm.bundled_map.cache_clear()
+        alone = simulate("S-M", tmp_path / "alone")
+        fcm.bundled_map.cache_clear()
+        simulate("M-C", tmp_path / "first")
+        assert simulate("S-M", tmp_path / "after") == alone
 
     def test_compare_directional_summary(self, tmp_path, capsys):
         code = main(

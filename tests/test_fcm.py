@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from importlib import resources
 
@@ -7,6 +10,7 @@ import pytest
 
 from agilesim import fcm
 from agilesim.core import InputError
+from conftest import reference_step
 
 MICHAEL1 = fcm.ConceptMap(
     labels=("Mood", "Progress", "Quality"),
@@ -16,28 +20,6 @@ GRACE1 = fcm.ConceptMap(
     labels=("Mood", "Progress", "Quality"),
     weights=((0, 0.7, 0.3), (0.5, 0, 0.2), (0.6, 0.2, 0)),
 )
-
-
-def reference_transform(kind, n, c):
-    if kind == fcm.BIVALENT:
-        return 0.0 if n <= 0 else 1.0
-    if kind == fcm.TRIVALENT:
-        return -1.0 if n <= -0.5 else 1.0 if n >= 0.5 else 0.0
-    return 1.0 / (1.0 + math.exp(-c * n))
-
-
-def reference_step(cmap, values):
-    """The plain n x n update: every weight read, the transform per node."""
-    n = cmap.node_count
-    new_values = []
-    for j in range(n):
-        total = 0.0
-        for i in range(n):
-            w = cmap.weights[i][j]
-            if w:
-                total += w * values[i]
-        new_values.append(reference_transform(cmap.transform, total, cmap.c))
-    return tuple(new_values)
 
 
 def reference_run(cmap, initial, max_iter, tol):
@@ -102,8 +84,9 @@ class TestTransform:
             fcm.transform("soft", 0.0)
 
     def test_bad_steepness(self):
-        with pytest.raises(ValueError, match="steepness"):
-            fcm.transform(fcm.SIGMOID, 0.1, c=0)
+        for c in (0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"steepness must be in \(0, inf\)"):
+                fcm.transform(fcm.SIGMOID, 0.1, c=c)
 
     def test_sigmoid_formula_where_exp_is_finite(self):
         for c in (0.5, 5.0, 8.0):
@@ -255,6 +238,154 @@ class TestCompiledEquivalence:
         assert {(fcm.BIVALENT, fcm.LIMIT_CYCLE), (fcm.TRIVALENT, fcm.LIMIT_CYCLE),
                 (fcm.SIGMOID, fcm.LIMIT_CYCLE), (fcm.SIGMOID, fcm.MAX_ITERATIONS),
                 (fcm.SIGMOID, fcm.FIXED_POINT)} <= outcomes
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+class TestStepMemo:
+    """``step`` answers a repeated input from the map's last-step memo;
+    every answer must be the plain update's, bit for bit."""
+
+    KINDS = (fcm.BIVALENT, fcm.TRIVALENT, fcm.SIGMOID)
+
+    def check(self, cmap, values, iteration=0):
+        got = fcm.step(cmap, fcm.StateVector(values, iteration))
+        assert hexes(got.values) == hexes(reference_step(cmap, values)), values
+        assert got.iteration == iteration + 1
+        return got
+
+    def test_revisited_states(self):
+        rng = random.Random(17)
+        repeats = 0
+        for case in range(30):
+            n = 3 + case % 6
+            cmap = random_map(
+                rng, n, self.KINDS[case % 3], rng.choice((1.0, 5.0, 8.0)), case % 4 > 0
+            )
+            pool = [tuple(rng.uniform(-1, 1) for _ in range(n)) for _ in range(3)]
+            previous = None
+            for _ in range(30):
+                # An equal tuple, not the same object.
+                values = tuple(list(rng.choice(pool)))
+                self.check(cmap, values, rng.randrange(100))
+                repeats += values == previous
+                previous = values
+        assert repeats > 200
+
+    def test_repeat_is_served_from_the_memo(self):
+        values = (0.5, 0.5, 0.5)
+        first = fcm.step(MICHAEL1, fcm.StateVector(values))
+        again = fcm.step(MICHAEL1, fcm.StateVector(tuple(list(values)), 7))
+        assert again.values is first.values
+        assert again.iteration == 8
+
+    def test_two_maps_in_turn(self):
+        rng = random.Random(23)
+        for case in range(12):
+            kind = self.KINDS[case % 3]
+            first, second = random_map(rng, 4, kind), random_map(rng, 4, kind)
+            pool = [tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(2)]
+            for k in range(20):
+                values = pool[k // 4 % 2]
+                self.check(first, values, k)
+                self.check(second, values, k)
+
+    def test_signed_zeros(self):
+        rng = random.Random(29)
+        for case in range(12):
+            cmap = random_map(rng, 3, self.KINDS[case % 3])
+            a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            for values in ((0.0, a, b), (-0.0, a, b), (0.0, a, b), (-0.0, -0.0, -0.0),
+                           (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)):
+                self.check(cmap, values)
+
+    def test_special_and_integral_inputs(self):
+        nan = math.nan
+        inputs = [
+            (nan, 0.25, 0.5), (nan, 0.25, 0.5), (float("nan"), 0.25, 0.5),
+            (math.inf, 0.25, -0.5), (math.inf, 0.25, -0.5), (-math.inf, 0.25, -0.5),
+            (math.inf, -math.inf, 0.0),
+            (1.0, 0.0, 1.0), (1, 0, 1), (True, False, True), (1, 0, 1),
+            (0, 1, 0.5), (False, True, 0.5),
+        ]
+        rng = random.Random(31)
+        for case in range(9):
+            cmap = random_map(rng, 3, self.KINDS[case % 3], drive_first=True)
+            for values in inputs:
+                self.check(cmap, values)
+
+    def test_list_input_cannot_change_the_memo(self):
+        values = [0.5, 0.5, 0.5]
+        self.check(MICHAEL1, values)
+        values[0] = 0.9
+        self.check(MICHAEL1, values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stepped_map_keeps_its_value_semantics(self, kind):
+        cmap = random_map(random.Random(2), 4, kind)
+        before = (hash(cmap), repr(cmap))
+        values = (0.1, 0.2, 0.3, 0.4)
+        fcm.step(cmap, fcm.StateVector(values))
+        assert cmap == random_map(random.Random(2), 4, kind)
+        assert (hash(cmap), repr(cmap)) == before
+        clones = (pickle.loads(pickle.dumps(cmap)), copy.copy(cmap), copy.deepcopy(cmap))
+        for clone in clones:
+            assert clone == cmap
+            assert (hash(clone), repr(clone)) == before
+            self.check(clone, values)
+            self.check(clone, (0.4, 0.3, 0.2, 0.1))
+        steeper = dataclasses.replace(cmap, c=8.0)
+        assert steeper.c == 8.0 and steeper.weights == cmap.weights
+        self.check(steeper, values)
+        self.check(cmap, values)
+
+
+class TestStateVector:
+    def test_fields_are_frozen(self):
+        state = fcm.StateVector((0.5, 0.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.values = (1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.iteration = 1
+        assert not hasattr(state, "__dict__")
+
+    def test_construction(self):
+        assert fcm.StateVector((0.5,), 3) == fcm.StateVector(values=(0.5,), iteration=3)
+        state = fcm.StateVector(values=(0.5, 0.25))
+        assert state.values == (0.5, 0.25)
+        assert state.iteration == 0
+        with pytest.raises(TypeError):
+            fcm.StateVector()
+        with pytest.raises(TypeError):
+            fcm.StateVector((0.5,), 1, 2)
+
+    def test_equality_and_hash(self):
+        state = fcm.StateVector((0.5, 0.25), 2)
+        assert state == fcm.StateVector((0.5, 0.25), 2)
+        assert hash(state) == hash(fcm.StateVector((0.5, 0.25), 2))
+        assert state != fcm.StateVector((0.5, 0.25), 3)
+        assert state != fcm.StateVector((0.5, 0.5), 2)
+        assert repr(state) == "StateVector(values=(0.5, 0.25), iteration=2)"
+
+    def test_pickle_copy_and_replace(self):
+        original = fcm.StateVector((0.5, -0.0), 4)
+        for clone in (
+            pickle.loads(pickle.dumps(original)),
+            copy.copy(original),
+            copy.deepcopy(original),
+        ):
+            assert type(clone) is fcm.StateVector
+            assert clone == original
+            assert hexes(clone.values) == hexes(original.values)
+            assert clone.iteration == 4
+        assert dataclasses.replace(original, iteration=5) == fcm.StateVector(
+            (0.5, -0.0), 5
+        )
+        assert dataclasses.replace(original, values=(1.0,)) == fcm.StateVector(
+            (1.0,), 4
+        )
 
 
 class TestProperties:

@@ -16,7 +16,7 @@ from agilesim.allocation import (
     visit_order,
 )
 from agilesim.metrics import congestion
-from conftest import make_scenario
+from conftest import make_scenario, reference_step
 
 
 @dataclass
@@ -165,8 +165,8 @@ def reference_tick(state, config):
             done, on_time, high_quality = per_agent_outcomes[agent.agent_id]
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5
-            mood_state = fcm.StateVector(values=(agent.mood, progress, quality))
-            agent.mood = fcm.step(state.mood_map, mood_state).values[0]
+            mood_values = (agent.mood, progress, quality)
+            agent.mood = reference_step(state.mood_map, mood_values)[0]
 
     for agent in state.agents:
         metrics.assigned_effort[agent.agent_id].append(assigned_today[agent.agent_id])
