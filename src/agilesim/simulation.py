@@ -45,6 +45,15 @@ no update. ``tick`` keeps the record's completion counts;
 ``run`` sums its global utility at the horizon and returns that same
 record.
 
+Under constant mood the repetitions of ``run_repeated`` share one
+simulated trajectory and differ only in their quality draws: nothing
+but the draws reads the seed, and only the mood update reads the draws.
+So the first repetition is simulated and records each completion's
+service term; every other one replays that stream through its own
+quality generator, with ``tick``'s float operations in ``tick``'s
+order. Under fcm-coupled mood the draws move the moods, so each
+repetition is simulated.
+
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
 still in flight at the horizon credit nothing.
@@ -55,8 +64,8 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 
 from . import fcm
 from .allocation import (
@@ -78,6 +87,9 @@ Visit = tuple[dict[str, TypeEconomics], list[tuple[str, float, bool]]]
 # What an agent's economics and service terms depend on besides its mood
 # (see ``_profile``).
 Profile = tuple[float, float] | str
+# A type's service terms for one profile: effort, utility, competence
+# and nominal days.
+ServiceTerm = tuple[float, float, float, int]
 
 
 class SimulationInvariantError(RuntimeError):
@@ -125,9 +137,9 @@ class SimState:
     score_tables: dict[
         Profile, tuple[float, dict[tuple[tuple[str, int], ...], Visit]]
     ] = field(default_factory=dict)
-    service_terms: dict[
-        Profile, dict[str, tuple[float, float, float, int]]
-    ] = field(default_factory=dict)
+    service_terms: dict[Profile, dict[str, ServiceTerm]] = field(
+        default_factory=dict
+    )
     _types_by_priority: list[str] = field(default_factory=list)
 
 
@@ -140,6 +152,12 @@ class RunResult:
     emptied queue's float residue in ``pending_workload``) and adds to
     the counts. Mid-run the days not yet ticked read 0, and so does
     ``global_utility`` until ``run`` sums it.
+
+    ``completion_stream`` is recorded only under constant mood, and is
+    None under fcm-coupled mood: the service term of each completion, in
+    the order of the quality draws. ``completions`` splits it by day.
+    ``tick`` appends to it; ``run`` freezes it into a tuple, which the
+    runs ``run_repeated`` redraws from it share.
     """
 
     scenario: str
@@ -159,6 +177,7 @@ class RunResult:
     completed_count: int = 0
     high_quality_count: int = 0
     delay_count: int = 0
+    completion_stream: list[ServiceTerm] | tuple[ServiceTerm, ...] | None = None
 
     def cumulative_utility(self) -> list[float]:
         total = 0.0
@@ -206,7 +225,11 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
     such as an empty task mix, runnable for experiments.
     """
     run_seed = config.seed if seed is None else seed
-    mood = 0.5 if config.mood_mode.kind == "fcm-coupled" else config.mood_mode.value
+    if config.mood_mode.kind == "fcm-coupled":
+        # Three-node mood/progress/quality map driving daily mood updates.
+        mood, mood_map = 0.5, fcm.bundled_map("michael_scenario1")
+    else:
+        mood, mood_map = config.mood_mode.value, None
     agents = config.team.build_agents(mood=mood)
     types = config.task_types()
     for agent in agents:
@@ -218,8 +241,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         types=types,
         common_queue=dict.fromkeys(types, 0),
         arrivals_by_day=generate_arrivals(config),
-        # The stream the committed fingerprint's CSVs were drawn from.
-        quality_rng=random.Random(2 * run_seed + 1),
+        quality_rng=_quality_rng(run_seed),
         metrics=RunResult(
             scenario=config.name,
             allocator=config.allocator,
@@ -234,8 +256,10 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
             arrivals=[0] * horizon,
             completions=[0] * horizon,
             utility=[0.0] * horizon,
+            completion_stream=None if mood_map is not None else [],
         ),
         effort_received={a.agent_id: 0.0 for a in agents},
+        mood_map=mood_map,
     )
     state._types_by_priority = sorted(
         types, key=lambda tid: (-types[tid].priority, tid)
@@ -246,10 +270,13 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         state.awr_assignee = {
             tid: agents_by_id[awr_assign(tid, agents)] for tid in types
         }
-    if config.mood_mode.kind == "fcm-coupled":
-        # Three-node mood/progress/quality map driving daily mood updates.
-        state.mood_map = fcm.bundled_map("michael_scenario1")
     return state
+
+
+def _quality_rng(seed: int) -> random.Random:
+    """A run's generator of quality draws; the stream the committed
+    fingerprint's CSVs were drawn from."""
+    return random.Random(2 * seed + 1)
 
 
 def _claim(agent: AgentState, tid: str, count: int, effort: float, day: int) -> None:
@@ -380,6 +407,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     utility_today = 0.0
     delayed = 0
     draw = state.quality_rng.random
+    stream = metrics.completion_stream
     working: list[AgentState] = []
     outcomes: dict[str, tuple[int, int, int]] = {}
     for agent in state.agents:
@@ -427,6 +455,8 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                         math.ceil(spec.effort / max_effort),
                     )
                 effort, utility, competence, nominal_days = term
+                if stream is not None:
+                    stream.append(term)
                 received += effort
                 served[tid] = served.get(tid, 0) + 1
                 done += 1
@@ -494,20 +524,70 @@ def _check_effort(state: SimState) -> None:
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Execute one full run from an empty state and return the record
-    its days were written into."""
+    its days were written into, with its completion stream frozen."""
     state = initial_state(config, seed)
     for _ in range(config.horizon_days):
         tick(state, config)
     _check_effort(state)
     result = state.metrics
     result.global_utility = sum(result.utility)
+    if result.completion_stream is not None:
+        result.completion_stream = tuple(result.completion_stream)
     return result
+
+
+def _redraw(first: RunResult, seed: int) -> RunResult:
+    """``first``, a constant-mood run, redone at ``seed``: its
+    trajectory, with each day's completions replayed from its completion
+    stream through the seed's quality draws, taking ``tick``'s float
+    operations in ``tick``'s order. The series are copies; only the
+    frozen stream is shared."""
+    draw = _quality_rng(seed).random
+    terms = iter(first.completion_stream)
+    utility = []
+    high_quality = 0
+    for done in first.completions:
+        today = 0.0
+        for _, value, competence, _ in islice(terms, done):
+            if draw() < competence:
+                high_quality += 1
+                today += value
+        utility.append(today)
+    return replace(
+        first,
+        seed=seed,
+        agent_ids=list(first.agent_ids),
+        categories=dict(first.categories),
+        assigned_effort={a: list(v) for a, v in first.assigned_effort.items()},
+        busy_effort={a: list(v) for a, v in first.busy_effort.items()},
+        pending_workload={a: list(v) for a, v in first.pending_workload.items()},
+        congestion=list(first.congestion),
+        arrivals=list(first.arrivals),
+        completions=list(first.completions),
+        utility=utility,
+        global_utility=sum(utility),
+        high_quality_count=high_quality,
+    )
 
 
 def run_repeated(config: ScenarioConfig) -> RepeatedResult:
     """Run ``config.repetitions`` seeded runs (seed, seed+1, ...) and
-    aggregate per-metric mean and sample standard deviation."""
-    runs = [run(config, seed=config.seed + r) for r in range(config.repetitions)]
+    aggregate per-metric mean and sample standard deviation.
+
+    The first run is simulated. If it recorded a completion stream
+    (constant mood) the others are redrawn from it; under fcm-coupled
+    mood each is simulated.
+    """
+    if config.repetitions < 1:
+        raise ValueError(
+            f"repetitions: must satisfy repetitions >= 1 (got {config.repetitions})"
+        )
+    first = run(config, seed=config.seed)
+    seeds = range(config.seed + 1, config.seed + config.repetitions)
+    if first.completion_stream is None:
+        runs = [first] + [run(config, seed=seed) for seed in seeds]
+    else:
+        runs = [first] + [_redraw(first, seed) for seed in seeds]
     metric_values = {
         "global_utility": [r.global_utility for r in runs],
         "completed_count": [float(r.completed_count) for r in runs],

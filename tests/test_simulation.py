@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import statistics
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -481,6 +483,9 @@ class TestConservationAndAccounting:
         monkeypatch.setattr(simulation, "tick", corrupting_tick)
         with pytest.raises(simulation.SimulationInvariantError, match="dev-000"):
             simulation.run(config)
+        # The repetitions that are redrawn, not simulated, cannot mask it.
+        with pytest.raises(simulation.SimulationInvariantError, match="dev-000"):
+            simulation.run_repeated(core.with_overrides(config, repetitions=3))
 
     def test_task_conservation_breach_is_caught(self, monkeypatch):
         # dev-000 holds the only task; a duplicate of it slipped into the
@@ -566,6 +571,12 @@ class TestRunAndRepetition:
         again = simulation.run_repeated(config)
         assert again.runs[-1].utility == repeated.runs[-1].utility
 
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_run_repeated_rejects_fewer_than_one_repetition(self, repetitions):
+        config = make_scenario(repetitions=repetitions)
+        with pytest.raises(ValueError, match="repetitions"):
+            simulation.run_repeated(config)
+
     def test_zero_task_scenario_all_metrics_zero(self):
         # validate() rejects an empty mix, but run() honors its
         # precondition contract and simply produces an empty workload.
@@ -575,6 +586,153 @@ class TestRunAndRepetition:
         assert result.global_utility == 0.0
         assert all(v == 0.0 for v in result.utility)
         assert all(v == 0.0 for v in result.congestion)
+
+
+def assert_runs_are_independent_runs(config):
+    """``run_repeated(config)`` must give, field by field and bit for
+    bit, the runs and statistics of one ``run`` per repetition seed."""
+    repeated = simulation.run_repeated(config)
+    want = [
+        simulation.run(config, seed=config.seed + r)
+        for r in range(config.repetitions)
+    ]
+    assert len(repeated.runs) == len(want)
+    for r, (got_run, want_run) in enumerate(zip(repeated.runs, want)):
+        for field in dataclasses.fields(simulation.RunResult):
+            assert getattr(got_run, field.name) == getattr(want_run, field.name), (
+                config.name, config.allocator, config.seed, r, field.name
+            )
+        assert [v.hex() for v in got_run.utility] == [v.hex() for v in want_run.utility]
+        assert got_run.global_utility.hex() == want_run.global_utility.hex()
+    for name in ("global_utility", "completed_count", "high_quality_count", "delay_count"):
+        values = [float(getattr(run, name)) for run in want]
+        assert repeated.mean[name] == statistics.fmean(values), name
+        assert repeated.std[name] == statistics.stdev(values), name
+    return repeated
+
+
+class TestRepeatedRuns:
+    """Under constant mood ``run_repeated`` simulates the first
+    repetition and redraws the others' quality outcomes; under
+    fcm-coupled mood it simulates each."""
+
+    @pytest.mark.parametrize("name", core.PRESET_NAMES)
+    def test_presets_equal_independent_runs(self, name):
+        outcomes = set()
+        for allocator in core.Allocator:
+            for seed in (0, 987_654_321):
+                config = core.with_overrides(
+                    core.preset(name), seed=seed, allocator=allocator, repetitions=3
+                )
+                repeated = assert_runs_are_independent_runs(config)
+                outcomes.update(run.high_quality_count for run in repeated.runs)
+        assert len(outcomes) > 1
+
+    @pytest.mark.parametrize("allocator", list(core.Allocator))
+    def test_hand_built_scenario_equals_independent_runs(self, monkeypatch, allocator):
+        # Per-type competences, mood 0.3 and psi 2.5 on fractional
+        # efforts and on utilities whose sums round; under AWR the one
+        # assignee builds a backlog.
+        config = make_scenario(
+            categories=(
+                (core.Category.HCA, 1, 0.9, 3.5),
+                (core.Category.MIA, 2, 0.45, 2.25),
+            ),
+            tasks=(
+                ("T1", 4.0, 6.3, 1.75, 40),
+                ("T2", 2.0, 0.1, 0.8, 55),
+                ("T3", 7.0, 9.7, 4.5, 12),
+            ),
+            horizon_days=25,
+            repetitions=4,
+            seed=3,
+            psi=2.5,
+            allocator=allocator,
+            mood_mode=core.MoodMode.constant(0.3),
+        )
+        real_build = core.TeamConfig.build_agents
+
+        def build_agents(team, mood=1.0):
+            agents = real_build(team, mood)
+            agents[1].competence_by_type = {"T2": 0.95}
+            agents[2].competence_by_type = {"T1": 0.15, "T3": 0.6}
+            return agents
+
+        monkeypatch.setattr(core.TeamConfig, "build_agents", build_agents)
+        repeated = assert_runs_are_independent_runs(config)
+        first = repeated.runs[0]
+        if allocator is core.Allocator.AWR:
+            assert max(first.pending_workload["dev-000"]) > 3 * 3.5
+        else:
+            assert {term[2] for term in first.completion_stream} & {0.95, 0.15, 0.6}
+        assert len({tuple(run.utility) for run in repeated.runs}) > 1
+
+    @pytest.mark.parametrize(
+        "mood_mode, simulated",
+        [(core.MoodMode.constant(0.8), [5]), (core.MoodMode.fcm_coupled(), [5, 6, 7])],
+    )
+    def test_only_fcm_coupled_repetitions_are_each_simulated(
+        self, monkeypatch, mood_mode, simulated
+    ):
+        config = make_scenario(
+            categories=(
+                (core.Category.HCA, 1, 0.9, 6.0),
+                (core.Category.HIA, 2, 0.3, 4.0),
+            ),
+            tasks=(("T1", 5, 5, 2.5, 30), ("T2", 3, 4, 1.5, 30)),
+            horizon_days=12,
+            repetitions=3,
+            seed=5,
+            mood_mode=mood_mode,
+        )
+        calls = []
+        real_run = simulation.run
+
+        def counted_run(config, seed=None):
+            calls.append(seed)
+            return real_run(config, seed)
+
+        monkeypatch.setattr(simulation, "run", counted_run)
+        simulation.run_repeated(config)
+        assert calls == simulated
+        monkeypatch.setattr(simulation, "run", real_run)
+        for allocator in core.Allocator:
+            assert_runs_are_independent_runs(
+                core.with_overrides(config, allocator=allocator)
+            )
+
+    def test_only_constant_mood_records_a_completion_stream(self):
+        # The stream is one pointer per completion; fcm-coupled runs never
+        # read it, so they must not hold it.
+        constant = core.with_overrides(core.preset("S-M"), seed=2)
+        coupled = dataclasses.replace(constant, mood_mode=core.MoodMode.fcm_coupled())
+        assert simulation.initial_state(coupled).metrics.completion_stream is None
+        assert simulation.run(coupled).completion_stream is None
+        assert all(
+            run.completion_stream is None
+            for run in simulation.run_repeated(
+                core.with_overrides(coupled, repetitions=2)
+            ).runs
+        )
+        result = simulation.run(constant)
+        assert isinstance(result.completion_stream, tuple)
+        assert len(result.completion_stream) == result.completed_count > 0
+
+    def test_redrawn_runs_share_only_the_stream(self):
+        config = core.with_overrides(core.preset("S-I"), seed=8, repetitions=3)
+        first, second, third = simulation.run_repeated(config).runs
+        assert second.completion_stream is first.completion_stream
+        for series in chain(
+            second.assigned_effort.values(),
+            second.busy_effort.values(),
+            second.pending_workload.values(),
+            (second.congestion, second.arrivals, second.completions, second.utility),
+        ):
+            series[0] = -1
+        second.agent_ids.append("dev-999")
+        second.categories["dev-999"] = "HCA"
+        assert first == simulation.run(config)
+        assert third == simulation.run(config, seed=10)
 
 
 class TestIdleAgentEquivalence:
