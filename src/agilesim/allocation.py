@@ -55,16 +55,18 @@ class TypeEconomics:
     effort: float
 
     def __post_init__(self):
-        if self.expected_utility < 0:
+        # Written so that NaN fails every check.
+        if not 0 <= self.expected_utility < math.inf:
             raise ValueError(
-                f"expected_utility must be >= 0 (got {self.expected_utility})"
+                f"expected_utility must be in [0, inf) (got {self.expected_utility})"
             )
-        if self.recent_service_rate < 0:
+        if not 0 <= self.recent_service_rate < math.inf:
             raise ValueError(
-                f"recent_service_rate must be >= 0 (got {self.recent_service_rate})"
+                "recent_service_rate must be in [0, inf) "
+                f"(got {self.recent_service_rate})"
             )
-        if self.effort <= 0:
-            raise ValueError(f"effort must be > 0 (got {self.effort})")
+        if not 0 < self.effort < math.inf:
+            raise ValueError(f"effort must be in (0, inf) (got {self.effort})")
 
     def availability_score(self, psi: float) -> float:
         """Acceptance key for the type: weighted expected utility minus
@@ -87,7 +89,7 @@ class AllocationPlan:
 
 
 def visit_order(
-    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Sequence[str]
+    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Iterable[str]
 ) -> list[str]:
     """Type visit order: descending availability score, then type id."""
     return sorted(
@@ -100,11 +102,11 @@ def plan_order(
     economics: Mapping[str, TypeEconomics], psi: float, type_ids: Iterable[str]
 ) -> list[tuple[str, float, bool]]:
     """The visit order compiled for ``smart_plan``: one ``(type_id,
-    effort, score > 0)`` triple per type, in ``visit_order``'s order,
-    with each availability score computed once."""
-    ranked = sorted((-economics[tid].availability_score(psi), tid) for tid in type_ids)
-    # -score < 0 exactly when score > 0, for a zero of either sign too.
-    return [(tid, economics[tid].effort, neg_score < 0) for neg_score, tid in ranked]
+    effort, score > 0)`` triple per type, in ``visit_order``'s order."""
+    return [
+        (tid, economics[tid].effort, economics[tid].availability_score(psi) > 0)
+        for tid in visit_order(economics, psi, type_ids)
+    ]
 
 
 def smart_plan(
@@ -139,8 +141,8 @@ def smart_plan(
                     f"incoming count for {tid!r} must be >= 0 (got {count})"
                 )
         order = plan_order(economics, psi, incoming)
-    if agent.max_effort <= 0:
-        raise ValueError(f"agent max_effort must be > 0 (got {agent.max_effort})")
+    if not 0 < agent.max_effort < math.inf:
+        raise ValueError(f"max_effort must be in (0, inf) (got {agent.max_effort})")
 
     budget = agent.max_effort
     accepted: dict[str, int] = {}

@@ -10,7 +10,8 @@ error. A malformed input file or flag prints one ``error:`` line per
 problem, naming the file and the field path. The default output
 directory comes from the AGILESIM_OUT environment variable when set.
 
-CSV contracts (all files carry a header row):
+Output contracts. Every CSV carries a header row; CSV and JSON files are
+written through ``core.write_csv`` and ``core.write_json``.
 
 * ``utility.csv``: day, run, allocator, cumulative_utility
 * ``allocation.csv``: agent, category, share, allocator
@@ -19,12 +20,15 @@ CSV contracts (all files carry a header row):
 * ``summary.csv``: scenario, allocator, repetitions, mean_utility,
   std_utility, mean_completed, mean_delay_pct
 * ``trajectory.csv``: iteration, then one column per map node
+* ``competence.csv``, ``productivity.csv``: agent, then the metric
+* ``correlations.csv``: x, y, r, n
+* ``net.json``: the goal net as JSON (``goalnet.to_document``)
+* ``net.dot``: the goal net in Graphviz DOT (``goalnet.export_dot``)
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -41,94 +45,89 @@ def _default_out() -> str:
     return os.environ.get("AGILESIM_OUT", "agilesim-out")
 
 
-def _open_csv(path: Path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def _write_simulation_outputs(
     out_dir: Path, results: dict[str, simulation.RepeatedResult]
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _open_csv(out_dir / "utility.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["day", "run", "allocator", "cumulative_utility"])
-        for allocator, repeated in results.items():
-            for run_index, result in enumerate(repeated.runs):
-                for day, value in enumerate(result.cumulative_utility()):
-                    writer.writerow([day, run_index, allocator, repr(value)])
+    core.write_csv(
+        out_dir / "utility.csv",
+        ["day", "run", "allocator", "cumulative_utility"],
+        (
+            [day, run_index, allocator, value]
+            for allocator, repeated in results.items()
+            for run_index, result in enumerate(repeated.runs)
+            for day, value in enumerate(result.cumulative_utility())
+        ),
+    )
 
-    with _open_csv(out_dir / "allocation.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["agent", "category", "share", "allocator"])
-        for allocator, repeated in results.items():
-            share_sums: dict[str, float] = {}
-            counted = 0
-            for result in repeated.runs:
-                try:
-                    report = metrics.allocation_proportion(result)
-                except metrics.MetricsError:
-                    continue
-                counted += 1
-                for agent, share in report.by_agent.items():
-                    share_sums[agent] = share_sums.get(agent, 0.0) + share
-            if not counted:
+    shares = []
+    for allocator, repeated in results.items():
+        share_sums: dict[str, float] = {}
+        counted = 0
+        for result in repeated.runs:
+            try:
+                report = metrics.allocation_proportion(result)
+            except metrics.MetricsError:
                 continue
-            categories = repeated.runs[0].categories
-            for agent in repeated.runs[0].agent_ids:
-                writer.writerow(
-                    [
-                        agent,
-                        categories[agent],
-                        repr(share_sums.get(agent, 0.0) / counted),
-                        allocator,
-                    ]
-                )
+            counted += 1
+            for agent, share in report.by_agent.items():
+                share_sums[agent] = share_sums.get(agent, 0.0) + share
+        if not counted:
+            continue
+        categories = repeated.runs[0].categories
+        for agent in repeated.runs[0].agent_ids:
+            share = share_sums.get(agent, 0.0) / counted
+            shares.append([agent, categories[agent], share, allocator])
+    core.write_csv(
+        out_dir / "allocation.csv", ["agent", "category", "share", "allocator"], shares
+    )
 
-    with _open_csv(out_dir / "queues.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["day", "agent", "pending_workload", "congestion", "allocator"])
-        for allocator, repeated in results.items():
-            first = repeated.runs[0]
-            for day in range(first.horizon):
-                for agent in first.agent_ids:
-                    writer.writerow(
-                        [
-                            day,
-                            agent,
-                            repr(first.pending_workload[agent][day]),
-                            repr(first.congestion[day]),
-                            allocator,
-                        ]
-                    )
-
-    with _open_csv(out_dir / "summary.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
+    firsts = {allocator: repeated.runs[0] for allocator, repeated in results.items()}
+    core.write_csv(
+        out_dir / "queues.csv",
+        ["day", "agent", "pending_workload", "congestion", "allocator"],
+        (
             [
-                "scenario",
-                "allocator",
-                "repetitions",
-                "mean_utility",
-                "std_utility",
-                "mean_completed",
-                "mean_delay_pct",
+                day,
+                agent,
+                first.pending_workload[agent][day],
+                first.congestion[day],
+                allocator,
+            ]
+            for allocator, first in firsts.items()
+            for day in range(first.horizon)
+            for agent in first.agent_ids
+        ),
+    )
+
+    summaries = []
+    for allocator, repeated in results.items():
+        completed = repeated.mean["completed_count"]
+        delays = repeated.mean["delay_count"]
+        summaries.append(
+            [
+                repeated.runs[0].scenario,
+                allocator,
+                len(repeated.runs),
+                repeated.mean["global_utility"],
+                repeated.std["global_utility"],
+                completed,
+                delays / completed if completed else 0.0,
             ]
         )
-        for allocator, repeated in results.items():
-            completed = repeated.mean["completed_count"]
-            delays = repeated.mean["delay_count"]
-            delay_pct = delays / completed if completed else 0.0
-            writer.writerow(
-                [
-                    repeated.runs[0].scenario,
-                    allocator,
-                    len(repeated.runs),
-                    repr(repeated.mean["global_utility"]),
-                    repr(repeated.std["global_utility"]),
-                    repr(completed),
-                    repr(delay_pct),
-                ]
-            )
+    core.write_csv(
+        out_dir / "summary.csv",
+        [
+            "scenario",
+            "allocator",
+            "repetitions",
+            "mean_utility",
+            "std_utility",
+            "mean_completed",
+            "mean_delay_pct",
+        ],
+        summaries,
+    )
 
 
 def _simulate_one(config: core.ScenarioConfig, args, out_dir: Path) -> None:
@@ -201,8 +200,10 @@ def cmd_fcm(args) -> int:
     print(f"state: ({rendered})")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectory.csv").write_text(
-        fcm.trajectory_to_csv(trajectory, cmap.labels), encoding="utf-8"
+    core.write_csv(
+        out_dir / "trajectory.csv",
+        ["iteration", *cmap.labels],
+        ([state.iteration, *state.values] for state in trajectory.states),
     )
     return 0
 
@@ -245,16 +246,10 @@ def cmd_ingest(args) -> int:
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _open_csv(out_dir / "competence.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["agent", "competence"])
-        for agent in agents:
-            writer.writerow([agent, repr(competence[agent])])
-    with _open_csv(out_dir / "productivity.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["agent", "productivity"])
-        for agent in agents:
-            writer.writerow([agent, repr(productivity[agent])])
+    series = {"competence": competence, "productivity": productivity}
+    # Each series is built in sorted agent order, which is the row order.
+    for name, values in series.items():
+        core.write_csv(out_dir / f"{name}.csv", ["agent", name], values.items())
     delay = metrics.delay_percentage(records)
     print(f"records: {len(records)} across {len(agents)} agents")
     print(f"delay percentage: {delay:.4f}")
@@ -263,7 +258,6 @@ def cmd_ingest(args) -> int:
             f"{agent}: competence {competence[agent]:.4f}, "
             f"productivity {productivity[agent]:.2f}"
         )
-    series = {"competence": competence, "productivity": productivity}
     if args.correlate:
         rows = []
         for spec in args.correlate:
@@ -276,11 +270,7 @@ def cmd_ingest(args) -> int:
                 raise core.InputError(f"--correlate {spec}: {exc}") from None
             rows.append((left, right, r, len(agents)))
             print(f"pearson({left}, {right}) = {r:.4f} (n={len(agents)})")
-        with _open_csv(out_dir / "correlations.csv") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["x", "y", "r", "n"])
-            for left, right, r, n in rows:
-                writer.writerow([left, right, repr(r), n])
+        core.write_csv(out_dir / "correlations.csv", ["x", "y", "r", "n"], rows)
     return 0
 
 

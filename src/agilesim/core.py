@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class Category(str, Enum):
@@ -420,6 +420,21 @@ def load_input(path: str | Path, kind: str, build: Callable[[TextIO], Any]) -> A
         raise InputError(f"{where}: {exc}") from None
 
 
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV file with ``\\n`` line ends: ``header``, then
+    ``rows``. The csv writer renders a float as its ``repr``, which reads
+    back bit for bit."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Write ``doc`` as UTF-8 JSON indented by 2, ending in a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 # --- scenario files -------------------------------------------------------
 #
 # A scenario document is JSON with top-level keys: name, team, tasks,
@@ -530,9 +545,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario_to_document(config), handle, indent=2)
-        handle.write("\n")
+    write_json(path, scenario_to_document(config))
 
 
 def with_overrides(

@@ -36,9 +36,7 @@ an update.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 from bisect import bisect_left, insort
@@ -48,7 +46,7 @@ from pathlib import Path
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .core import DocumentReader, InputError, list_of, load_input, real
+from .core import DocumentReader, InputError, list_of, load_input, real, write_json
 
 BIVALENT = "bivalent"
 TRIVALENT = "trivalent"
@@ -365,9 +363,7 @@ def load_map(path: str | Path) -> ConceptMap:
 
 
 def save_map(cmap: ConceptMap, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(map_to_document(cmap), handle, indent=2)
-        handle.write("\n")
+    write_json(path, map_to_document(cmap))
 
 
 def bundled_map_names() -> tuple[str, ...]:
@@ -389,12 +385,3 @@ def bundled_map(name: str) -> ConceptMap:
     )
     return map_from_document(json.loads(payload))
 
-
-def trajectory_to_csv(trajectory: Trajectory, labels: Sequence[str]) -> str:
-    """Render a trajectory as CSV: iteration column plus one per node."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["iteration", *labels])
-    for state in trajectory.states:
-        writer.writerow([state.iteration, *[repr(v) for v in state.values]])
-    return buffer.getvalue()

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import DocumentReader, InputError, boolean, integer, list_of, load_input
+from .core import write_json
 
 SEQUENCE = "sequence"
 CONCURRENCY = "concurrency"
@@ -556,9 +557,7 @@ def from_document(doc: dict) -> GoalNet:
 
 
 def save_net(net: GoalNet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_document(net), handle, indent=2)
-        handle.write("\n")
+    write_json(path, to_document(net))
 
 
 def load_net(path: str | Path) -> GoalNet:

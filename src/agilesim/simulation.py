@@ -21,14 +21,14 @@ effort. Service still works task by task, so every float sum is taken
 in the order a task-by-task simulator would take it.
 
 A SMART visit is compiled once: the economics of the offered types and
-their visit order are memoized per agent profile (agents with one
-competence and the same daily effort share one) by the offered (type,
-yesterday's completions of the type) pairs, and dropped when the
-profile is visited at another mood (most days under fcm-coupled mood,
-never under constant mood). ``smart_plan`` is handed that order and
-neither re-checks nor re-sorts the offers. A served agent's terms for a
-type (effort, utility, competence, nominal days) are looked up once per
-run and profile.
+their visit order are memoized per (agent profile, mood) (agents with
+one competence and the same daily effort share a profile) by the
+offered (type, yesterday's completions of the type) pairs, and kept
+for the run. Under fcm-coupled mood few moods recur (an idle agent's
+mood is the mood map's idle constant), so the memo stays small.
+``smart_plan`` is handed that order and neither re-checks nor re-sorts
+the offers. A served agent's terms for a type (effort, utility,
+competence, nominal days) are looked up once per run and profile.
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with every series at horizon length
@@ -110,14 +110,14 @@ class SimState:
     types by id. ``awr_assignee`` maps each type to its AWR assignee,
     fixed for the run (empty under SMART).
 
-    ``score_tables`` maps an agent ``Profile`` to ``(mood, visits)``:
-    the mood the visits were compiled at, and one ``Visit`` (the SMART
-    economics of the offered types and their visit order) per offered
-    set, keyed by its tuple of (type, tasks of it completed yesterday)
-    pairs. ``service_terms`` maps the profile of each agent that has
-    held work to ``(effort, utility, competence, nominal days)`` per
-    type it has completed. Agents of one profile share both, so their
-    size follows the roster's categories, not its head count.
+    ``score_tables`` maps an agent's ``(Profile, mood)`` to one
+    ``Visit`` (the SMART economics of the offered types and their visit
+    order) per offered set, keyed by its tuple of (type, tasks of it
+    completed yesterday) pairs. ``service_terms`` maps the profile of
+    each agent that has held work to ``(effort, utility, competence,
+    nominal days)`` per type it has completed. Agents of one profile
+    share both, so their size follows the roster's categories and the
+    moods visited, not its head count.
 
     ``metrics`` is the run's ``RunResult``, built at day 0; ``tick``
     writes each day into it and ``run`` returns it.
@@ -135,7 +135,7 @@ class SimState:
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: dict[str, AgentState] = field(default_factory=dict)
     score_tables: dict[
-        Profile, tuple[float, dict[tuple[tuple[str, int], ...], Visit]]
+        tuple[Profile, float], dict[tuple[tuple[str, int], ...], Visit]
     ] = field(default_factory=dict)
     service_terms: dict[Profile, dict[str, ServiceTerm]] = field(
         default_factory=dict
@@ -310,14 +310,10 @@ def _visit(
 
     Both depend only on the agent's profile and mood and on which types
     are offered with how many tasks of each the agent completed
-    yesterday, so they are built once per such set and dropped when a
-    visit of the profile comes at another mood.
+    yesterday, so they are built once per such set and kept for the run.
     """
-    profile = _profile(agent)
-    memo = state.score_tables.get(profile)
-    if memo is None or memo[0] != agent.mood:
-        memo = state.score_tables[profile] = (agent.mood, {})
-    mood, visits = memo
+    mood = agent.mood
+    visits = state.score_tables.setdefault((_profile(agent), mood), {})
     recent = agent.recent_completions
     key = tuple([(tid, recent.get(tid, 0)) for tid in offered])
     visit = visits.get(key)

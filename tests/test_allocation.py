@@ -46,6 +46,34 @@ class TestScalarOps:
         assert econ("T1", 0, 1, eu=eu, mu=2).availability_score(2) == pytest.approx(16.0)
 
 
+class TestTypeEconomicsBounds:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("expected_utility", -1.0),
+            ("expected_utility", math.nan),
+            ("expected_utility", math.inf),
+            ("recent_service_rate", -1.0),
+            ("recent_service_rate", math.nan),
+            ("recent_service_rate", math.inf),
+            ("effort", 0.0),
+            ("effort", -1.0),
+            ("effort", math.nan),
+            ("effort", math.inf),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        fields = dict(expected_utility=1.0, recent_service_rate=0.0, effort=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            TypeEconomics("T1", **fields)
+
+    def test_closed_bounds_accepted(self):
+        for zero in (0.0, -0.0):
+            entry = TypeEconomics("T1", zero, zero, 5e-324)
+            assert entry.availability_score(1.0) == 0.0
+
+
 class TestSmartPlan:
     def test_capacity_limited_acceptance(self):
         economics = {
@@ -84,6 +112,13 @@ class TestSmartPlan:
         with pytest.raises(ValueError):
             allocation.smart_plan(
                 agent(), {"A": -1}, {"A": econ("A", 1.0, 1.0)}, 1.0
+            )
+
+    @pytest.mark.parametrize("max_effort", [0.0, -1.0, math.nan, math.inf])
+    def test_max_effort_outside_open_range_rejected(self, max_effort):
+        with pytest.raises(ValueError, match="max_effort must be in"):
+            allocation.smart_plan(
+                agent(max_effort=max_effort), {"A": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0
             )
 
     def test_zero_mood_accepts_nothing(self):

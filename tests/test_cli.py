@@ -243,6 +243,17 @@ class TestFcmCommand:
         rows = read_csv(tmp_path / "trajectory.csv")
         assert rows[0] == ["iteration", "Mood", "Progress", "Quality"]
 
+    def test_trajectory_csv(self, tmp_path):
+        argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "iteration,Mood,Progress,Quality"
+        assert lines[1].startswith("0,0.5,")
+        cmap = fcm.bundled_map("michael_scenario1")
+        states = fcm.run(cmap, fcm.StateVector(values=(0.5, 0.0, 0.0))).states
+        assert len(lines) == len(states) + 1
+
     def test_scenario_two_from_equilibrium(self, tmp_path, capsys):
         code = main(
             [

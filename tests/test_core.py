@@ -1,3 +1,8 @@
+import csv
+import json
+import math
+import random
+
 import pytest
 
 from agilesim import core
@@ -305,6 +310,95 @@ class TestScenarioFiles:
         config = core.scenario_from_document(doc)
         assert config.seed == 3 and type(config.seed) is int
         assert config.task_mix[0][1] == 100 and type(config.task_mix[0][1]) is int
+
+
+# Values whose written form is easy to get wrong: the sign of a zero,
+# the shortest repr of a sum, exponents at both ends of the range.
+AWKWARD_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 0.1 + 0.2)
+AWKWARD_TEXT = (
+    "naïve café 日本",
+    'say "hi"',
+    "back\\slash",
+    "tab\tbell\x07nul\x00",
+    "line\nbreak\r\n",
+    "a,b",
+    "",
+)
+
+
+def random_document(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(6 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice(AWKWARD_FLOATS + (rng.uniform(-1e6, 1e6),))
+    if kind == 1:
+        return rng.choice([0, -1, rng.randint(-(10**20), 10**20)])
+    if kind == 2:
+        return rng.choice(AWKWARD_TEXT) + chr(rng.randrange(1, 0xD800))
+    if kind == 3:
+        return rng.choice([None, True, False])
+    if kind == 4:
+        return [random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {
+        rng.choice(AWKWARD_TEXT) + str(i): random_document(rng, depth + 1)
+        for i in range(rng.randint(0, 4))
+    }
+
+
+class TestOutputWriters:
+    """``write_json`` and ``write_csv`` pin the bytes of every output
+    file, so a Python whose ``json`` or ``csv`` rules change fails here."""
+
+    def test_json_equals_dump_plus_newline(self, tmp_path):
+        rng = random.Random(15)
+        for case in range(300):
+            doc = random_document(rng)
+            core.write_json(tmp_path / "got.json", doc)
+            with open(tmp_path / "want.json", "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, indent=2)
+                handle.write("\n")
+            got = (tmp_path / "got.json").read_bytes()
+            assert got == (tmp_path / "want.json").read_bytes(), case
+
+    def test_json_awkward_floats(self, tmp_path):
+        core.write_json(tmp_path / "floats.json", list(AWKWARD_FLOATS))
+        text = (tmp_path / "floats.json").read_text(encoding="utf-8")
+        assert text.splitlines()[1:-1] == [
+            "  -0.0,", "  0.0,", "  NaN,", "  Infinity,", "  -Infinity,",
+            "  1e+16,", "  5e-324,", "  0.30000000000000004",
+        ]
+        assert text.endswith("]\n")
+
+    def test_csv_float_cell_is_repr(self, tmp_path):
+        path = tmp_path / "floats.csv"
+        core.write_csv(path, ["i", "value"], enumerate(AWKWARD_FLOATS))
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "i,value" and lines[-1] == ""
+        assert lines[1:-1] == [f"{i},{v!r}" for i, v in enumerate(AWKWARD_FLOATS)]
+
+    def test_csv_matches_explicit_repr(self, tmp_path):
+        rng = random.Random(15)
+        rows = [
+            [day, f"dev-{rng.randrange(100):03d}", rng.uniform(-1e3, 1e3)]
+            + [rng.choice(AWKWARD_FLOATS) for _ in range(3)]
+            for day in range(200)
+        ]
+        core.write_csv(tmp_path / "got.csv", ["day", "agent", "a", "b", "c", "d"], rows)
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["day", "agent", "a", "b", "c", "d"])
+            for row in rows:
+                writer.writerow(row[:2] + [repr(value) for value in row[2:]])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_csv_quotes_only_what_needs_it(self, tmp_path):
+        path = tmp_path / "text.csv"
+        row = ["a,b", 'say "hi"', "line\nbreak", "naïve", "plain"]
+        core.write_csv(path, ["p", "q", "r", "s", "t"], [row])
+        assert path.read_bytes() == (
+            'p,q,r,s,t\n"a,b","say ""hi""","line\nbreak",naïve,plain\n'
+        ).encode("utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle)) == [["p", "q", "r", "s", "t"], row]
 
 
 class TestTeamConfig:

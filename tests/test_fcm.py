@@ -593,11 +593,3 @@ class TestMapValidationAndFiles:
     def test_bundled_map_read_once(self):
         for name in fcm.bundled_map_names():
             assert fcm.bundled_map(name) is fcm.bundled_map(name)
-
-    def test_trajectory_csv(self):
-        traj = fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)))
-        text = fcm.trajectory_to_csv(traj, MICHAEL1.labels)
-        lines = text.splitlines()
-        assert lines[0] == "iteration,Mood,Progress,Quality"
-        assert lines[1].startswith("0,0.5,")
-        assert len(lines) == len(traj.states) + 1

@@ -862,7 +862,7 @@ class TestIdleAgentEquivalence:
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
         assert visited == {"dev-000", "dev-001", "dev-002"}
-        assert set(state.score_tables) == {(0.5, 4.0), "dev-002"}
+        assert {profile for profile, _ in state.score_tables} == {(0.5, 4.0), "dev-002"}
         assert state.service_terms["dev-002"]["T2"][2] == 1.0
         assert state.service_terms[0.5, 4.0]["T1"][2] == 0.5
 
