@@ -11,12 +11,14 @@ problem, naming the file and the field path. The default output
 directory comes from the AGILESIM_OUT environment variable when set.
 
 Output contracts. Every CSV carries a header row; CSV and JSON files are
-written through ``core.write_csv`` and ``core.write_json``.
+written through ``core.write_csv``, ``core.write_csv_text`` and
+``core.write_json``.
 
 * ``utility.csv``: day, run, allocator, cumulative_utility
 * ``allocation.csv``: agent, category, share, allocator
 * ``queues.csv``: day, agent, pending_workload, congestion, allocator
-  (series from the first repetition)
+  (series from the first repetition). It is rendered a day at a time
+  and keeps the bytes ``core.write_csv`` writes for those rows.
 * ``summary.csv``: scenario, allocator, repetitions, mean_utility,
   std_utility, mean_completed, mean_delay_pct
 * ``trajectory.csv``: iteration, then one column per map node
@@ -45,6 +47,44 @@ def _default_out() -> str:
     return os.environ.get("AGILESIM_OUT", "agilesim-out")
 
 
+def _queue_cells(agent: str, pending: list[float]):
+    """An agent's ``agent,pending_workload`` cells, day by day. The series
+    holds one float object over an idle stretch, so the text is rendered
+    once per stretch. Not once per value: 0.0 == -0.0, and the two print
+    differently."""
+    previous = text = None
+    for value in pending:
+        if value is not previous:
+            previous, text = value, f"{agent},{value!r}"
+        yield text
+
+
+def _write_queues(path: Path, firsts: dict[str, simulation.RunResult]) -> None:
+    """Write ``queues.csv`` from each allocator's first run: the bytes
+    ``core.write_csv`` writes for rows ``[day, agent, pending_workload,
+    congestion, allocator]``, rendered and written a day at a time."""
+    cells = core.csv_cells(
+        [*firsts, *(agent for first in firsts.values() for agent in first.agent_ids)]
+    )
+
+    def days():
+        for allocator, first in firsts.items():
+            columns = [
+                _queue_cells(cells[agent], first.pending_workload[agent])
+                for agent in first.agent_ids
+            ]
+            last = "," + cells[allocator] + "\n"
+            # A day's rows differ only in their agent and pending_workload cells.
+            for day, (texts, load) in enumerate(zip(zip(*columns), first.congestion)):
+                head = f"{day},"
+                tail = f",{load!r}{last}"
+                yield head + (tail + head).join(texts) + tail
+
+    core.write_csv_text(
+        path, ["day", "agent", "pending_workload", "congestion", "allocator"], days()
+    )
+
+
 def _write_simulation_outputs(
     out_dir: Path, results: dict[str, simulation.RepeatedResult]
 ) -> None:
@@ -64,10 +104,17 @@ def _write_simulation_outputs(
     for allocator, repeated in results.items():
         share_sums: dict[str, float] = {}
         counted = 0
+        effort = report = None
         for result in repeated.runs:
-            try:
-                report = metrics.allocation_proportion(result)
-            except metrics.MetricsError:
+            # Redrawn runs share their first run's series, so the shares
+            # are computed once per trajectory and added once per run.
+            if result.assigned_effort is not effort:
+                effort = result.assigned_effort
+                try:
+                    report = metrics.allocation_proportion(result)
+                except metrics.MetricsError:
+                    report = None
+            if report is None:
                 continue
             counted += 1
             for agent, share in report.by_agent.items():
@@ -82,22 +129,9 @@ def _write_simulation_outputs(
         out_dir / "allocation.csv", ["agent", "category", "share", "allocator"], shares
     )
 
-    firsts = {allocator: repeated.runs[0] for allocator, repeated in results.items()}
-    core.write_csv(
+    _write_queues(
         out_dir / "queues.csv",
-        ["day", "agent", "pending_workload", "congestion", "allocator"],
-        (
-            [
-                day,
-                agent,
-                first.pending_workload[agent][day],
-                first.congestion[day],
-                allocator,
-            ]
-            for allocator, first in firsts.items()
-            for day in range(first.horizon)
-            for agent in first.agent_ids
-        ),
+        {allocator: repeated.runs[0] for allocator, repeated in results.items()},
     )
 
     summaries = []

@@ -430,6 +430,38 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
+def write_csv_text(path: str | Path, header: Sequence, chunks: Iterable[str]) -> None:
+    """Write a UTF-8 CSV file as ``write_csv`` does: ``header``, then
+    each of ``chunks``, text already rendered as ``write_csv`` renders
+    rows (string cells by ``csv_cells``, numbers by ``repr``), one
+    ``write`` per chunk."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for chunk in chunks:
+            handle.write(chunk)
+
+
+class _Collected(list):
+    """A sink for ``csv.writer`` that keeps what it is given."""
+
+    write = list.append
+
+
+def csv_cells(values: Iterable[str]) -> dict[str, str]:
+    """Each distinct value mapped to the text ``write_csv`` writes for it
+    as one cell of a row of several cells."""
+    sink = _Collected()
+    writer = csv.writer(sink, lineterminator="\n")
+    cells = {}
+    for value in dict.fromkeys(values):
+        # A row of one empty cell is written as '""', so render the value
+        # before an empty last cell and cut that cell's "," and the line end.
+        writer.writerow((value, ""))
+        cells[value] = "".join(sink)[:-2]
+        sink.clear()
+    return cells
+
+
 def write_json(path: str | Path, doc: Any) -> None:
     """Write ``doc`` as UTF-8 JSON indented by 2, ending in a newline."""
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -255,6 +255,8 @@ def run(
     declared when the max-norm change of one step falls below ``tol``; a
     limit cycle when a state before the previous one recurs, that is
     when ``_max_norm(new, earlier) < tol`` for some earlier state.
+    ``tol`` must be finite and > 0: under an infinite one every first
+    step would read as a fixed point.
 
     The earlier states are kept sorted by one coordinate ``x``, and only
     those whose ``x`` lies in ``[new.x - tol, new.x + tol]`` are tested.
@@ -269,8 +271,8 @@ def run(
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1 (got {max_iter})")
-    if not tol > 0:
-        raise InputError(f"tol must be > 0 (got {tol})")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be > 0 and finite (got {tol})")
     if not all(map(math.isfinite, initial.values)):
         raise InputError(f"initial: values must be finite (got {initial.values})")
     # A node without incoming edges is constant after one step, so sort

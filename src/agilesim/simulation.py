@@ -51,8 +51,9 @@ but the draws reads the seed, and only the mood update reads the draws.
 So the first repetition is simulated and records each completion's
 service term; every other one replays that stream through its own
 quality generator, with ``tick``'s float operations in ``tick``'s
-order. Under fcm-coupled mood the draws move the moods, so each
-repetition is simulated.
+order, and shares the first run's series (see ``RunResult``). Under
+fcm-coupled mood the draws move the moods, so each repetition is
+simulated.
 
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
@@ -65,7 +66,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 
 from . import fcm
 from .allocation import (
@@ -156,8 +157,14 @@ class RunResult:
     ``completion_stream`` is recorded only under constant mood, and is
     None under fcm-coupled mood: the service term of each completion, in
     the order of the quality draws. ``completions`` splits it by day.
-    ``tick`` appends to it; ``run`` freezes it into a tuple, which the
-    runs ``run_repeated`` redraws from it share.
+    ``tick`` appends to it; ``run`` freezes it into a tuple.
+
+    Once ``run`` returns, a run's series are read-only: the runs
+    ``run_repeated`` redraws from a first run share that run's
+    ``agent_ids``, ``categories``, effort, workload, congestion, arrival
+    and completion series and its stream by identity, and own only
+    their ``utility`` series. A change to one run's shared series would
+    change every run of its set.
     """
 
     scenario: str
@@ -536,30 +543,35 @@ def _redraw(first: RunResult, seed: int) -> RunResult:
     """``first``, a constant-mood run, redone at ``seed``: its
     trajectory, with each day's completions replayed from its completion
     stream through the seed's quality draws, taking ``tick``'s float
-    operations in ``tick``'s order. The series are copies; only the
-    frozen stream is shared."""
+    operations in ``tick``'s order. Only ``seed`` and the utility and
+    quality outcomes are new; every other series is ``first``'s own
+    object, shared, not copied.
+
+    The replay must use the stream exactly: one term per completion,
+    ``completed_count`` in all, and none left over.
+    """
     draw = _quality_rng(seed).random
-    terms = iter(first.completion_stream)
+    stream = first.completion_stream
+    consumed = 0
     utility = []
     high_quality = 0
     for done in first.completions:
         today = 0.0
-        for _, value, competence, _ in islice(terms, done):
+        terms = stream[consumed : consumed + done]
+        for _, value, competence, _ in terms:
             if draw() < competence:
                 high_quality += 1
                 today += value
+        consumed += len(terms)
         utility.append(today)
+    if consumed != first.completed_count or consumed != len(stream):
+        raise SimulationInvariantError(
+            f"redraw at seed {seed}: replayed {consumed} service terms of a "
+            f"stream of {len(stream)} for {first.completed_count} completions"
+        )
     return replace(
         first,
         seed=seed,
-        agent_ids=list(first.agent_ids),
-        categories=dict(first.categories),
-        assigned_effort={a: list(v) for a, v in first.assigned_effort.items()},
-        busy_effort={a: list(v) for a, v in first.busy_effort.items()},
-        pending_workload={a: list(v) for a, v in first.pending_workload.items()},
-        congestion=list(first.congestion),
-        arrivals=list(first.arrivals),
-        completions=list(first.completions),
         utility=utility,
         global_utility=sum(utility),
         high_quality_count=high_quality,

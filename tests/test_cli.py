@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from agilesim import core, fcm, metrics
+from agilesim import cli, core, fcm, metrics, simulation
 from agilesim.cli import main
+from conftest import make_scenario
 
 
 def read_csv(path):
@@ -223,6 +224,154 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
 
+QUEUE_HEADER = ["day", "agent", "pending_workload", "congestion", "allocator"]
+
+
+def reference_queue_rows(firsts):
+    """The rows ``queues.csv`` holds, one ``core.write_csv`` row per agent
+    per day."""
+    return (
+        [day, agent, first.pending_workload[agent][day], first.congestion[day], allocator]
+        for allocator, first in firsts.items()
+        for day in range(first.horizon)
+        for agent in first.agent_ids
+    )
+
+
+def reference_allocation_rows(results):
+    """The rows of ``allocation.csv`` with ``allocation_proportion``
+    computed for every run, as if no two runs shared a series."""
+    rows = []
+    for allocator, repeated in results.items():
+        share_sums = {}
+        counted = 0
+        for result in repeated.runs:
+            try:
+                report = metrics.allocation_proportion(result)
+            except metrics.MetricsError:
+                continue
+            counted += 1
+            for agent, share in report.by_agent.items():
+                share_sums[agent] = share_sums.get(agent, 0.0) + share
+        if counted:
+            first = repeated.runs[0]
+            for agent in first.agent_ids:
+                share = share_sums.get(agent, 0.0) / counted
+                rows.append([agent, first.categories[agent], share, allocator])
+    return rows
+
+
+def queue_run(agent_ids, pending_workload, congestion):
+    return simulation.RunResult(
+        scenario="hand-built",
+        allocator=core.Allocator.SMART,
+        seed=0,
+        horizon=len(congestion),
+        agent_ids=agent_ids,
+        categories={},
+        assigned_effort={},
+        busy_effort={},
+        pending_workload=pending_workload,
+        congestion=congestion,
+        arrivals=[],
+        completions=[],
+        utility=[],
+    )
+
+
+class TestSimulationWriters:
+    """The day-at-a-time ``queues.csv`` and the once-per-trajectory
+    allocation shares against the row-by-row writers they replace."""
+
+    AWKWARD = (math.nan, math.inf, -math.inf, 1e16, 5e-324, 0.1 + 0.2)
+    IDS = ["dev-000", "a,b", 'say "hi"', "line\nbreak", "", "naïve"]
+
+    def test_queue_writer_matches_write_csv(self, tmp_path):
+        rng = random.Random(16)
+        zero, negative_zero = 0.0, -0.0
+        written = []
+        for case in range(20):
+            horizon = rng.randint(1, 30)
+            firsts = {}
+            for allocator in ("smart", 'x,"y"'):
+                ids = rng.sample(self.IDS, rng.randint(1, len(self.IDS)))
+                pending = {}
+                for agent in ids:
+                    # Idle stretches hold one float object; a -0.0 object
+                    # next to a 0.0 object must keep its sign.
+                    column = [zero, negative_zero, zero, negative_zero]
+                    while len(column) < horizon:
+                        value = rng.choice(
+                            self.AWKWARD + (zero, negative_zero, rng.uniform(-1e3, 1e3))
+                        )
+                        column += [value] * rng.randint(1, 4)
+                    pending[agent] = column[:horizon]
+                congestion = [rng.choice(self.AWKWARD + (zero,)) for _ in range(horizon)]
+                firsts[allocator] = queue_run(ids, pending, congestion)
+            cli._write_queues(tmp_path / "got.csv", firsts)
+            core.write_csv(tmp_path / "want.csv", QUEUE_HEADER, reference_queue_rows(firsts))
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes(), case
+            written.append(got)
+        for text in (b",-0.0,", b",0.0,", b",nan,", b"\n0,,", b'"line\nbreak"', b'"x,""y"""'):
+            assert any(text in got for got in written), text
+
+    def test_queue_writer_without_agents(self, tmp_path):
+        firsts = {"awr": queue_run([], {}, [0.0, 1.5])}
+        cli._write_queues(tmp_path / "queues.csv", firsts)
+        header = b"day,agent,pending_workload,congestion,allocator\n"
+        assert (tmp_path / "queues.csv").read_bytes() == header
+
+    @pytest.mark.parametrize(
+        "mood_mode, calls",
+        [(core.MoodMode.constant(0.7), 1), (core.MoodMode.fcm_coupled(), 3)],
+        ids=["constant", "fcm-coupled"],
+    )
+    def test_allocation_shares_equal_every_run_recomputed(
+        self, monkeypatch, tmp_path, mood_mode, calls
+    ):
+        config = make_scenario(
+            categories=((core.Category.HCA, 2, 0.9, 3.5), (core.Category.MIA, 3, 0.45, 2.25)),
+            tasks=(("T1", 4.0, 6.3, 1.75, 40), ("T2", 2.0, 0.1, 0.8, 55)),
+            horizon_days=20,
+            repetitions=3,
+            seed=4,
+            mood_mode=mood_mode,
+        )
+        results = {
+            a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
+            for a in core.Allocator
+        }
+        counted = []
+        real = metrics.allocation_proportion
+
+        def counted_proportion(result):
+            counted.append(result)
+            return real(result)
+
+        monkeypatch.setattr(metrics, "allocation_proportion", counted_proportion)
+        cli._write_simulation_outputs(tmp_path, results)
+        assert len(counted) == calls * len(results)
+        monkeypatch.setattr(metrics, "allocation_proportion", real)
+        core.write_csv(
+            tmp_path / "want.csv",
+            ["agent", "category", "share", "allocator"],
+            reference_allocation_rows(results),
+        )
+        got = (tmp_path / "allocation.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(got.splitlines()) == 1 + 5 * len(results)
+
+    def test_allocation_without_allocations(self, tmp_path):
+        config = make_scenario(tasks=(), horizon_days=5, repetitions=3)
+        results = {"smart": simulation.run_repeated(config)}
+        cli._write_simulation_outputs(tmp_path, results)
+        assert reference_allocation_rows(results) == []
+        assert read_csv(tmp_path / "allocation.csv") == [
+            ["agent", "category", "share", "allocator"]
+        ]
+
+
 class TestFcmCommand:
     def test_bundled_map_reaches_reported_equilibrium(self, tmp_path, capsys):
         code = main(
@@ -315,11 +464,12 @@ class TestFcmCommand:
         "flags,message",
         [
             (["--tol", "nan"], "tol must be > 0"),
+            (["--tol", "inf"], "error: tol must be > 0 and finite (got inf)"),
             (["--c", "nan"], "c: sigmoid steepness must be in (0, inf)"),
             (["--c", "-1"], "c: sigmoid steepness must be in (0, inf)"),
             (["--initial", "nan,0,0"], "--initial: expected 3 finite"),
         ],
-        ids=["tol-nan", "c-nan", "c-negative", "initial-nan"],
+        ids=["tol-nan", "tol-inf", "c-nan", "c-negative", "initial-nan"],
     )
     def test_bad_flag_exits_2(self, flags, message, tmp_path, capsys):
         argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",

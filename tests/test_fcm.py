@@ -194,10 +194,9 @@ class TestRun:
         assert terminal == traj.terminal == fcm.FIXED_POINT
         assert [s.values for s in traj.states] == states
 
-    def test_infinite_tolerance(self):
-        traj = fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)), tol=math.inf)
-        assert traj.terminal == fcm.FIXED_POINT
-        assert len(traj.states) == 2
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(InputError, match=r"tol must be > 0 and finite \(got inf\)"):
+            fcm.run(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)), tol=math.inf)
 
 
 class TestCompiledEquivalence:

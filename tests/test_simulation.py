@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from agilesim import core, fcm, simulation
+from agilesim import cli, core, fcm, simulation
 from agilesim.allocation import (
     TypeEconomics,
     awr_assign,
@@ -718,21 +718,44 @@ class TestRepeatedRuns:
         assert isinstance(result.completion_stream, tuple)
         assert len(result.completion_stream) == result.completed_count > 0
 
-    def test_redrawn_runs_share_only_the_stream(self):
+    def test_redrawn_runs_share_the_first_runs_series(self, tmp_path):
         config = core.with_overrides(core.preset("S-I"), seed=8, repetitions=3)
-        first, second, third = simulation.run_repeated(config).runs
-        assert second.completion_stream is first.completion_stream
-        for series in chain(
-            second.assigned_effort.values(),
-            second.busy_effort.values(),
-            second.pending_workload.values(),
-            (second.congestion, second.arrivals, second.completions, second.utility),
+        results = {
+            a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
+            for a in core.Allocator
+        }
+        shared = (
+            "agent_ids", "categories", "assigned_effort", "busy_effort",
+            "pending_workload", "congestion", "arrivals", "completions",
+            "completion_stream",
+        )
+        for repeated in results.values():
+            first, *redrawn = repeated.runs
+            for run in redrawn:
+                for name in shared:
+                    assert getattr(run, name) is getattr(first, name), name
+                assert run.utility is not first.utility
+        # No writer changes a shared series.
+        cli._write_simulation_outputs(tmp_path, results)
+        for allocator, repeated in results.items():
+            rerun = core.with_overrides(config, allocator=core.Allocator(allocator))
+            assert repeated.runs[0] == simulation.run(rerun)
+            assert repeated.runs[2] == simulation.run(rerun, seed=10)
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda stream: stream[:-1], lambda stream: stream + stream[-1:]],
+        ids=["truncated", "extended"],
+    )
+    def test_redraw_replays_exactly_its_stream(self, change):
+        first = simulation.run(core.with_overrides(core.preset("S-I"), seed=8))
+        broken = dataclasses.replace(
+            first, completion_stream=change(first.completion_stream)
+        )
+        with pytest.raises(
+            simulation.SimulationInvariantError, match="redraw at seed 9: replayed"
         ):
-            series[0] = -1
-        second.agent_ids.append("dev-999")
-        second.categories["dev-999"] = "HCA"
-        assert first == simulation.run(config)
-        assert third == simulation.run(config, seed=10)
+            simulation._redraw(broken, 9)
 
 
 class TestIdleAgentEquivalence:
