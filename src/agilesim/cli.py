@@ -348,7 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     fcm_cmd.add_argument(
         "--initial", required=True, help="comma-separated initial node values"
     )
-    fcm_cmd.add_argument("--max-iter", type=int, default=200)
+    fcm_cmd.add_argument(
+        "--max-iter",
+        type=int,
+        default=200,
+        help="most iterations to run, 1 to "
+        f"{fcm.MAX_ITERATIONS_CAP} (default: %(default)s)",
+    )
     fcm_cmd.add_argument("--tol", type=float, default=1e-6)
     fcm_cmd.add_argument(
         "--transform", choices=(fcm.BIVALENT, fcm.TRIVALENT, fcm.SIGMOID), default=None

@@ -281,10 +281,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         )
         check(f"{path}.max_effort", spec.max_effort, spec.max_effort > 0, "must be > 0")
     if config.total_tasks() <= 0:
-        errors.append("task_mix: total task count must be > 0")
+        errors.append("tasks: total task count must be > 0")
     seen: set[str] = set()
     for idx, (spec, count) in enumerate(config.task_mix):
-        path = f"task_mix[{idx}]"
+        path = f"tasks[{idx}]"
         if spec.type_id in seen:
             errors.append(f"{path}.type_id: duplicate type id {spec.type_id!r}")
         seen.add(spec.type_id)

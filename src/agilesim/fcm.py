@@ -57,6 +57,11 @@ FIXED_POINT = "fixed-point"
 LIMIT_CYCLE = "limit-cycle"
 MAX_ITERATIONS = "max-iterations"
 
+# The largest max_iter that run accepts. A trajectory keeps every state,
+# so an unbounded max_iter on a map that never settles could ask for
+# tens of GB.
+MAX_ITERATIONS_CAP = 100_000
+
 # Questionnaire answer levels mapped onto the uniform five-point grid.
 LIKERT_WEIGHTS = {
     "Not at all": 0.0,
@@ -256,7 +261,8 @@ def run(
     limit cycle when a state before the previous one recurs, that is
     when ``_max_norm(new, earlier) < tol`` for some earlier state.
     ``tol`` must be finite and > 0: under an infinite one every first
-    step would read as a fixed point.
+    step would read as a fixed point. ``max_iter`` must lie in
+    ``[1, MAX_ITERATIONS_CAP]``; it is checked before the first step.
 
     The earlier states are kept sorted by one coordinate ``x``, and only
     those whose ``x`` lies in ``[new.x - tol, new.x + tol]`` are tested.
@@ -271,6 +277,10 @@ def run(
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1 (got {max_iter})")
+    if max_iter > MAX_ITERATIONS_CAP:
+        raise InputError(
+            f"max_iter must be <= {MAX_ITERATIONS_CAP} (got {max_iter})"
+        )
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be > 0 and finite (got {tol})")
     if not all(map(math.isfinite, initial.values)):

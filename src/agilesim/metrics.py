@@ -31,12 +31,21 @@ class LogSchemaError(InputError):
     """Raised by :func:`ingest_log`; carries one entry per problem."""
 
 
-@dataclass(frozen=True, slots=True)
+# SprintRecord's default ``extras``: stands for "omitted".
+_FRESH = object()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SprintRecord:
     """One completed task as logged in a sprint activity record.
 
     Scales: difficulty, priority, confidence, quality on 0-10;
     mood_begin and mood_end on 1-5; collaborators >= 1.
+
+    ``__init__`` is written by hand: it takes the arguments of the
+    generated one, but sets each slot through its own setter, cheaper
+    than the frozen class's ``object.__setattr__`` per field. A record
+    built without ``extras`` gets a fresh empty dict of its own.
     """
 
     task_id: str
@@ -53,6 +62,36 @@ class SprintRecord:
     mood_end: float
     extras: dict = field(default_factory=dict, compare=False)
 
+    def __init__(
+        self,
+        task_id: str,
+        assignee_id: str,
+        sprint_index: int,
+        difficulty: float,
+        priority: float,
+        confidence: float,
+        estimated_days: float,
+        actual_days: float,
+        quality: float,
+        collaborators: int,
+        mood_begin: float,
+        mood_end: float,
+        extras: dict = _FRESH,
+    ):
+        _set_task_id(self, task_id)
+        _set_assignee_id(self, assignee_id)
+        _set_sprint_index(self, sprint_index)
+        _set_difficulty(self, difficulty)
+        _set_priority(self, priority)
+        _set_confidence(self, confidence)
+        _set_estimated_days(self, estimated_days)
+        _set_actual_days(self, actual_days)
+        _set_quality(self, quality)
+        _set_collaborators(self, collaborators)
+        _set_mood_begin(self, mood_begin)
+        _set_mood_end(self, mood_end)
+        _set_extras(self, {} if extras is _FRESH else extras)
+
     @property
     def on_time(self) -> bool:
         return self.actual_days - self.estimated_days <= 0
@@ -60,6 +99,14 @@ class SprintRecord:
     @property
     def satisfactory(self) -> bool:
         return self.quality > 5
+
+
+(
+    _set_task_id, _set_assignee_id, _set_sprint_index, _set_difficulty,
+    _set_priority, _set_confidence, _set_estimated_days, _set_actual_days,
+    _set_quality, _set_collaborators, _set_mood_begin, _set_mood_end,
+    _set_extras,
+) = (getattr(SprintRecord, name).__set__ for name in SprintRecord.__slots__)
 
 
 def competence(records: Iterable[SprintRecord], agent: str) -> float:
@@ -205,6 +252,23 @@ _RANGES = {
 }
 
 
+class _ParsedCells(dict):
+    """Raw cell text -> ``parse(text)``, each distinct text parsed once.
+
+    The key is the raw text, so ``"-0"`` and ``"0"`` are parsed apart. A
+    text whose parse raises is not stored.
+    """
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, raw):
+        value = self[raw] = self.parse(raw)
+        return value
+
+
 def ingest_log(path: str | Path) -> list[SprintRecord]:
     """Parse and range-validate a sprint activity CSV.
 
@@ -249,27 +313,32 @@ def _read_log(handle) -> list[SprintRecord]:
     inf = math.inf
     # Each row is read by position and checked in one expression; the
     # bounds are those of _RANGES. A row that fails here, or is shorter
-    # than the header, is re-read cell by cell to word its errors.
+    # than the header, is re-read cell by cell to word its errors. A
+    # log repeats few cell texts, so each distinct number and assignee
+    # is parsed once, on its first sight; the records that share a text
+    # share its value. task_id is unique per row and is not memoised.
+    floats = _ParsedCells(float)
+    names = _ParsedCells(str.strip)
     for row in reader:
         if not row:  # a blank line
             continue
         if len(row) >= width:
             try:
-                sprint = float(row[sprint_at])
-                difficulty = float(row[difficulty_at])
-                priority = float(row[priority_at])
-                confidence = float(row[confidence_at])
-                estimated = float(row[estimated_at])
-                actual = float(row[actual_at])
-                quality = float(row[quality_at])
-                collaborators = float(row[collaborators_at])
-                mood_begin = float(row[mood_begin_at])
-                mood_end = float(row[mood_end_at])
+                sprint = floats[row[sprint_at]]
+                difficulty = floats[row[difficulty_at]]
+                priority = floats[row[priority_at]]
+                confidence = floats[row[confidence_at]]
+                estimated = floats[row[estimated_at]]
+                actual = floats[row[actual_at]]
+                quality = floats[row[quality_at]]
+                collaborators = floats[row[collaborators_at]]
+                mood_begin = floats[row[mood_begin_at]]
+                mood_end = floats[row[mood_end_at]]
                 extras = {}
                 for col, index in optional_at:
                     raw = row[index]
                     if raw and not raw.isspace():
-                        extras[col] = value = float(raw)
+                        extras[col] = value = floats[raw]
                         if not isfinite(value):
                             raise ValueError(col)
             except ValueError:
@@ -291,7 +360,7 @@ def _read_log(handle) -> list[SprintRecord]:
                     records.append(
                         SprintRecord(
                             row[task_at].strip(),
-                            row[assignee_at].strip(),
+                            names[row[assignee_at]],
                             int(sprint),
                             difficulty,
                             priority,

@@ -208,9 +208,13 @@ class TestSimulateCommand:
             ("psi", True, "psi: invalid value True"),
             ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
                         "effort": float("nan"), "count": 5}],
-             "task_mix[0].effort: must be finite"),
+             "tasks[0].effort: must be finite"),
+            ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
+                        "effort": 1, "count": 0}],
+             "tasks: total task count must be > 0"),
         ],
-        ids=["mood-mode", "team-count", "psi-nan", "psi-bool", "effort-nan"],
+        ids=["mood-mode", "team-count", "psi-nan", "psi-bool", "effort-nan",
+             "no-tasks"],
     )
     def test_malformed_scenario_field_exits_2(self, field, value, path, tmp_path, capsys):
         doc = core.scenario_to_document(core.preset("S-M"))
@@ -444,6 +448,15 @@ class TestFcmCommand:
                 "--max-iter", "0", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "max_iter must be >= 1" in capsys.readouterr().err
+
+    def test_max_iter_above_cap_exits_2(self, tmp_path, capsys):
+        argv = ["fcm", "--map", "michael_scenario1", "--initial", "0.5,0,0",
+                "--max-iter", str(fcm.MAX_ITERATIONS_CAP + 1), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"max_iter must be <= {fcm.MAX_ITERATIONS_CAP}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         code = main(

@@ -154,9 +154,9 @@ class TestValidate:
         assert sorted(e.split(":")[0] for e in err.value.errors) == [
             "mood_mode.value",
             "psi",
-            "task_mix[0].effort",
-            "task_mix[0].priority",
-            "task_mix[0].utility",
+            "tasks[0].effort",
+            "tasks[0].priority",
+            "tasks[0].utility",
             "team.HCA.competence",
             "team.HCA.max_effort",
         ]

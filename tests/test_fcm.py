@@ -175,6 +175,20 @@ class TestRun:
         assert traj.terminal == fcm.MAX_ITERATIONS
         assert len(traj.states) == 3
 
+    def test_max_iter_cap(self, monkeypatch):
+        initial = fcm.StateVector(values=(0.5, 0.0, 0.0))
+        # The cap itself is accepted; this map settles in a few steps.
+        traj = fcm.run(MICHAEL1, initial, max_iter=fcm.MAX_ITERATIONS_CAP)
+        assert traj.terminal == fcm.FIXED_POINT
+
+        def no_step(cmap, state):
+            raise AssertionError("stepped past a rejected max_iter")
+
+        monkeypatch.setattr(fcm, "step", no_step)
+        for max_iter in (fcm.MAX_ITERATIONS_CAP + 1, 10**8):
+            with pytest.raises(InputError, match=rf"max_iter must be <= 100000 \(got {max_iter}\)"):
+                fcm.run(GRACE1, initial, max_iter=max_iter)
+
     def test_bad_arguments(self):
         state = fcm.StateVector(values=(0.5, 0.0, 0.0))
         with pytest.raises(ValueError):

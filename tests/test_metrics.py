@@ -129,8 +129,12 @@ class TestTechnicalProductivity:
 
 class TestSprintRecord:
     def test_fields_are_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            record().quality = 1.0
+        built = record()
+        for name in SprintRecord.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(built, name)
 
     def test_equality_and_hash_ignore_extras(self):
         plain = record()
@@ -140,11 +144,71 @@ class TestSprintRecord:
         assert record(quality=2.0) != plain
 
     def test_pickle_and_copy_round_trip(self):
-        original = record(assignee="s7", extras={"team_score": 25.0})
-        for clone in (pickle.loads(pickle.dumps(original)), copy.copy(original)):
-            assert clone == original
-            assert clone.assignee_id == "s7"
-            assert clone.extras == {"team_score": 25.0}
+        tagged = record(assignee="s7", extras={"team_score": 25.0})
+        plain = record(assignee="s7")  # extras left at its default
+        for original in (tagged, plain):
+            clones = (
+                pickle.loads(pickle.dumps(original)),
+                copy.copy(original),
+                copy.deepcopy(original),
+            )
+            for clone in clones:
+                assert clone == original
+                assert repr(clone) == repr(original)
+                assert clone.assignee_id == "s7"
+                assert clone.extras == original.extras
+
+    def test_positional_and_keyword_construction_agree(self):
+        values = ("t9", "s2", 4, 6.5, 5.0, 7.0, 3.0, 2.5, 8.0, 2, 3.0, 4.0)
+        names = [f.name for f in dataclasses.fields(SprintRecord)][:-1]
+        by_position = SprintRecord(*values)
+        by_keyword = SprintRecord(**dict(zip(names, values)))
+        assert by_position == by_keyword
+        assert repr(by_position) == repr(by_keyword)
+        extras = {"workload": 1.0}
+        assert SprintRecord(*values, extras).extras is extras
+        with pytest.raises(TypeError):
+            SprintRecord(*values[:-1])
+        with pytest.raises(TypeError):
+            SprintRecord(*values, {}, "one too many")
+
+    def test_default_extras_not_shared(self):
+        first, second = record(), record()
+        assert first.extras == {} and second.extras == {}
+        assert first.extras is not second.extras
+        first.extras["workload"] = 3.0
+        assert second.extras == {}
+        assert record().extras == {}
+
+    def test_dataclass_helpers(self):
+        fields = dataclasses.fields(SprintRecord)
+        assert [f.name for f in fields] == [
+            "task_id", "assignee_id", "sprint_index", "difficulty",
+            "priority", "confidence", "estimated_days", "actual_days",
+            "quality", "collaborators", "mood_begin", "mood_end", "extras",
+        ]
+        assert fields[-1].default_factory is dict
+        assert [f.name for f in fields if not f.compare] == ["extras"]
+        built = record(extras={"workload": 2.0})
+        assert repr(built) == (
+            "SprintRecord(task_id='t', assignee_id='s1', sprint_index=1, "
+            "difficulty=5.0, priority=5.0, confidence=7.0, estimated_days=3.0, "
+            "actual_days=3.0, quality=8.0, collaborators=1, mood_begin=3.0, "
+            "mood_end=3.0, extras={'workload': 2.0})"
+        )
+        as_dict = dataclasses.asdict(built)
+        assert as_dict == {
+            "task_id": "t", "assignee_id": "s1", "sprint_index": 1,
+            "difficulty": 5.0, "priority": 5.0, "confidence": 7.0,
+            "estimated_days": 3.0, "actual_days": 3.0, "quality": 8.0,
+            "collaborators": 1, "mood_begin": 3.0, "mood_end": 3.0,
+            "extras": {"workload": 2.0},
+        }
+        assert as_dict["extras"] is not built.extras
+        replaced = dataclasses.replace(built, quality=2.0)
+        assert replaced == record(quality=2.0)
+        assert replaced.extras is built.extras
+        assert dataclasses.replace(built, extras={}).extras == {}
 
 
 class TestCongestion:
@@ -628,3 +692,56 @@ class TestReadLogEquivalence:
         assert seen == {
             "records", "errors", "re-read row kept", "re-read row rejected"
         }
+
+    def test_repeated_cells_parse_as_the_reference(self, tmp_path):
+        """Hundreds of rows drawn from a small pool of cell texts, so that
+        most numeric and assignee cells repeat one seen before: texts
+        that parse to equal values (or fail) must each still read as the
+        reference reads them."""
+        numbers = ["0", "-0", "0.0", "-0.0", " 5", "5 ", "5", "1e1", "10", "+3", "3"]
+        assignees = ["dev-1", " dev-1", "dev-1 ", "\tdev-2", "dev-2", "", "  "]
+        bad = ["nan", "x", "", "-1", "11"]
+        header = list(metrics._REQUIRED_COLUMNS) + ["workload"]
+        path = tmp_path / "log.csv"
+        for seed, dirty in ((41, False), (42, True)):
+            rng = random.Random(seed)
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            for number in range(400):
+                cells = [rng.choice(numbers) for _ in header]
+                cells[0] = f"t{number}"
+                cells[1] = rng.choice(assignees)
+                for column in ("mood_begin", "mood_end"):
+                    cells[header.index(column)] = rng.choice(["1", " 5", "5", "+3", "3"])
+                cells[header.index("collaborators")] = rng.choice(["1", "+3", " 5", "1e1"])
+                if dirty and rng.random() < 0.05:
+                    cells[rng.randrange(2, len(header))] = rng.choice(bad)
+                writer.writerow(cells)
+            path.write_text(out.getvalue(), encoding="utf-8", newline="")
+            outcomes = []
+            for parse in (metrics._read_log, reference_read_log):
+                try:
+                    outcomes.append((core.load_input(path, "log", parse), None))
+                except metrics.LogSchemaError as exc:
+                    outcomes.append((None, exc.errors))
+            (got, got_errors), (want, want_errors) = outcomes
+            assert got_errors == want_errors
+            if dirty:
+                assert want is None and len(want_errors) > 1
+                continue
+            assert len(got) == 400
+            assert got == want
+            assert repr(got) == repr(want)
+            assert [r.extras for r in got] == [r.extras for r in want]
+            rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+            at = header.index("difficulty")
+            signs = {
+                (row[at], math.copysign(1.0, parsed.difficulty))
+                for row, parsed in zip(rows, got)
+                if float(row[at]) == 0.0
+            }
+            assert signs == {
+                ("0", 1.0), ("0.0", 1.0), ("-0", -1.0), ("-0.0", -1.0)
+            }
+
