@@ -332,6 +332,14 @@ def boolean(value) -> bool:
     raise ValueError(f"not true or false: {value!r}")
 
 
+def text(value) -> str:
+    """Field kind for a JSON string; ``str`` would turn any value, a
+    number, a list or an object too, into text."""
+    if type(value) is str:
+        return value
+    raise ValueError(f"not a string: {value!r}")
+
+
 def list_of(kind: Callable) -> Callable:
     """Field kind for a JSON list whose items all convert with ``kind``."""
 
@@ -350,7 +358,7 @@ class DocumentReader:
     and :meth:`check` raises them together as one ``error``. A field kind
     is ``dict`` or ``list``, which the value must already be, or a
     converter such as :func:`integer`, :func:`real`, :func:`boolean`,
-    ``str`` or :func:`list_of`. A JSON null counts as a missing key.
+    :func:`text` or :func:`list_of`. A JSON null counts as a missing key.
     """
 
     def __init__(self, doc, error: type[InputError] = InputError):
@@ -547,14 +555,14 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
     task_mix = []
     for path, entry in reader.objects(doc, "tasks"):
         spec = TaskTypeSpec(
-            type_id=read(entry, "type_id", str, path),
+            type_id=read(entry, "type_id", text, path),
             priority=read(entry, "priority", real, path),
             utility=read(entry, "utility", real, path),
             effort=read(entry, "effort", real, path),
         )
         task_mix.append((spec, read(entry, "count", integer, path)))
     config = ScenarioConfig(
-        name=read(doc, "name", str),
+        name=read(doc, "name", text),
         team=TeamConfig(categories=tuple(categories)),
         task_mix=tuple(task_mix),
         horizon_days=read(doc, "horizon_days", integer),

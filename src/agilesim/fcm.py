@@ -46,7 +46,7 @@ from pathlib import Path
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .core import DocumentReader, InputError, list_of, load_input, real, write_json
+from .core import DocumentReader, InputError, list_of, load_input, real, text, write_json
 
 BIVALENT = "bivalent"
 TRIVALENT = "trivalent"
@@ -362,9 +362,9 @@ def map_to_document(cmap: ConceptMap) -> dict:
 
 def map_from_document(doc: dict) -> ConceptMap:
     reader = DocumentReader(doc)
-    labels = reader.field(doc, "labels", list_of(str))
+    labels = reader.field(doc, "labels", list_of(text))
     weights = reader.field(doc, "weights", list_of(list_of(real)))
-    transform = reader.field(doc, "transform", str, default=SIGMOID)
+    transform = reader.field(doc, "transform", text, default=SIGMOID)
     c = reader.field(doc, "c", real, default=5.0)
     reader.check()
     return ConceptMap(labels=labels, weights=weights, transform=transform, c=c)

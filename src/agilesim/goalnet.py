@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import DocumentReader, InputError, boolean, integer, list_of, load_input
-from .core import write_json
+from .core import text, write_json
 
 SEQUENCE = "sequence"
 CONCURRENCY = "concurrency"
@@ -497,7 +497,7 @@ def to_document(net: GoalNet) -> dict:
 
 
 def _name_value(value) -> tuple[str, str]:
-    name, setting = list_of(str)(value)
+    name, setting = list_of(text)(value)
     return name, setting
 
 
@@ -506,13 +506,13 @@ def from_document(doc: dict) -> GoalNet:
     rejected with every violation."""
     reader = DocumentReader(doc, GoalNetError)
     read = reader.field
-    strings = list_of(str)
+    strings = list_of(text)
     nodes = {}
     for at, entry in reader.objects(doc, "nodes"):
         node = GoalNode(
-            id=read(entry, "id", str, at),
-            label=read(entry, "label", str, at),
-            kind=read(entry, "kind", str, at),
+            id=read(entry, "id", text, at),
+            label=read(entry, "label", text, at),
+            kind=read(entry, "kind", text, at),
             level=read(entry, "level", integer, at),
             cut_across=read(entry, "cut_across", boolean, at, False),
         )
@@ -523,8 +523,8 @@ def from_document(doc: dict) -> GoalNet:
     }
     transitions = tuple(
         Transition(
-            id=read(entry, "id", str, at),
-            kind=read(entry, "kind", str, at),
+            id=read(entry, "id", text, at),
+            kind=read(entry, "kind", text, at),
             inputs=read(entry, "inputs", strings, at),
             outputs=read(entry, "outputs", strings, at),
             tasks=read(entry, "tasks", strings, at, ()),
@@ -533,7 +533,7 @@ def from_document(doc: dict) -> GoalNet:
     )
     cards = tuple(
         GetCard(
-            goal_id=read(entry, "goal_id", str, at),
+            goal_id=read(entry, "goal_id", text, at),
             environment_variables=read(
                 entry, "environment_variables", list_of(_name_value), at, ()
             ),
@@ -622,18 +622,18 @@ def _stories_from_document(doc: dict) -> list[UserStory]:
     read = reader.field
     stories = []
     for at, entry in reader.objects(doc, "stories"):
-        story_id = read(entry, "id", str, at)
-        text = read(entry, "text", str, at)
-        parent = read(entry, "parent", str, at, None)
-        tasks = read(entry, "tasks", list_of(str), at, ())
+        story_id = read(entry, "id", text, at)
+        body = read(entry, "text", text, at)
+        parent = read(entry, "parent", text, at, None)
+        tasks = read(entry, "tasks", list_of(text), at, ())
         env = read(entry, "environment", list_of(_name_value), at, ())
         cut_across = read(entry, "cut_across", boolean, at, False)
-        if None in (story_id, text, tasks, env):
+        if None in (story_id, body, tasks, env):
             continue
         if parent is None and "." in story_id:
             parent = story_id.rsplit(".", 1)[0]
         try:
-            stories.append(parse_story(text, story_id, parent, tasks, env, cut_across))
+            stories.append(parse_story(body, story_id, parent, tasks, env, cut_across))
         except StoryParseError as exc:
             reader.errors.append(f"{at}.text: {exc}")
     reader.check()
@@ -687,10 +687,13 @@ def load_goals(path: str | Path) -> tuple[list[str], dict[str, str], str]:
     def build(handle) -> tuple[list[str], dict[str, str], str]:
         doc = json.load(handle)
         reader = DocumentReader(doc, GoalNetError)
-        goals = reader.field(doc, "goals", list_of(str))
-        assignment = reader.field(doc, "assignment", dict)
-        root_label = reader.field(doc, "root", str, default="Top goal")
+        goals = reader.field(doc, "goals", list_of(text))
+        assignment = reader.field(doc, "assignment", dict) or {}
+        assignment = {
+            key: reader.field(assignment, key, text, "assignment") for key in assignment
+        }
+        root_label = reader.field(doc, "root", text, default="Top goal")
         reader.check()
-        return list(goals), {str(k): str(v) for k, v in assignment.items()}, root_label
+        return list(goals), assignment, root_label
 
     return load_input(path, "goals", build)

@@ -226,20 +226,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 # order and each once; the three optional pass-through columns are kept
 # in ``extras`` and any other column is ignored.
 
-_REQUIRED_COLUMNS = (
-    "task_id",
-    "assignee_id",
-    "sprint_index",
-    "difficulty",
-    "priority",
-    "confidence",
-    "estimated_days",
-    "actual_days",
-    "quality",
-    "collaborators",
-    "mood_begin",
-    "mood_end",
-)
+_REQUIRED_COLUMNS = SprintRecord.__slots__[:-1]  # every field but extras
 _OPTIONAL_COLUMNS = ("workload", "final_score", "team_score")
 
 _RANGES = {
@@ -306,144 +293,127 @@ def _read_log(handle) -> list[SprintRecord]:
     optional = tuple(col for col in _OPTIONAL_COLUMNS if col in position)
     optional_at = tuple((col, position[col]) for col in optional)
     numeric = _REQUIRED_COLUMNS[2:] + optional
+    (
+        (difficulty_low, difficulty_high), (priority_low, priority_high),
+        (confidence_low, confidence_high), (quality_low, quality_high),
+        (mood_begin_low, mood_begin_high), (mood_end_low, mood_end_high),
+    ) = (
+        _RANGES[col]
+        for col in (
+            "difficulty", "priority", "confidence", "quality", "mood_begin", "mood_end"
+        )
+    )
     width = len(header)
     records: list[SprintRecord] = []
     errors: list[str] = []
     isfinite = math.isfinite
     inf = math.inf
-    # Each row is read by position and checked in one expression; the
-    # bounds are those of _RANGES. A row that fails here, or is shorter
-    # than the header, is re-read cell by cell to word its errors. A
-    # log repeats few cell texts, so each distinct number and assignee
-    # is parsed once, on its first sight; the records that share a text
+    # Each row is read by position and checked in one expression; a row
+    # shorter than the header reads its missing cells as empty. A row
+    # that fails here is re-read cell by cell to word its errors. A log
+    # repeats few cell texts, so each distinct number and assignee is
+    # parsed once, on its first sight; the records that share a text
     # share its value. task_id is unique per row and is not memoised.
     floats = _ParsedCells(float)
     names = _ParsedCells(str.strip)
     for row in reader:
         if not row:  # a blank line
             continue
-        if len(row) >= width:
-            try:
-                sprint = floats[row[sprint_at]]
-                difficulty = floats[row[difficulty_at]]
-                priority = floats[row[priority_at]]
-                confidence = floats[row[confidence_at]]
-                estimated = floats[row[estimated_at]]
-                actual = floats[row[actual_at]]
-                quality = floats[row[quality_at]]
-                collaborators = floats[row[collaborators_at]]
-                mood_begin = floats[row[mood_begin_at]]
-                mood_end = floats[row[mood_end_at]]
-                extras = {}
-                for col, index in optional_at:
-                    raw = row[index]
-                    if raw and not raw.isspace():
-                        extras[col] = value = floats[raw]
-                        if not isfinite(value):
-                            raise ValueError(col)
-            except ValueError:
-                pass
-            else:
-                if (
-                    sprint.is_integer()
-                    and 0.0 <= difficulty <= 10.0
-                    and 0.0 <= priority <= 10.0
-                    and 0.0 <= confidence <= 10.0
-                    and 0.0 <= estimated < inf
-                    and 0.0 <= actual < inf
-                    and 0.0 <= quality <= 10.0
-                    and collaborators >= 1.0
-                    and collaborators.is_integer()
-                    and 1.0 <= mood_begin <= 5.0
-                    and 1.0 <= mood_end <= 5.0
-                ):
-                    records.append(
-                        SprintRecord(
-                            row[task_at].strip(),
-                            names[row[assignee_at]],
-                            int(sprint),
-                            difficulty,
-                            priority,
-                            confidence,
-                            estimated,
-                            actual,
-                            quality,
-                            int(collaborators),
-                            mood_begin,
-                            mood_end,
-                            extras,
-                        )
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        try:
+            sprint = floats[row[sprint_at]]
+            difficulty = floats[row[difficulty_at]]
+            priority = floats[row[priority_at]]
+            confidence = floats[row[confidence_at]]
+            estimated = floats[row[estimated_at]]
+            actual = floats[row[actual_at]]
+            quality = floats[row[quality_at]]
+            collaborators = floats[row[collaborators_at]]
+            mood_begin = floats[row[mood_begin_at]]
+            mood_end = floats[row[mood_end_at]]
+            extras = {}
+            for col, index in optional_at:
+                raw = row[index]
+                if raw and not raw.isspace():
+                    extras[col] = value = floats[raw]
+                    if not isfinite(value):
+                        raise ValueError(col)
+        except ValueError:
+            pass
+        else:
+            if (
+                sprint.is_integer()
+                and difficulty_low <= difficulty <= difficulty_high
+                and priority_low <= priority <= priority_high
+                and confidence_low <= confidence <= confidence_high
+                and 0.0 <= estimated < inf
+                and 0.0 <= actual < inf
+                and quality_low <= quality <= quality_high
+                and collaborators >= 1.0
+                and collaborators.is_integer()
+                and mood_begin_low <= mood_begin <= mood_begin_high
+                and mood_end_low <= mood_end <= mood_end_high
+            ):
+                records.append(
+                    SprintRecord(
+                        row[task_at].strip(),
+                        names[row[assignee_at]],
+                        int(sprint),
+                        difficulty,
+                        priority,
+                        confidence,
+                        estimated,
+                        actual,
+                        quality,
+                        int(collaborators),
+                        mood_begin,
+                        mood_end,
+                        extras,
                     )
-                    continue
-        record = _check_row(
-            dict(zip(header, row)), reader.line_num, numeric, optional, errors
+                )
+                continue
+        problems = _row_errors(
+            dict(zip(header, row)), reader.line_num, numeric, optional
         )
-        if record is not None:
-            records.append(record)
+        # The two readings agree on which rows are valid; should they
+        # not, a rejected row is still named rather than dropped.
+        errors += problems or [f"row {reader.line_num}: rejected"]
     if errors or not records:
         raise LogSchemaError(errors or ["no records"])
     return records
 
 
-def _check_row(row, row_no, numeric, optional, errors) -> SprintRecord | None:
-    """One row read cell by cell (``row`` maps column name to cell);
-    appends its problems to ``errors`` and returns its record if it has
-    none."""
-    isfinite = math.isfinite
+def _row_errors(row, row_no, numeric, optional) -> list[str]:
+    """The problems of one rejected row, read cell by cell (``row`` maps
+    column name to cell)."""
+    problems = []
     parsed: dict[str, float] = {}
-    row_bad = False
     for column in numeric:
-        raw = (row.get(column) or "").strip()
+        raw = row[column].strip()
         if not raw and column in optional:
             continue
         try:
-            value = float(raw)
+            parsed[column] = value = float(raw)
         except ValueError:
-            errors.append(f"row {row_no}: {column} is not numeric ({raw!r})")
-            row_bad = True
+            problems.append(f"row {row_no}: {column} is not numeric ({raw!r})")
             continue
-        if not isfinite(value):
-            errors.append(f"row {row_no}: {column} must be finite")
-            row_bad = True
-        parsed[column] = value
-    if row_bad:
-        return None
+        if not math.isfinite(value):
+            problems.append(f"row {row_no}: {column} must be finite")
+    if problems:
+        return problems
     for column, (low, high) in _RANGES.items():
         value = parsed[column]
         if not low <= value <= high:
-            errors.append(
+            problems.append(
                 f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
             )
-            row_bad = True
-    if parsed["actual_days"] < 0:
-        errors.append(f"row {row_no}: actual_days must be >= 0")
-        row_bad = True
-    if parsed["estimated_days"] < 0:
-        errors.append(f"row {row_no}: estimated_days must be >= 0")
-        row_bad = True
+    for column in ("actual_days", "estimated_days"):
+        if parsed[column] < 0:
+            problems.append(f"row {row_no}: {column} must be >= 0")
     if parsed["collaborators"] < 1:
-        errors.append(f"row {row_no}: collaborators must be >= 1")
-        row_bad = True
-    if parsed["sprint_index"] != int(parsed["sprint_index"]):
-        errors.append(f"row {row_no}: sprint_index must be an integer")
-        row_bad = True
-    if parsed["collaborators"] != int(parsed["collaborators"]):
-        errors.append(f"row {row_no}: collaborators must be an integer")
-        row_bad = True
-    if row_bad:
-        return None
-    return SprintRecord(
-        task_id=(row.get("task_id") or "").strip(),
-        assignee_id=(row.get("assignee_id") or "").strip(),
-        sprint_index=int(parsed["sprint_index"]),
-        difficulty=parsed["difficulty"],
-        priority=parsed["priority"],
-        confidence=parsed["confidence"],
-        estimated_days=parsed["estimated_days"],
-        actual_days=parsed["actual_days"],
-        quality=parsed["quality"],
-        collaborators=int(parsed["collaborators"]),
-        mood_begin=parsed["mood_begin"],
-        mood_end=parsed["mood_end"],
-        extras={c: parsed[c] for c in optional if c in parsed},
-    )
+        problems.append(f"row {row_no}: collaborators must be >= 1")
+    for column in ("sprint_index", "collaborators"):
+        if not parsed[column].is_integer():
+            problems.append(f"row {row_no}: {column} must be an integer")
+    return problems

@@ -297,6 +297,15 @@ class TestScenarioFiles:
         # float(True) is 1.0: a boolean must not run as a number.
         self.assert_rejected(path, value)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [("name", {"x": 1}), ("tasks[0].type_id", ["T", 1]), ("tasks[0].type_id", 1)],
+        ids=["name-object", "type-id-list", "type-id-number"],
+    )
+    def test_text_field_rejects_non_string(self, path, value):
+        # str({"x": 1}) is "{'x': 1}": only a JSON string may load as text.
+        self.assert_rejected(path, value)
+
     def test_real_field_accepts_int(self):
         doc = core.scenario_to_document(core.preset("S-I"))
         doc["psi"] = 2

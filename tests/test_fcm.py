@@ -589,6 +589,17 @@ class TestMapValidationAndFiles:
             f"invalid map file {path}: {key}: invalid value {doc[key]!r}"
         ]
 
+    def test_map_file_rejects_non_string_label(self, tmp_path):
+        doc = fcm.map_to_document(GRACE1)
+        doc["labels"] = [1, None, [2]]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            fcm.load_map(path)
+        assert err.value.errors == [
+            f"invalid map file {path}: labels: invalid value [1, None, [2]]"
+        ]
+
     def test_map_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "map.json"
         fcm.save_map(GRACE1, path)

@@ -415,6 +415,31 @@ class TestDocumentsAndExport:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert not goalnet.load_stories(path)[1].cut_across
 
+    def test_story_id_must_be_string(self, tmp_path):
+        with open(corpus_path("stories.json"), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["stories"][0]["id"] = 1
+        path = tmp_path / "stories.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: stories[0].id: invalid value 1"
+        ]
+
+    def test_goal_assignment_must_be_string(self, tmp_path):
+        with open(corpus_path("goals.json"), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["assignment"]["2"] = ["Improved user interface"]
+        path = tmp_path / "goals.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_goals(path)
+        assert err.value.errors == [
+            f"invalid goals file {path}: assignment.2: invalid value "
+            "['Improved user interface']"
+        ]
+
     def test_dot_export_styles(self):
         net = self.build_reference()
         dot = goalnet.export_dot(net)

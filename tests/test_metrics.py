@@ -496,7 +496,7 @@ class TestIngestLog:
         def reread(*args):
             raise AssertionError(f"re-read a valid row: {args}")
 
-        monkeypatch.setattr(metrics, "_check_row", reread)
+        monkeypatch.setattr(metrics, "_row_errors", reread)
         header = "notes,team_score," + LOG_HEADER
         path = write_log(
             tmp_path,
@@ -505,6 +505,55 @@ class TestIngestLog:
         )
         records = metrics.ingest_log(path)
         assert [r.extras for r in records] == [{}, {"team_score": 25.0}]
+
+
+    def test_narrowed_range_reaches_the_fast_check(self, tmp_path, monkeypatch):
+        """The fast check reads its bounds from ``_RANGES``: a quality
+        inside the old [0, 10] but past a narrowed top is rejected."""
+        monkeypatch.setitem(metrics._RANGES, "quality", (0.0, 9.0))
+        path = write_log(
+            tmp_path, ["t1,s1,1,8,5,7,3,3,9,1,3,4", "t2,s1,1,8,5,7,3,3,9.5,1,3,4"]
+        )
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: row 3: quality 9.5 outside [0, 9]"
+        ]
+
+    def test_short_row_reads_missing_optional_cell_as_empty(
+        self, tmp_path, monkeypatch
+    ):
+        def reread(*args):
+            raise AssertionError(f"re-read a valid row: {args}")
+
+        monkeypatch.setattr(metrics, "_row_errors", reread)
+        header = LOG_HEADER + ",team_score"
+        short = metrics.ingest_log(
+            write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3,4"], header=header)
+        )
+        padded = metrics.ingest_log(
+            write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3,4,"], header=header)
+        )
+        assert short == padded
+        assert repr(short) == repr(padded)
+        assert [r.extras for r in short] == [{}]
+
+    def test_short_row_missing_required_cell_is_worded(self, tmp_path):
+        path = write_log(tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3"])
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [
+            f"invalid log file {path}: row 2: mood_end is not numeric ('')"
+        ]
+
+    def test_rejected_row_never_vanishes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "_row_errors", lambda *args: [])
+        path = write_log(
+            tmp_path, ["t1,s1,1,8,5,7,3,3,7,1,3,4", "t2,s1,1,8,5,7,3,3,12,1,3,4"]
+        )
+        with pytest.raises(metrics.LogSchemaError) as err:
+            metrics.ingest_log(path)
+        assert err.value.errors == [f"invalid log file {path}: row 3: rejected"]
 
 
 def reference_read_log(handle):
@@ -662,14 +711,15 @@ class TestReadLogEquivalence:
     def test_same_records_or_same_errors(self, tmp_path, monkeypatch):
         rng = random.Random(29)
         seen = set()
-        real_check_row = metrics._check_row
+        real_row_errors = metrics._row_errors
 
-        def check_row(row, row_no, numeric, optional, errors):
-            record = real_check_row(row, row_no, numeric, optional, errors)
-            seen.add("re-read row kept" if record else "re-read row rejected")
-            return record
+        def row_errors(row, row_no, numeric, optional):
+            problems = real_row_errors(row, row_no, numeric, optional)
+            assert problems, f"row {row_no} rejected but not worded"
+            seen.add("re-read row")
+            return problems
 
-        monkeypatch.setattr(metrics, "_check_row", check_row)
+        monkeypatch.setattr(metrics, "_row_errors", row_errors)
         path = tmp_path / "log.csv"
         for case in range(300):
             path.write_text(fuzz_log(rng), encoding="utf-8", newline="")
@@ -689,9 +739,7 @@ class TestReadLogEquivalence:
             # repr shows the extras, and tells -0.0 from 0.0
             assert repr(got) == repr(want), case
             assert [r.extras for r in got] == [r.extras for r in want], case
-        assert seen == {
-            "records", "errors", "re-read row kept", "re-read row rejected"
-        }
+        assert seen == {"records", "errors", "re-read row"}
 
     def test_repeated_cells_parse_as_the_reference(self, tmp_path):
         """Hundreds of rows drawn from a small pool of cell texts, so that
