@@ -17,8 +17,8 @@ positive score. Tasks not accepted are reported as rejected and return
 to the common queue for later days.
 
 The baseline (``awr_assign``) models accept-when-requested behavior:
-every task is taken, on arrival, by the team member most competent for
-its type, regardless of queue length.
+every task is taken, on arrival, by the most competent team member,
+regardless of queue length.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ def smart_plan(
     return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
 
 
-def awr_assign(task_type: str, agents: Sequence[AgentState]) -> str:
-    """Pick the assignee under accept-when-requested: the agent most
-    competent for the type, ties broken by lowest agent id."""
+def awr_assign(agents: Sequence[AgentState]) -> str:
+    """Pick the assignee under accept-when-requested: the most competent
+    agent, ties broken by lowest agent id."""
     if not agents:
         raise ValueError("awr_assign requires at least one agent")
-    best = min(agents, key=lambda a: (-a.competence_for(task_type), a.agent_id))
+    best = min(agents, key=lambda a: (-a.competence, a.agent_id))
     return best.agent_id

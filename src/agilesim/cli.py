@@ -190,6 +190,10 @@ def _simulate_one(config: core.ScenarioConfig, args, out_dir: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.compare and args.allocator:
+        raise core.InputError(
+            "--allocator: cannot be combined with --compare, which runs both allocators"
+        )
     out_root = Path(args.out)
     if args.all_presets:
         for name in core.PRESET_NAMES:

@@ -72,13 +72,12 @@ class TaskTypeSpec:
 class AgentState:
     """A developer agent: identity, context, and pending work.
 
-    ``competence`` is a scalar in [0, 1]; a per-type override map may be
-    supplied for agents whose skill differs across task types.
-    ``pending`` holds accepted-but-unfinished tasks in acceptance order,
-    which is the service order, as ``[type_id, claim_day, count]`` runs.
-    Only the head task can be partly served; ``head_remaining`` is its
-    remaining effort while ``pending`` is non-empty. ``queued`` counts
-    the pending tasks per type.
+    ``competence`` is a scalar in [0, 1], the agent's skill at every
+    task type. ``pending`` holds accepted-but-unfinished tasks in
+    acceptance order, which is the service order, as ``[type_id,
+    claim_day, count]`` runs. Only the head task can be partly served;
+    ``head_remaining`` is its remaining effort while ``pending`` is
+    non-empty.
     """
 
     agent_id: str
@@ -86,17 +85,10 @@ class AgentState:
     competence: float
     mood: float
     max_effort: float
-    competence_by_type: dict[str, float] | None = None
     pending: deque[list] = field(default_factory=deque)
     head_remaining: float = 0.0
-    queued: dict[str, int] = field(default_factory=dict)
     pending_effort: float = 0.0
     recent_completions: dict[str, int] = field(default_factory=dict)
-
-    def competence_for(self, type_id: str) -> float:
-        if self.competence_by_type and type_id in self.competence_by_type:
-            return self.competence_by_type[type_id]
-        return self.competence
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ _PROFILES = {
 }
 
 # Per-type (utility, effort) ladder shared by all presets; priority is
-# taken equal to utility since higher-value work is queued first.
+# taken equal to utility since higher-value work heads the common queue.
 _TASK_LADDER = ((10.0, 10.0), (8.0, 8.0), (5.0, 5.0), (3.0, 3.0), (1.0, 1.0))
 
 # Head counts per preset in HCA/MCA/MIA/HIA order, with the per-type task

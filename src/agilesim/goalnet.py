@@ -681,13 +681,16 @@ def load_stories(path: str | Path) -> list[UserStory]:
 
 
 def load_goals(path: str | Path) -> tuple[list[str], dict[str, str], str]:
-    """Load the goal clustering document: high-level goal labels, the
-    story-to-goal assignment, and the root label."""
+    """Load the goal clustering document: high-level goal labels, each
+    used once, the story-to-goal assignment, and the root label."""
 
     def build(handle) -> tuple[list[str], dict[str, str], str]:
         doc = json.load(handle)
         reader = DocumentReader(doc, GoalNetError)
         goals = reader.field(doc, "goals", list_of(text))
+        for index, label in enumerate(goals or ()):
+            if goals.index(label) != index:
+                reader.errors.append(f"goals[{index}]: duplicate goal label {label!r}")
         assignment = reader.field(doc, "assignment", dict) or {}
         assignment = {
             key: reader.field(assignment, key, text, "assignment") for key in assignment

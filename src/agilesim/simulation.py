@@ -6,7 +6,7 @@ Each day: (1) new tasks are admitted to the common queue of their type;
 agent (AWR); (3) each agent spends up to its daily effort on its
 pending tasks in acceptance order, carrying partial effort across days;
 (4) each completion draws a quality outcome with success probability
-equal to the worker's competence for the type; (5) moods update
+equal to the worker's competence; (5) moods update
 according to the scenario's mood mode; (6) the day's metrics are
 recorded.
 
@@ -27,16 +27,17 @@ offered (type, yesterday's completions of the type) pairs, and kept
 for the run. Under fcm-coupled mood few moods recur (an idle agent's
 mood is the mood map's idle constant), so the memo stays small.
 ``smart_plan`` is handed that order and neither re-checks nor re-sorts
-the offers. A served agent's terms for a type (effort, utility,
-competence, nominal days) are looked up once per run and profile.
+the offers. An agent's terms for a type (effort, utility, competence,
+nominal days) are built at day 0, once per profile of the roster.
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with every series at horizon length
 and full of zeros; ``tick`` writes a day's slot only for an agent that
 got or holds work, so an idle agent costs a reset of its recent
 completions in the service phase and nothing in the recording phase.
-Congestion sums only the queues of agents served that day: every other
-agent's queues are empty. Under fcm-coupled mood every agent still
+Congestion and the task-conservation check share one walk a day over
+the agents' runs, each agent's runs totalled per type; only agents
+served that day hold any. Under fcm-coupled mood every agent still
 takes one ``fcm.step`` a day; one that completed nothing steps from
 ``(mood, 0.5, 0.5)``. All agents step one shared map, and after an idle
 day an agent's mood is that map's idle constant, so a repeated idle
@@ -66,7 +67,6 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 from . import fcm
 from .allocation import (
@@ -87,7 +87,7 @@ _EPS = 1e-9
 Visit = tuple[dict[str, TypeEconomics], list[tuple[str, float, bool]]]
 # What an agent's economics and service terms depend on besides its mood
 # (see ``_profile``).
-Profile = tuple[float, float] | str
+Profile = tuple[float, float]
 # A type's service terms for one profile: effort, utility, competence
 # and nominal days.
 ServiceTerm = tuple[float, float, float, int]
@@ -108,17 +108,17 @@ class SimState:
     agent's ``pending``, or in ``metrics.completed_count``.
     ``effort_received`` sums, per agent, the effort of the tasks it
     completed, in completion order. ``types`` is the scenario's task
-    types by id. ``awr_assignee`` maps each type to its AWR assignee,
-    fixed for the run (empty under SMART).
+    types by id. ``awr_assignee`` is the AWR assignee, the most
+    competent agent, fixed for the run (None under SMART).
 
     ``score_tables`` maps an agent's ``(Profile, mood)`` to one
     ``Visit`` (the SMART economics of the offered types and their visit
     order) per offered set, keyed by its tuple of (type, tasks of it
-    completed yesterday) pairs. ``service_terms`` maps the profile of
-    each agent that has held work to ``(effort, utility, competence,
-    nominal days)`` per type it has completed. Agents of one profile
-    share both, so their size follows the roster's categories and the
-    moods visited, not its head count.
+    completed yesterday) pairs; it fills as moods are visited.
+    ``service_terms`` maps each profile of the roster to ``(effort,
+    utility, competence, nominal days)`` per type, built at day 0.
+    Agents of one profile share both, so their size follows the
+    roster's categories and the moods visited, not its head count.
 
     ``metrics`` is the run's ``RunResult``, built at day 0; ``tick``
     writes each day into it and ``run`` returns it.
@@ -134,7 +134,7 @@ class SimState:
     effort_received: dict[str, float]
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
-    awr_assignee: dict[str, AgentState] = field(default_factory=dict)
+    awr_assignee: AgentState | None = None
     score_tables: dict[
         tuple[Profile, float], dict[tuple[tuple[str, int], ...], Visit]
     ] = field(default_factory=dict)
@@ -239,8 +239,6 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         mood, mood_map = config.mood_mode.value, None
     agents = config.team.build_agents(mood=mood)
     types = config.task_types()
-    for agent in agents:
-        agent.queued = dict.fromkeys(types, 0)
     horizon = config.horizon_days
     state = SimState(
         day=0,
@@ -268,15 +266,15 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
         effort_received={a.agent_id: 0.0 for a in agents},
         mood_map=mood_map,
     )
-    state._types_by_priority = sorted(
-        types, key=lambda tid: (-types[tid].priority, tid)
-    )
-    if config.allocator is Allocator.AWR:
-        # Competence is static within a run, so the choice per type is too.
-        agents_by_id = {agent.agent_id: agent for agent in agents}
-        state.awr_assignee = {
-            tid: agents_by_id[awr_assign(tid, agents)] for tid in types
+    state._types_by_priority = sorted(types, key=lambda t: (-types[t].priority, t))
+    for competence, max_effort in dict.fromkeys(map(_profile, agents)):
+        state.service_terms[competence, max_effort] = {
+            tid: (s.effort, s.utility, competence, math.ceil(s.effort / max_effort))
+            for tid, s in types.items()
         }
+    if config.allocator is Allocator.AWR:
+        # Competence is static within a run, so the choice is too.
+        state.awr_assignee = {a.agent_id: a for a in agents}[awr_assign(agents)]
     return state
 
 
@@ -286,26 +284,28 @@ def _quality_rng(seed: int) -> random.Random:
     return random.Random(2 * seed + 1)
 
 
+def _add_each(total: float, effort: float, count: int) -> float:
+    """``total`` plus ``effort`` once per task, rounded as a task-by-task
+    simulator rounds it; whole numbers summing below 2**53 add exactly."""
+    if total % 1 == 0 and effort % 1 == 0 and abs(total) + count * effort < 2**53:
+        return total + count * effort
+    for _ in range(count):
+        total += effort
+    return total
+
+
 def _claim(agent: AgentState, tid: str, count: int, effort: float, day: int) -> None:
     pending = agent.pending
     if not pending:
         agent.head_remaining = effort
     pending.append([tid, day, count])
-    agent.queued[tid] += count
-    # Once per task: one count * effort can round differently.
-    pending_effort = agent.pending_effort
-    for _ in range(count):
-        pending_effort += effort
-    agent.pending_effort = pending_effort
+    agent.pending_effort = _add_each(agent.pending_effort, effort, count)
 
 
 def _profile(agent: AgentState) -> Profile:
     """An agent's economics and service terms are functions of its
-    competence for the type and its daily effort, so agents with one
-    competence for every type and the same effort share them; an agent
-    with per-type competences has a profile of its own."""
-    if agent.competence_by_type:
-        return agent.agent_id
+    competence and its daily effort, so agents with the same two share
+    them."""
     return (agent.competence, agent.max_effort)
 
 
@@ -330,7 +330,7 @@ def _visit(
             tid: TypeEconomics(
                 type_id=tid,
                 expected_utility=expected_utility(
-                    types[tid].utility, agent.competence_for(tid), mood
+                    types[tid].utility, agent.competence, mood
                 ),
                 recent_service_rate=float(count),
                 effort=types[tid].effort,
@@ -341,20 +341,29 @@ def _visit(
     return visit
 
 
-def _check_conservation(state: SimState) -> None:
+def _check_conservation(state: SimState) -> float:
+    """Check that every task is in exactly one place and return the
+    day's congestion, from one walk over every agent's runs (an idle
+    agent's too, so a task lost or duplicated there is caught): an
+    agent's runs totalled per type are its queue sizes."""
+    queue_sizes: list[int] = []
+    for agent in state.agents:
+        if agent.pending:
+            counts: dict[str, int] = {}
+            for tid, _, n in agent.pending:
+                counts[tid] = counts.get(tid, 0) + n
+            queue_sizes.extend(counts.values())
     in_common = sum(state.common_queue.values())
-    # Every agent's runs, not only those served today: a task lost or
-    # duplicated in an idle agent's queue must be caught too. The runs'
-    # own counts, not ``queued``, which is kept beside them. Skipping an
-    # empty queue skips no run and halves the cost of the walk.
-    in_agents = sum([run[2] for a in state.agents if a.pending for run in a.pending])
+    in_agents = sum(queue_sizes)
     completed = state.metrics.completed_count
     if in_common + in_agents + completed != state.arrived_total:
         raise SimulationInvariantError(
             f"task conservation breached on day {state.day}: "
-            f"{in_common} queued + {in_agents} assigned + "
+            f"{in_common} in the common queue + {in_agents} assigned + "
             f"{completed} completed != {state.arrived_total} arrived"
         )
+    # A sum of integer squares is exact in any order.
+    return congestion(queue_sizes)
 
 
 def tick(state: SimState, config: ScenarioConfig) -> SimState:
@@ -390,18 +399,16 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                     _claim(agent, tid, count, effort, day)
                     metrics.assigned_effort[agent.agent_id][day] += count * effort
             offered = {tid: count for tid, count in plan.rejected.items() if count}
-    else:  # AWR: every queued task is assigned immediately, none rejected.
+    else:  # AWR: every task in the common queue is assigned at once, none rejected.
         for tid in state._types_by_priority:
             count = common_queue[tid]
             if count:
                 common_queue[tid] = 0
-                agent = state.awr_assignee[tid]
+                agent = state.awr_assignee
                 effort = types[tid].effort
                 _claim(agent, tid, count, effort, day)
                 assigned = metrics.assigned_effort[agent.agent_id]
-                # Once per task, as in _claim.
-                for _ in range(count):
-                    assigned[day] += effort
+                assigned[day] = _add_each(assigned[day], effort, count)
 
     # (3) Service, (4) quality outcomes, task by task in roster order so
     # the quality draws keep their order; only agents holding work are
@@ -411,7 +418,6 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     delayed = 0
     draw = state.quality_rng.random
     stream = metrics.completion_stream
-    working: list[AgentState] = []
     outcomes: dict[str, tuple[int, int, int]] = {}
     for agent in state.agents:
         agent_id = agent.agent_id
@@ -426,12 +432,8 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         max_effort = budget = agent.max_effort
         head_remaining = agent.head_remaining
         pending_effort = agent.pending_effort
-        queued = agent.queued
         received = state.effort_received[agent_id]
-        profile = _profile(agent)
-        terms = state.service_terms.get(profile)
-        if terms is None:
-            terms = state.service_terms[profile] = {}
+        terms = state.service_terms[_profile(agent)]
         served: dict[str, int] = {}
         done = on_time = high_quality = 0
         while budget > _EPS and pending:
@@ -447,16 +449,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                     pending.popleft()
                 if pending:
                     head_remaining = types[pending[0][0]].effort
-                queued[tid] -= 1
-                term = terms.get(tid)
-                if term is None:
-                    spec = types[tid]
-                    term = terms[tid] = (
-                        spec.effort,
-                        spec.utility,
-                        agent.competence_for(tid),
-                        math.ceil(spec.effort / max_effort),
-                    )
+                term = terms[tid]
                 effort, utility, competence, nominal_days = term
                 if stream is not None:
                     stream.append(term)
@@ -478,7 +471,6 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         outcomes[agent_id] = (done, on_time, high_quality)
         completions_today += done
         metrics.high_quality_count += high_quality
-        working.append(agent)
         metrics.busy_effort[agent_id][day] = max_effort - budget
         metrics.pending_workload[agent_id][day] = pending_effort
     metrics.delay_count += delayed
@@ -495,16 +487,11 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             mood_state = fcm.StateVector((agent.mood, progress, quality))
             agent.mood = fcm.step(mood_map, mood_state).values[0]
 
-    # (6) Record the day's totals and advance the clock. Agents not
-    # served today hold no tasks, so their queues add nothing to
-    # congestion.
-    metrics.congestion[day] = congestion(
-        chain.from_iterable(agent.queued.values() for agent in working)
-    )
+    # (6) Record the day's totals and advance the clock.
     metrics.arrivals[day] = arrived
     metrics.completions[day] = completions_today
     metrics.utility[day] = utility_today
-    _check_conservation(state)
+    metrics.congestion[day] = _check_conservation(state)
     state.day += 1
     return state
 

@@ -352,29 +352,16 @@ class TestAwrAssign:
 
     def test_most_competent_wins(self):
         team = self.agents(("a1", 0.9), ("a2", 0.3))
-        assert allocation.awr_assign("T1", team) == "a1"
+        assert allocation.awr_assign(team) == "a1"
 
     def test_tie_breaks_to_lowest_id(self):
         team = self.agents(("a2", 0.7), ("a1", 0.7))
-        assert allocation.awr_assign("T1", team) == "a1"
+        assert allocation.awr_assign(team) == "a1"
 
     def test_single_agent(self):
         team = self.agents(("solo", 0.1))
-        assert allocation.awr_assign("T1", team) == "solo"
+        assert allocation.awr_assign(team) == "solo"
 
     def test_empty_team(self):
         with pytest.raises(ValueError):
-            allocation.awr_assign("T1", [])
-
-    def test_uses_per_type_competence(self):
-        specialist = core.AgentState(
-            agent_id="a9",
-            category=core.Category.MIA,
-            competence=0.3,
-            mood=1.0,
-            max_effort=10.0,
-            competence_by_type={"T1": 0.95},
-        )
-        team = [*self.agents(("a1", 0.9)), specialist]
-        assert allocation.awr_assign("T1", team) == "a9"
-        assert allocation.awr_assign("T2", team) == "a1"
+            allocation.awr_assign([])

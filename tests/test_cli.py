@@ -190,6 +190,17 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "repetitions: must satisfy repetitions >= 1" in capsys.readouterr().err
 
+    def test_compare_with_allocator_exits_2(self, tmp_path, capsys):
+        # --compare runs both allocators, so an --allocator would be ignored.
+        out = tmp_path / "out"
+        argv = ["simulate", "--preset", "S-M", "--compare", "--allocator", "AWR",
+                "--repetitions", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --allocator: cannot be combined with --compare")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # Seed -1 would replay seed 0's quality draws.
         argv = ["simulate", "--preset", "S-M", "--repetitions", "1", "--seed=-1",
@@ -620,10 +631,12 @@ class TestMalformedCorpus:
              "story ids must be unique (repeated id '1.1')"),
             ("stories.json", ["stories", 1, "cut_across"], "false",
              "stories[1].cut_across: invalid value 'false'"),
+            ("goals.json", ["goals", 1], "Improved user interface",
+             "goals[1]: duplicate goal label 'Improved user interface'"),
         ],
         ids=["goals-number", "assignment-list", "story-without-text",
              "story-without-id", "story-string", "environment-number",
-             "story-text", "duplicate-id", "cut-across-string"],
+             "story-text", "duplicate-id", "cut-across-string", "duplicate-goal"],
     )
     def test_exits_2_with_path(self, name, location, value, message, tmp_path, capsys):
         paths = {}

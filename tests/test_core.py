@@ -417,15 +417,3 @@ class TestTeamConfig:
         assert agents[0].category is core.Category.HCA
         assert agents[-1].category is core.Category.HIA
         assert len(agents) == 20
-
-    def test_competence_for_per_type_override(self):
-        agent = core.AgentState(
-            agent_id="a",
-            category=core.Category.MCA,
-            competence=0.7,
-            mood=1.0,
-            max_effort=10.0,
-            competence_by_type={"T9": 0.2},
-        )
-        assert agent.competence_for("T9") == 0.2
-        assert agent.competence_for("T1") == 0.7

@@ -72,7 +72,7 @@ def reference_state(config):
         ),
         metrics=reference_metrics(agents),
         types_by_priority=sorted(types, key=lambda tid: (-types[tid].priority, tid)),
-        awr_assignee={tid: agents_by_id[awr_assign(tid, agents)] for tid in types},
+        awr_assignee={tid: agents_by_id[awr_assign(agents)] for tid in types},
     )
 
 
@@ -99,7 +99,7 @@ def reference_tick(state, config):
                 tid: TypeEconomics(
                     type_id=tid,
                     expected_utility=expected_utility(
-                        types[tid].utility, agent.competence_for(tid), agent.mood
+                        types[tid].utility, agent.competence, agent.mood
                     ),
                     recent_service_rate=float(agent.recent_completions.get(tid, 0)),
                     effort=types[tid].effort,
@@ -142,9 +142,7 @@ def reference_tick(state, config):
                 task.remaining_effort = 0.0
                 task.completion_day = day
                 spec = types[task.type_id]
-                success = state.quality_rng.random() < agent.competence_for(
-                    task.type_id
-                )
+                success = state.quality_rng.random() < agent.competence
                 task.quality_success = success
                 nominal_days = math.ceil(spec.effort / agent.max_effort)
                 late = (day - task.assigned_day + 1) > nominal_days
@@ -428,6 +426,35 @@ class TestTickHandTraces:
             simulation.tick(state, config)
 
 
+def added_one_by_one(total, effort, count):
+    for _ in range(count):
+        total += effort
+    return total
+
+
+class TestAddEach:
+    def test_fractions_round_once_per_task(self):
+        # 0.7 added ten times is 7.000000000000001; 10 * 0.7 is 7.0.
+        assert simulation._add_each(0.0, 0.7, 10) == added_one_by_one(0.0, 0.7, 10)
+        assert added_one_by_one(0.0, 0.7, 10) != 10 * 0.7
+
+    def test_whole_numbers_past_2_53_round_once_per_task(self):
+        total = 2.0**53 - 2
+        assert simulation._add_each(total, 1.0, 4) == added_one_by_one(total, 1.0, 4)
+        assert added_one_by_one(total, 1.0, 4) != total + 4
+
+    def test_matches_one_by_one_on_random_inputs(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            total = rng.choice([0.0, float(rng.randrange(1000)), rng.uniform(0, 100)])
+            whole = rng.randrange(1, 20)
+            effort = rng.choice([float(whole), whole, rng.uniform(0.1, 9)])
+            count = rng.randrange(1, 300)
+            expected = added_one_by_one(total, effort, count)
+            got = simulation._add_each(total, effort, count)
+            assert got == expected and type(got) is type(expected)
+
+
 class TestConservationAndAccounting:
     def test_every_task_in_exactly_one_place(self):
         config = core.with_overrides(core.preset("S-I"), seed=4)
@@ -438,11 +465,6 @@ class TestConservationAndAccounting:
             in_agents = sum(run[2] for a in state.agents for run in a.pending)
             completed = state.metrics.completed_count
             assert in_common + in_agents + completed == state.arrived_total
-            for agent in state.agents:
-                queued = dict.fromkeys(agent.queued, 0)
-                for tid, _, count in agent.pending:
-                    queued[tid] += count
-                assert queued == agent.queued
 
     def test_completed_tasks_received_exact_effort(self):
         config = make_scenario(
@@ -507,7 +529,7 @@ class TestConservationAndAccounting:
                 holder, idle = state.agents
                 assert holder.pending and not idle.pending
                 idle.pending.append(list(holder.pending[0]))
-            real_check(state)
+            return real_check(state)
 
         monkeypatch.setattr(simulation, "_check_conservation", corrupting_check)
         with pytest.raises(
@@ -629,14 +651,15 @@ class TestRepeatedRuns:
         assert len(outcomes) > 1
 
     @pytest.mark.parametrize("allocator", list(core.Allocator))
-    def test_hand_built_scenario_equals_independent_runs(self, monkeypatch, allocator):
-        # Per-type competences, mood 0.3 and psi 2.5 on fractional
-        # efforts and on utilities whose sums round; under AWR the one
-        # assignee builds a backlog.
+    def test_hand_built_scenario_equals_independent_runs(self, allocator):
+        # Three competences, mood 0.3 and psi 2.5 on fractional efforts
+        # and on utilities whose sums round; under AWR the one assignee
+        # builds a backlog.
         config = make_scenario(
             categories=(
                 (core.Category.HCA, 1, 0.9, 3.5),
-                (core.Category.MIA, 2, 0.45, 2.25),
+                (core.Category.MCA, 1, 0.6, 2.25),
+                (core.Category.MIA, 1, 0.15, 2.25),
             ),
             tasks=(
                 ("T1", 4.0, 6.3, 1.75, 40),
@@ -650,21 +673,12 @@ class TestRepeatedRuns:
             allocator=allocator,
             mood_mode=core.MoodMode.constant(0.3),
         )
-        real_build = core.TeamConfig.build_agents
-
-        def build_agents(team, mood=1.0):
-            agents = real_build(team, mood)
-            agents[1].competence_by_type = {"T2": 0.95}
-            agents[2].competence_by_type = {"T1": 0.15, "T3": 0.6}
-            return agents
-
-        monkeypatch.setattr(core.TeamConfig, "build_agents", build_agents)
         repeated = assert_runs_are_independent_runs(config)
         first = repeated.runs[0]
         if allocator is core.Allocator.AWR:
             assert max(first.pending_workload["dev-000"]) > 3 * 3.5
         else:
-            assert {term[2] for term in first.completion_stream} & {0.95, 0.15, 0.6}
+            assert {term[2] for term in first.completion_stream} == {0.9, 0.6, 0.15}
         assert len({tuple(run.utility) for run in repeated.runs}) > 1
 
     @pytest.mark.parametrize(
@@ -786,7 +800,7 @@ class TestIdleAgentEquivalence:
                     assert economics[tid] == TypeEconomics(
                         type_id=tid,
                         expected_utility=expected_utility(
-                            types[tid].utility, agent.competence_for(tid), agent.mood
+                            types[tid].utility, agent.competence, agent.mood
                         ),
                         recent_service_rate=float(agent.recent_completions.get(tid, 0)),
                         effort=types[tid].effort,
@@ -804,8 +818,18 @@ class TestIdleAgentEquivalence:
             monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
             monkeypatch.setattr(simulation, "smart_plan", real_plan)
+
+            def watched_tick(state, config):
+                # Congestion must total a type over an agent's runs.
+                simulation.tick(state, config)
+                for agent in state.agents:
+                    held = [run[0] for run in agent.pending]
+                    if len(held) > len(set(held)):
+                        seen.add("two runs of one type")
+                return state
+
             got_state = simulation.initial_state(config)
-            got_moods = mood_trajectory(config, simulation.tick, got_state)
+            got_moods = mood_trajectory(config, watched_tick, got_state)
             state = reference_state(config)
             want_moods = mood_trajectory(config, reference_tick, state)
             want = state.metrics
@@ -839,6 +863,7 @@ class TestIdleAgentEquivalence:
         assert seen == {
             "residue",
             "overlay",
+            "two runs of one type",
             "mood moved",
             (core.Allocator.SMART, "constant"),
             (core.Allocator.SMART, "fcm-coupled"),
@@ -860,16 +885,26 @@ class TestIdleAgentEquivalence:
 
 
     def test_tables_shared_only_by_agents_of_one_competence(self, monkeypatch):
-        # dev-000 and dev-001 share SMART visits and service terms;
-        # dev-002, given its own competence for T2, must not read theirs.
+        # dev-001 and dev-002 share SMART visits and service terms;
+        # dev-000, of another competence, must not read theirs.
         config = make_scenario(
-            categories=((core.Category.HCA, 3, 0.5, 4.0),),
+            categories=(
+                (core.Category.HCA, 1, 1.0, 4.0),
+                (core.Category.MCA, 2, 0.5, 4.0),
+            ),
             tasks=(("T1", 5.0, 5.0, 2.0, 60), ("T2", 3.0, 3.0, 1.0, 60)),
             horizon_days=6,
         )
         types = config.task_types()
         state = simulation.initial_state(config)
-        state.agents[2].competence_by_type = {"T2": 1.0}
+        # Every profile's terms are built at day 0.
+        assert state.service_terms == {
+            (competence, 4.0): {
+                "T1": (2.0, 5.0, competence, 1),
+                "T2": (1.0, 3.0, competence, 1),
+            }
+            for competence in (1.0, 0.5)
+        }
         real_plan = simulation.smart_plan
         visited = set()
 
@@ -877,7 +912,7 @@ class TestIdleAgentEquivalence:
             visited.add(agent.agent_id)
             for tid in incoming:
                 assert economics[tid].expected_utility == expected_utility(
-                    types[tid].utility, agent.competence_for(tid), agent.mood
+                    types[tid].utility, agent.competence, agent.mood
                 )
             return real_plan(agent, incoming, economics, psi, order=order)
 
@@ -885,9 +920,10 @@ class TestIdleAgentEquivalence:
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
         assert visited == {"dev-000", "dev-001", "dev-002"}
-        assert {profile for profile, _ in state.score_tables} == {(0.5, 4.0), "dev-002"}
-        assert state.service_terms["dev-002"]["T2"][2] == 1.0
-        assert state.service_terms[0.5, 4.0]["T1"][2] == 0.5
+        profiles = {simulation._profile(agent) for agent in state.agents}
+        assert profiles == {(1.0, 4.0), (0.5, 4.0)}
+        assert {profile for profile, _ in state.score_tables} == profiles
+        assert set(state.service_terms) == profiles
 
 
 class TestMoodCoupling:
