@@ -31,6 +31,7 @@ from .allocation import (
 )
 from .fcm import ConceptMap, StateVector, Trajectory
 from .simulation import (
+    Outcome,
     RepeatedResult,
     RunResult,
     SimState,

@@ -17,7 +17,7 @@ written through ``core.write_csv``, ``core.write_csv_text`` and
 * ``utility.csv``: day, run, allocator, cumulative_utility
 * ``allocation.csv``: agent, category, share, allocator
 * ``queues.csv``: day, agent, pending_workload, congestion, allocator
-  (series from the first repetition). It is rendered a day at a time
+  (series from the first trajectory). It is rendered a day at a time
   and keeps the bytes ``core.write_csv`` writes for those rows.
 * ``summary.csv``: scenario, allocator, repetitions, mean_utility,
   std_utility, mean_completed, mean_delay_pct
@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 from . import __version__, core, fcm, goalnet, metrics, simulation
@@ -95,8 +96,8 @@ def _write_simulation_outputs(
         (
             [day, run_index, allocator, value]
             for allocator, repeated in results.items()
-            for run_index, result in enumerate(repeated.runs)
-            for day, value in enumerate(result.cumulative_utility())
+            for run_index, outcome in enumerate(repeated.outcomes)
+            for day, value in enumerate(accumulate(outcome.utility))
         ),
     )
 
@@ -104,14 +105,13 @@ def _write_simulation_outputs(
     for allocator, repeated in results.items():
         share_sums: dict[str, float] = {}
         counted = 0
-        effort = report = None
-        for result in repeated.runs:
-            # Redrawn runs share their first run's series, so the shares
-            # are computed once per trajectory and added once per run.
-            if result.assigned_effort is not effort:
-                effort = result.assigned_effort
+        index = report = None
+        for outcome in repeated.outcomes:
+            # Outcomes are grouped by trajectory: one report per trajectory.
+            if outcome.trajectory != index:
+                index = outcome.trajectory
                 try:
-                    report = metrics.allocation_proportion(result)
+                    report = metrics.allocation_proportion(repeated.trajectories[index])
                 except metrics.MetricsError:
                     report = None
             if report is None:
@@ -121,17 +121,17 @@ def _write_simulation_outputs(
                 share_sums[agent] = share_sums.get(agent, 0.0) + share
         if not counted:
             continue
-        categories = repeated.runs[0].categories
-        for agent in repeated.runs[0].agent_ids:
+        first = repeated.trajectories[0]
+        for agent in first.agent_ids:
             share = share_sums.get(agent, 0.0) / counted
-            shares.append([agent, categories[agent], share, allocator])
+            shares.append([agent, first.categories[agent], share, allocator])
     core.write_csv(
         out_dir / "allocation.csv", ["agent", "category", "share", "allocator"], shares
     )
 
     _write_queues(
         out_dir / "queues.csv",
-        {allocator: repeated.runs[0] for allocator, repeated in results.items()},
+        {allocator: r.trajectories[0] for allocator, r in results.items()},
     )
 
     summaries = []
@@ -140,9 +140,9 @@ def _write_simulation_outputs(
         delays = repeated.mean["delay_count"]
         summaries.append(
             [
-                repeated.runs[0].scenario,
+                repeated.trajectories[0].scenario,
                 allocator,
-                len(repeated.runs),
+                len(repeated.outcomes),
                 repeated.mean["global_utility"],
                 repeated.std["global_utility"],
                 completed,
@@ -180,7 +180,7 @@ def _simulate_one(config: core.ScenarioConfig, args, out_dir: Path) -> None:
             f"{config.name} {allocator}: mean utility "
             f"{repeated.mean['global_utility']:.1f} "
             f"(sd {repeated.std['global_utility']:.1f}) over "
-            f"{len(repeated.runs)} runs"
+            f"{len(repeated.outcomes)} runs"
         )
     if args.compare:
         smart = results[core.Allocator.SMART.value].mean["global_utility"]

@@ -233,12 +233,29 @@ def preset(name: str) -> ScenarioConfig:
     )
 
 
+# The largest scenario validate accepts, so that a valid scenario asks
+# for bounded work and memory: a run costs time per task, per agent-day
+# and per type-day, and keeps three float series per agent-day. Each cap
+# is 100x the largest preset or benchmark input: 100 days, 160 heads,
+# 15 000 tasks of 5 types and 10 repetitions.
+MAX_HORIZON_DAYS = 10_000
+MAX_HEAD_COUNT = 16_000
+MAX_AGENT_DAYS = 1_600_000
+MAX_TASKS = 1_500_000
+MAX_TASK_TYPES = 500
+MAX_REPETITIONS = 1_000
+
+
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant and return the config unchanged.
 
     Raises :class:`ScenarioValidationError` carrying one entry per
     violation, each prefixed with the offending field path. Real-valued
-    fields must be finite before their range is checked.
+    fields must be finite before their range is checked. Sizes are
+    bounded by the ``MAX_*`` caps: ``horizon_days``, ``repetitions``,
+    each head count and their total, each task count, their total and
+    the number of task types, and the agent-days (total head count x
+    ``horizon_days``).
     """
     errors: list[str] = []
 
@@ -248,23 +265,37 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         elif not ok:
             errors.append(f"{path}: {rule} (got {value})")
 
+    def at_most(path: str, value: int, cap: int, what: str = "must be") -> None:
+        if value > cap:
+            errors.append(f"{path}: {what} <= {cap} (got {value})")
+
     if not config.name:
         errors.append("name: must be non-empty")
     if config.horizon_days < 1:
         errors.append(f"horizon_days: must satisfy horizon_days >= 1 (got {config.horizon_days})")
+    at_most("horizon_days", config.horizon_days, MAX_HORIZON_DAYS)
     if config.repetitions < 1:
         errors.append(f"repetitions: must satisfy repetitions >= 1 (got {config.repetitions})")
+    at_most("repetitions", config.repetitions, MAX_REPETITIONS)
     # random.Random seeds from abs(n), so a negative seed would replay the
     # quality draws of a non-negative one.
     if config.seed < 0:
         errors.append(f"seed: must satisfy seed >= 0 (got {config.seed})")
     check("psi", config.psi, config.psi >= 0, "must satisfy psi >= 0")
-    if config.team.head_count() <= 0:
+    heads = config.team.head_count()
+    if heads <= 0:
         errors.append("team: total head-count must be > 0")
+    at_most("team", heads, MAX_HEAD_COUNT, "total head-count must be")
+    if heads * config.horizon_days > MAX_AGENT_DAYS:
+        errors.append(
+            f"horizon_days: total head-count x horizon_days must be <= "
+            f"{MAX_AGENT_DAYS} (got {heads} x {config.horizon_days})"
+        )
     for spec in config.team.categories:
         path = f"team.{spec.category.value}"
         if spec.count < 0:
             errors.append(f"{path}.count: must be >= 0 (got {spec.count})")
+        at_most(f"{path}.count", spec.count, MAX_HEAD_COUNT)
         check(
             f"{path}.competence",
             spec.competence,
@@ -272,8 +303,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             "competence must be within (0, 1]",
         )
         check(f"{path}.max_effort", spec.max_effort, spec.max_effort > 0, "must be > 0")
-    if config.total_tasks() <= 0:
+    tasks = config.total_tasks()
+    if tasks <= 0:
         errors.append("tasks: total task count must be > 0")
+    at_most("tasks", tasks, MAX_TASKS, "total task count must be")
+    at_most("tasks", len(config.task_mix), MAX_TASK_TYPES, "task type count must be")
     seen: set[str] = set()
     for idx, (spec, count) in enumerate(config.task_mix):
         path = f"tasks[{idx}]"
@@ -282,6 +316,7 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         seen.add(spec.type_id)
         if count < 0:
             errors.append(f"{path}.count: must be >= 0 (got {count})")
+        at_most(f"{path}.count", count, MAX_TASKS)
         check(f"{path}.utility", spec.utility, spec.utility >= 0, "must be >= 0")
         check(f"{path}.effort", spec.effort, spec.effort > 0, "must be > 0")
         check(f"{path}.priority", spec.priority, spec.priority >= 0, "must be >= 0")

@@ -52,9 +52,9 @@ but the draws reads the seed, and only the mood update reads the draws.
 So the first repetition is simulated and records each completion's
 service term; every other one replays that stream through its own
 quality generator, with ``tick``'s float operations in ``tick``'s
-order, and shares the first run's series (see ``RunResult``). Under
-fcm-coupled mood the draws move the moods, so each repetition is
-simulated.
+order, and yields only an ``Outcome`` on that one trajectory (see
+``RepeatedResult``). Under fcm-coupled mood the draws move the moods,
+so each repetition is simulated and is its own trajectory.
 
 Crediting: a completed task contributes its full utility to global
 utility when its quality draw succeeds, and nothing otherwise; tasks
@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import fcm
 from .allocation import (
@@ -158,13 +158,6 @@ class RunResult:
     None under fcm-coupled mood: the service term of each completion, in
     the order of the quality draws. ``completions`` splits it by day.
     ``tick`` appends to it; ``run`` freezes it into a tuple.
-
-    Once ``run`` returns, a run's series are read-only: the runs
-    ``run_repeated`` redraws from a first run share that run's
-    ``agent_ids``, ``categories``, effort, workload, congestion, arrival
-    and completion series and its stream by identity, and own only
-    their ``utility`` series. A change to one run's shared series would
-    change every run of its set.
     """
 
     scenario: str
@@ -186,24 +179,32 @@ class RunResult:
     delay_count: int = 0
     completion_stream: list[ServiceTerm] | tuple[ServiceTerm, ...] | None = None
 
-    def cumulative_utility(self) -> list[float]:
-        total = 0.0
-        series = []
-        for value in self.utility:
-            total += value
-            series.append(total)
-        return series
-
     def total_assigned_effort(self) -> dict[str, float]:
         return {agent: sum(series) for agent, series in self.assigned_effort.items()}
 
 
 @dataclass
-class RepeatedResult:
-    """All runs of one scenario plus per-metric mean and standard
-    deviation (sample standard deviation; 0.0 for a single run)."""
+class Outcome:
+    """One repetition's quality outcomes: its seed, per-day utility and
+    totals, drawn on its set's trajectory at index ``trajectory``. With
+    that trajectory's other fields they are ``run(config, seed)``."""
 
-    runs: list[RunResult]
+    seed: int
+    utility: list[float]
+    global_utility: float
+    high_quality_count: int
+    trajectory: int
+
+
+@dataclass
+class RepeatedResult:
+    """The repetitions of one scenario: one ``Outcome`` per seed, in seed
+    order; the simulated runs they were drawn on (under constant mood
+    one, the first seed's; under fcm-coupled mood outcome i's is run i);
+    and per-metric mean and sample standard deviation (0.0 for one)."""
+
+    trajectories: list[RunResult]
+    outcomes: list[Outcome]
     mean: dict[str, float]
     std: dict[str, float]
 
@@ -526,13 +527,11 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     return result
 
 
-def _redraw(first: RunResult, seed: int) -> RunResult:
-    """``first``, a constant-mood run, redone at ``seed``: its
-    trajectory, with each day's completions replayed from its completion
-    stream through the seed's quality draws, taking ``tick``'s float
-    operations in ``tick``'s order. Only ``seed`` and the utility and
-    quality outcomes are new; every other series is ``first``'s own
-    object, shared, not copied.
+def _redraw(first: RunResult, seed: int) -> Outcome:
+    """The outcome at ``seed`` on ``first``, a constant-mood run and its
+    set's trajectory 0: each day's completions replayed from its
+    completion stream through the seed's quality draws, taking
+    ``tick``'s float operations in ``tick``'s order.
 
     The replay must use the stream exactly: one term per completion,
     ``completed_count`` in all, and none left over.
@@ -556,13 +555,7 @@ def _redraw(first: RunResult, seed: int) -> RunResult:
             f"redraw at seed {seed}: replayed {consumed} service terms of a "
             f"stream of {len(stream)} for {first.completed_count} completions"
         )
-    return replace(
-        first,
-        seed=seed,
-        utility=utility,
-        global_utility=sum(utility),
-        high_quality_count=high_quality,
-    )
+    return Outcome(seed, utility, sum(utility), high_quality, 0)
 
 
 def run_repeated(config: ScenarioConfig) -> RepeatedResult:
@@ -580,18 +573,24 @@ def run_repeated(config: ScenarioConfig) -> RepeatedResult:
     first = run(config, seed=config.seed)
     seeds = range(config.seed + 1, config.seed + config.repetitions)
     if first.completion_stream is None:
-        runs = [first] + [run(config, seed=seed) for seed in seeds]
+        trajectories = [first] + [run(config, seed=seed) for seed in seeds]
+        redrawn = []
     else:
-        runs = [first] + [_redraw(first, seed) for seed in seeds]
+        trajectories, redrawn = [first], [_redraw(first, seed) for seed in seeds]
+    outcomes = [
+        Outcome(r.seed, r.utility, r.global_utility, r.high_quality_count, i)
+        for i, r in enumerate(trajectories)
+    ] + redrawn
+    drawn_on = [trajectories[o.trajectory] for o in outcomes]
     metric_values = {
-        "global_utility": [r.global_utility for r in runs],
-        "completed_count": [float(r.completed_count) for r in runs],
-        "high_quality_count": [float(r.high_quality_count) for r in runs],
-        "delay_count": [float(r.delay_count) for r in runs],
+        "global_utility": [o.global_utility for o in outcomes],
+        "completed_count": [float(r.completed_count) for r in drawn_on],
+        "high_quality_count": [float(o.high_quality_count) for o in outcomes],
+        "delay_count": [float(r.delay_count) for r in drawn_on],
     }
     mean = {name: statistics.fmean(values) for name, values in metric_values.items()}
     std = {
         name: statistics.stdev(values) if len(values) > 1 else 0.0
         for name, values in metric_values.items()
     }
-    return RepeatedResult(runs=runs, mean=mean, std=std)
+    return RepeatedResult(trajectories, outcomes, mean, std)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -223,9 +224,19 @@ class TestSimulateCommand:
             ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
                         "effort": 1, "count": 0}],
              "tasks: total task count must be > 0"),
+            # Before the caps this ran until killed: every day each task's
+            # fractional effort was added to a queue one task at a time.
+            ("tasks", [{"type_id": "T1", "priority": 1, "utility": 1,
+                        "effort": 2.5, "count": 10**20}],
+             "tasks[0].count: must be <= 1500000 (got 100000000000000000000)"),
+            ("horizon_days", 10**7, "horizon_days: must be <= 10000 (got 10000000)"),
+            ("repetitions", 10**6, "repetitions: must be <= 1000 (got 1000000)"),
+            ("team", {"HCA": {"count": 10**6, "competence": 0.9, "max_effort": 20}},
+             "team.HCA.count: must be <= 16000 (got 1000000)"),
         ],
         ids=["mood-mode", "team-count", "psi-nan", "psi-bool", "effort-nan",
-             "no-tasks"],
+             "no-tasks", "task-count-cap", "horizon-cap", "repetitions-cap",
+             "team-count-cap"],
     )
     def test_malformed_scenario_field_exits_2(self, field, value, path, tmp_path, capsys):
         doc = core.scenario_to_document(core.preset("S-M"))
@@ -253,14 +264,44 @@ def reference_queue_rows(firsts):
     )
 
 
+def per_seed_runs(repeated):
+    """Each repetition's own ``RunResult``: its outcome's fields on a copy
+    of its trajectory."""
+    return [
+        dataclasses.replace(
+            copy.deepcopy(repeated.trajectories[outcome.trajectory]),
+            seed=outcome.seed,
+            utility=list(outcome.utility),
+            global_utility=outcome.global_utility,
+            high_quality_count=outcome.high_quality_count,
+        )
+        for outcome in repeated.outcomes
+    ]
+
+
+def reference_utility_rows(results):
+    """The rows of ``utility.csv``, each repetition's cumulative utility
+    summed day by day from 0.0."""
+    rows = []
+    for allocator, repeated in results.items():
+        for run_index, result in enumerate(per_seed_runs(repeated)):
+            total = 0.0
+            for day, value in enumerate(result.utility):
+                total += value
+                rows.append([day, run_index, allocator, total])
+    return rows
+
+
 def reference_allocation_rows(results):
     """The rows of ``allocation.csv`` with ``allocation_proportion``
-    computed for every run, as if no two runs shared a series."""
+    computed for every repetition's own run, as if no two shared a
+    trajectory."""
     rows = []
     for allocator, repeated in results.items():
         share_sums = {}
         counted = 0
-        for result in repeated.runs:
+        runs = per_seed_runs(repeated)
+        for result in runs:
             try:
                 report = metrics.allocation_proportion(result)
             except metrics.MetricsError:
@@ -269,7 +310,7 @@ def reference_allocation_rows(results):
             for agent, share in report.by_agent.items():
                 share_sums[agent] = share_sums.get(agent, 0.0) + share
         if counted:
-            first = repeated.runs[0]
+            first = runs[0]
             for agent in first.agent_ids:
                 share = share_sums.get(agent, 0.0) / counted
                 rows.append([agent, first.categories[agent], share, allocator])
@@ -376,6 +417,43 @@ class TestSimulationWriters:
         got = (tmp_path / "allocation.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert len(got.splitlines()) == 1 + 5 * len(results)
+
+    @pytest.mark.parametrize(
+        "mood_mode", [core.MoodMode.constant(), core.MoodMode.fcm_coupled()],
+        ids=["constant", "fcm-coupled"],
+    )
+    def test_utility_rows_equal_the_running_total(self, tmp_path, mood_mode):
+        configs = [
+            dataclasses.replace(
+                core.with_overrides(core.preset(name), seed=seed, repetitions=3),
+                mood_mode=mood_mode,
+            )
+            for name, seed in (("S-I", 0), ("M-M", 5), ("L-C", 987_654_321))
+        ]
+        # No task fits a day's effort: SMART accepts none, and AWR's
+        # assignee completes nothing on day 0.
+        idle = make_scenario(
+            categories=((core.Category.HCA, 2, 0.9, 3.5), (core.Category.MIA, 3, 0.45, 2.25)),
+            tasks=(("T1", 4.0, 6.3, 4.75, 40), ("T2", 2.0, 0.1, 3.8, 55)),
+            horizon_days=20,
+            repetitions=3,
+            seed=4,
+            mood_mode=mood_mode,
+        )
+        for config in [*configs, idle]:
+            results = {
+                a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
+                for a in core.Allocator
+            }
+            cli._write_simulation_outputs(tmp_path, results)
+            header = ["day", "run", "allocator", "cumulative_utility"]
+            want = reference_utility_rows(results)
+            core.write_csv(tmp_path / "want.csv", header, want)
+            got = (tmp_path / "utility.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes(), config.name
+            assert len(want) == 2 * 3 * config.horizon_days
+        awr = results[core.Allocator.AWR.value].outcomes
+        assert all(o.utility[0] == 0.0 < o.global_utility for o in awr)
 
     def test_allocation_without_allocations(self, tmp_path):
         config = make_scenario(tasks=(), horizon_days=5, repetitions=3)

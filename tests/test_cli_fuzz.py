@@ -4,8 +4,8 @@ Each case takes one valid input (a scenario, a concept map, the story
 corpus and its goals, a sprint log), deletes one key or replaces one
 value, and runs it through ``cli.main``. Whatever the mutation, the run
 exits 0 or exits 2 with ``error:`` lines; nothing escapes ``main`` and
-no traceback is printed. Mutations never enlarge a number: a huge task
-count is valid input that only runs long.
+no traceback is printed. A replaced value may be 10**20, above every
+size cap of a scenario, so a huge count exits 2 instead of running long.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ from agilesim import core
 from agilesim.cli import main
 
 CASES_PER_INPUT = 40
-REPLACEMENTS = (None, "x", [], {}, [1], -1, math.nan, math.inf, True)
+REPLACEMENTS = (None, "x", [], {}, [1], -1, 10**20, math.nan, math.inf, True)
 LOG_HEADER = (
     "task_id,assignee_id,sprint_index,difficulty,priority,confidence,"
     "estimated_days,actual_days,quality,collaborators,mood_begin,mood_end"

@@ -83,7 +83,59 @@ class TestPresets:
             assert core.preset(name) == core.preset(name)
 
 
+def sized(heads=(1,), counts=(1,), horizon_days=1, repetitions=1):
+    """A scenario of the given head counts (HCA, MCA, ...), task counts
+    (one type each), horizon and repetitions."""
+    categories = tuple(
+        core.CategorySpec(c, n, 0.9, 10.0) for c, n in zip(core.Category, heads)
+    )
+    return core.ScenarioConfig(
+        name="sized",
+        team=core.TeamConfig(categories),
+        task_mix=tuple(
+            (core.TaskTypeSpec(f"T{i}", 1, 1, 1), n) for i, n in enumerate(counts)
+        ),
+        horizon_days=horizon_days,
+        repetitions=repetitions,
+    )
+
+
+def halves(n):
+    return (n // 2, n - n // 2)
+
+
+# Each size cap: its value, a scenario of that size, and the paths of the
+# errors one above it.
+SIZE_CAPS = {
+    "horizon": (core.MAX_HORIZON_DAYS, lambda n: sized(horizon_days=n), ["horizon_days"]),
+    "repetitions": (core.MAX_REPETITIONS, lambda n: sized(repetitions=n), ["repetitions"]),
+    "team-count": (
+        core.MAX_HEAD_COUNT, lambda n: sized(heads=(n,)), ["team", "team.HCA.count"]
+    ),
+    "head-count": (core.MAX_HEAD_COUNT, lambda n: sized(heads=halves(n)), ["team"]),
+    "task-count": (
+        core.MAX_TASKS, lambda n: sized(counts=(n,)), ["tasks", "tasks[0].count"]
+    ),
+    "total-tasks": (core.MAX_TASKS, lambda n: sized(counts=halves(n)), ["tasks"]),
+    "task-types": (core.MAX_TASK_TYPES, lambda n: sized(counts=(1,) * n), ["tasks"]),
+    # A full team for one day more than the agent-days allow.
+    "agent-days": (
+        core.MAX_AGENT_DAYS // core.MAX_HEAD_COUNT,
+        lambda n: sized(heads=(core.MAX_HEAD_COUNT,), horizon_days=n),
+        ["horizon_days"],
+    ),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("cap, scenario, paths", SIZE_CAPS.values(), ids=SIZE_CAPS)
+    def test_size_caps(self, cap, scenario, paths):
+        assert core.validate(scenario(cap))
+        with pytest.raises(core.ScenarioValidationError) as err:
+            core.validate(scenario(cap + 1))
+        assert sorted(e.split(":")[0] for e in err.value.errors) == paths
+        assert all(" <= " in e for e in err.value.errors)
+
     def test_horizon_boundary(self):
         config = core.preset("S-I")
         bad = core.ScenarioConfig(

@@ -583,15 +583,15 @@ class TestRunAndRepetition:
             core.preset("S-I"), seed=21, repetitions=3
         )
         repeated = simulation.run_repeated(config)
-        assert len(repeated.runs) == 3
-        assert {r.seed for r in repeated.runs} == {21, 22, 23}
-        values = [r.global_utility for r in repeated.runs]
+        assert len(repeated.outcomes) == 3
+        assert {o.seed for o in repeated.outcomes} == {21, 22, 23}
+        values = [o.global_utility for o in repeated.outcomes]
         assert repeated.mean["global_utility"] == pytest.approx(
             sum(values) / len(values)
         )
         # re-execution reproduces the final run exactly
         again = simulation.run_repeated(config)
-        assert again.runs[-1].utility == repeated.runs[-1].utility
+        assert again.outcomes[-1].utility == repeated.outcomes[-1].utility
 
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_run_repeated_rejects_fewer_than_one_repetition(self, repetitions):
@@ -612,20 +612,25 @@ class TestRunAndRepetition:
 
 def assert_runs_are_independent_runs(config):
     """``run_repeated(config)`` must give, field by field and bit for
-    bit, the runs and statistics of one ``run`` per repetition seed."""
+    bit, the runs and statistics of one ``run`` per repetition seed: each
+    outcome's fields, and its trajectory's others, are that seed's run."""
     repeated = simulation.run_repeated(config)
     want = [
         simulation.run(config, seed=config.seed + r)
         for r in range(config.repetitions)
     ]
-    assert len(repeated.runs) == len(want)
-    for r, (got_run, want_run) in enumerate(zip(repeated.runs, want)):
+    assert len(repeated.outcomes) == len(want)
+    drawn = {field.name for field in dataclasses.fields(simulation.Outcome)}
+    for r, (outcome, want_run) in enumerate(zip(repeated.outcomes, want)):
+        assert outcome.seed == config.seed + r
+        trajectory = repeated.trajectories[outcome.trajectory]
         for field in dataclasses.fields(simulation.RunResult):
-            assert getattr(got_run, field.name) == getattr(want_run, field.name), (
+            got = outcome if field.name in drawn else trajectory
+            assert getattr(got, field.name) == getattr(want_run, field.name), (
                 config.name, config.allocator, config.seed, r, field.name
             )
-        assert [v.hex() for v in got_run.utility] == [v.hex() for v in want_run.utility]
-        assert got_run.global_utility.hex() == want_run.global_utility.hex()
+        assert [v.hex() for v in outcome.utility] == [v.hex() for v in want_run.utility]
+        assert outcome.global_utility.hex() == want_run.global_utility.hex()
     for name in ("global_utility", "completed_count", "high_quality_count", "delay_count"):
         values = [float(getattr(run, name)) for run in want]
         assert repeated.mean[name] == statistics.fmean(values), name
@@ -647,7 +652,7 @@ class TestRepeatedRuns:
                     core.preset(name), seed=seed, allocator=allocator, repetitions=3
                 )
                 repeated = assert_runs_are_independent_runs(config)
-                outcomes.update(run.high_quality_count for run in repeated.runs)
+                outcomes.update(o.high_quality_count for o in repeated.outcomes)
         assert len(outcomes) > 1
 
     @pytest.mark.parametrize("allocator", list(core.Allocator))
@@ -674,12 +679,12 @@ class TestRepeatedRuns:
             mood_mode=core.MoodMode.constant(0.3),
         )
         repeated = assert_runs_are_independent_runs(config)
-        first = repeated.runs[0]
+        first = repeated.trajectories[0]
         if allocator is core.Allocator.AWR:
             assert max(first.pending_workload["dev-000"]) > 3 * 3.5
         else:
             assert {term[2] for term in first.completion_stream} == {0.9, 0.6, 0.15}
-        assert len({tuple(run.utility) for run in repeated.runs}) > 1
+        assert len({tuple(o.utility) for o in repeated.outcomes}) > 1
 
     @pytest.mark.parametrize(
         "mood_mode, simulated",
@@ -726,35 +731,40 @@ class TestRepeatedRuns:
             run.completion_stream is None
             for run in simulation.run_repeated(
                 core.with_overrides(coupled, repetitions=2)
-            ).runs
+            ).trajectories
         )
         result = simulation.run(constant)
         assert isinstance(result.completion_stream, tuple)
         assert len(result.completion_stream) == result.completed_count > 0
 
-    def test_redrawn_runs_share_the_first_runs_series(self, tmp_path):
-        config = core.with_overrides(core.preset("S-I"), seed=8, repetitions=3)
-        results = {
-            a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
-            for a in core.Allocator
-        }
-        shared = (
-            "agent_ids", "categories", "assigned_effort", "busy_effort",
-            "pending_workload", "congestion", "arrivals", "completions",
-            "completion_stream",
-        )
-        for repeated in results.values():
-            first, *redrawn = repeated.runs
-            for run in redrawn:
-                for name in shared:
-                    assert getattr(run, name) is getattr(first, name), name
-                assert run.utility is not first.utility
-        # No writer changes a shared series.
-        cli._write_simulation_outputs(tmp_path, results)
-        for allocator, repeated in results.items():
-            rerun = core.with_overrides(config, allocator=core.Allocator(allocator))
-            assert repeated.runs[0] == simulation.run(rerun)
-            assert repeated.runs[2] == simulation.run(rerun, seed=10)
+    def test_outcomes_index_their_trajectories(self, tmp_path):
+        # Constant mood: one trajectory that every outcome uses;
+        # fcm-coupled mood: outcome i on trajectory i.
+        cases = [
+            (core.MoodMode.constant(0.8), [0, 0, 0]),
+            (core.MoodMode.fcm_coupled(), [0, 1, 2]),
+        ]
+        for mood_mode, trajectories in cases:
+            config = dataclasses.replace(
+                core.with_overrides(core.preset("S-I"), seed=8, repetitions=3),
+                mood_mode=mood_mode,
+            )
+            results = {
+                a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
+                for a in core.Allocator
+            }
+            for repeated in results.values():
+                assert [o.trajectory for o in repeated.outcomes] == trajectories
+                assert len(repeated.trajectories) == trajectories[-1] + 1
+                # A simulated run's outcome holds that run's own utility list.
+                for outcome, run in zip(repeated.outcomes, repeated.trajectories):
+                    assert outcome.utility is run.utility
+            # No writer changes a trajectory or an outcome.
+            cli._write_simulation_outputs(tmp_path, results)
+            for allocator, repeated in results.items():
+                rerun = core.with_overrides(config, allocator=core.Allocator(allocator))
+                assert repeated.trajectories[0] == simulation.run(rerun)
+                assert repeated == simulation.run_repeated(rerun)
 
     @pytest.mark.parametrize(
         "change",
