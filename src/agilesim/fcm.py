@@ -22,16 +22,17 @@ skipped, the order of the plain double loop over the matrix, so every
 state is bit-identical to that loop's. The sigmoid is compiled too: a
 closure with ``c`` and ``math.exp`` bound.
 
-Each map also remembers its last step, the pair of input and output
-values, and :func:`step` answers an input equal to the last one from
-that pair. The simulator steps one shared mood map for every agent on
-every day, and an idle agent's input repeats: after one idle day its
-mood is the map's idle constant. Equal inputs give bit-identical
-outputs: a sum starting from ``0.0`` never reads as ``-0.0``, so inputs
-that differ only in the sign of a zero sum alike; a number that equals
-a float converts to that float; a NaN equals only the very same object.
-The pair is one tuple, replaced whole, so a reader never sees half of
-an update.
+:func:`step` maps a sequence of node values to the next values, a tuple;
+only :func:`run` wraps them in StateVectors. Each map remembers its last
+step, the pair of input and output values, and :func:`step` answers an
+input equal to the last one with the stored output tuple itself. The
+simulator steps one shared mood map for every agent on every day, and an
+idle agent's input repeats: after one idle day its mood is the map's idle
+constant. Equal inputs give bit-identical outputs: a sum starting from
+``0.0`` never reads as ``-0.0``, so inputs that differ only in the sign
+of a zero sum alike; a number that equals a float converts to that float;
+a NaN equals only the very same object. The pair is one tuple, replaced
+whole, so a reader never sees half of an update.
 """
 
 from __future__ import annotations
@@ -153,6 +154,16 @@ class ConceptMap:
 
     def __post_init__(self):
         n = len(self.labels)
+        if not n:
+            raise InputError("labels: must name at least one node")
+        first: dict[str, int] = {}
+        duplicates = [
+            f"labels[{i}]: duplicate label {label!r}"
+            for i, label in enumerate(self.labels)
+            if first.setdefault(label, i) != i
+        ]
+        if duplicates:
+            raise InputError(duplicates)
         if len(self.weights) != n or any(len(row) != n for row in self.weights):
             raise InputError(
                 f"weights: must be a {n}x{n} matrix matching the label count"
@@ -189,22 +200,12 @@ class ConceptMap:
         return ConceptMap, (self.labels, self.weights, self.transform, self.c)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """One fuzzy activation per node, at iteration k."""
 
     values: tuple[float, ...]
     iteration: int = 0
-
-    def __init__(self, values: tuple[float, ...], iteration: int = 0):
-        # The slots' own setters: cheaper than the frozen class's
-        # object.__setattr__ per field.
-        _set_values(self, values)
-        _set_iteration(self, iteration)
-
-
-_set_values = StateVector.values.__set__
-_set_iteration = StateVector.iteration.__set__
 
 
 @dataclass(frozen=True)
@@ -217,12 +218,12 @@ class Trajectory:
         return self.states[-1]
 
 
-def step(cmap: ConceptMap, state: StateVector) -> StateVector:
-    """One synchronous update of every node from the k-state only.
+def step(cmap: ConceptMap, values: Sequence[float]) -> tuple[float, ...]:
+    """One synchronous update of every node from the k-state values only.
 
-    An input equal to the map's last one is answered from its memo.
+    Returns the next values. An input equal to the map's last one is
+    answered with the memo's output tuple itself.
     """
-    values = state.values
     incoming = cmap._incoming
     if len(values) != len(incoming):
         raise DimensionMismatchError(
@@ -230,7 +231,7 @@ def step(cmap: ConceptMap, state: StateVector) -> StateVector:
         )
     last_input, last_output = cmap._last
     if values == last_input:
-        return StateVector(last_output, state.iteration + 1)
+        return last_output
     squash = cmap._squash
     new_values = []
     for edges in incoming:
@@ -241,7 +242,7 @@ def step(cmap: ConceptMap, state: StateVector) -> StateVector:
     new_values = tuple(new_values)
     # tuple() so that a list passed as values cannot change the key later.
     object.__setattr__(cmap, "_last", (tuple(values), new_values))
-    return StateVector(new_values, state.iteration + 1)
+    return new_values
 
 
 def _max_norm(a: Sequence[float], b: Sequence[float]) -> float:
@@ -293,7 +294,7 @@ def run(
     states = [initial]
     current = initial
     for _ in range(max_iter):
-        nxt = step(cmap, current)
+        nxt = StateVector(step(cmap, current.values), current.iteration + 1)
         states.append(nxt)
         values = nxt.values
         if _max_norm(values, current.values) < tol:

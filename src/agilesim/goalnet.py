@@ -541,7 +541,7 @@ def from_document(doc: dict) -> GoalNet:
         )
         for at, entry in reader.objects(doc, "cards", default=())
     )
-    root_id = read(doc, "root", str)
+    root_id = read(doc, "root", text)
     reader.check()
     net = GoalNet(
         root_id=root_id,
@@ -688,8 +688,9 @@ def load_goals(path: str | Path) -> tuple[list[str], dict[str, str], str]:
         doc = json.load(handle)
         reader = DocumentReader(doc, GoalNetError)
         goals = reader.field(doc, "goals", list_of(text))
+        first: dict[str, int] = {}
         for index, label in enumerate(goals or ()):
-            if goals.index(label) != index:
+            if first.setdefault(label, index) != index:
                 reader.errors.append(f"goals[{index}]: duplicate goal label {label!r}")
         assignment = reader.field(doc, "assignment", dict) or {}
         assignment = {

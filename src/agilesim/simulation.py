@@ -38,13 +38,13 @@ completions in the service phase and nothing in the recording phase.
 Congestion and the task-conservation check share one walk a day over
 the agents' runs, each agent's runs totalled per type; only agents
 served that day hold any. Under fcm-coupled mood every agent still
-takes one ``fcm.step`` a day; one that completed nothing steps from
-``(mood, 0.5, 0.5)``. All agents step one shared map, and after an idle
-day an agent's mood is that map's idle constant, so a repeated idle
-step is served from the map's last-step memo (see ``fcm``) and costs
-no update. ``tick`` keeps the record's completion counts;
-``run`` sums its global utility at the horizon and returns that same
-record.
+takes one ``fcm.step`` a day, from ``(mood, progress, quality)`` to the
+next values; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
+All agents step one shared map, and after an idle day an agent's mood is
+that map's idle constant, so a repeated idle step returns the stored
+tuple of the map's last-step memo (see ``fcm``). ``tick`` keeps the
+record's completion counts; ``run`` sums its global utility at the
+horizon and returns that same record.
 
 Under constant mood the repetitions of ``run_repeated`` share one
 simulated trajectory and differ only in their quality draws: nothing
@@ -485,8 +485,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             done, on_time, high_quality = outcomes.get(agent.agent_id, (0, 0, 0))
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5
-            mood_state = fcm.StateVector((agent.mood, progress, quality))
-            agent.mood = fcm.step(mood_map, mood_state).values[0]
+            agent.mood = fcm.step(mood_map, (agent.mood, progress, quality))[0]
 
     # (6) Record the day's totals and advance the clock.
     metrics.arrivals[day] = arrived

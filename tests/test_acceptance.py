@@ -27,15 +27,15 @@ def _reference_series():
 def _replay(name: str, reference: dict) -> None:
     """Compare a stepped trajectory against every printed value."""
     cmap = fcm.bundled_map(reference["map"])
-    state = fcm.StateVector(values=tuple(reference["initial"]))
+    values = tuple(reference["initial"])
     rows = reference["iterations"]
     for iteration, expected in enumerate(rows):
         if iteration > 0:
-            state = fcm.step(cmap, state)
+            values = fcm.step(cmap, values)
         for node, value in enumerate(expected):
-            assert abs(state.values[node] - value) <= 1e-5, (
+            assert abs(values[node] - value) <= 1e-5, (
                 f"{name}: iteration {iteration} node {node}: "
-                f"{state.values[node]} vs printed {value}"
+                f"{values[node]} vs printed {value}"
             )
 
 

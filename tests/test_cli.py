@@ -588,8 +588,11 @@ class TestFcmCommand:
             ({"weights": [[0, float("nan")], [0.2, 0]]}, "weights[0][1]: nan outside"),
             ({"c": float("nan")}, "c: sigmoid steepness must be in (0, inf) (got nan)"),
             ({"labels": None}, "labels: required key missing"),
+            ({"labels": [], "weights": []}, "labels: must name at least one node"),
+            ({"labels": ["a", "a"]}, "labels[1]: duplicate label 'a'"),
         ],
-        ids=["labels-number", "weights-row-number", "weight-nan", "c-nan", "labels-null"],
+        ids=["labels-number", "weights-row-number", "weight-nan", "c-nan", "labels-null",
+             "labels-empty", "labels-repeated"],
     )
     def test_malformed_map_file_exits_2(self, change, message, tmp_path, capsys):
         doc = {"labels": ["a", "b"], "weights": [[0, 0.4], [0.2, 0]], **change}

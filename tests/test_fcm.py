@@ -104,25 +104,24 @@ class TestTransform:
 
 class TestStep:
     def test_grace_first_step(self):
-        nxt = fcm.step(GRACE1, fcm.StateVector(values=(0.5, 0.0, 0.0)))
-        assert nxt.values == pytest.approx((0.5, 0.851953, 0.679179), abs=1e-5)
-        assert nxt.iteration == 1
+        nxt = fcm.step(GRACE1, (0.5, 0.0, 0.0))
+        assert nxt == pytest.approx((0.5, 0.851953, 0.679179), abs=1e-5)
+        assert type(nxt) is tuple
 
     def test_michael_first_step(self):
-        nxt = fcm.step(MICHAEL1, fcm.StateVector(values=(0.5, 0.0, 0.0)))
-        assert nxt.values == pytest.approx((0.5, 0.622459, 0.562177), abs=1e-5)
+        nxt = fcm.step(MICHAEL1, (0.5, 0.0, 0.0))
+        assert nxt == pytest.approx((0.5, 0.622459, 0.562177), abs=1e-5)
 
     def test_zero_matrix_maps_to_half(self):
         cmap = fcm.ConceptMap(
             labels=("a", "b", "c"),
             weights=((0, 0, 0), (0, 0, 0), (0, 0, 0)),
         )
-        nxt = fcm.step(cmap, fcm.StateVector(values=(0.9, 0.1, 0.4)))
-        assert nxt.values == (0.5, 0.5, 0.5)
+        assert fcm.step(cmap, (0.9, 0.1, 0.4)) == (0.5, 0.5, 0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(fcm.DimensionMismatchError):
-            fcm.step(MICHAEL1, fcm.StateVector(values=(0.5, 0.0)))
+            fcm.step(MICHAEL1, (0.5, 0.0))
 
 
 class TestRun:
@@ -159,6 +158,14 @@ class TestRun:
         assert traj.states[0].values == (0.5, 0.0, 0.0)
         assert [s.iteration for s in traj.states] == list(range(len(traj.states)))
 
+    def test_states_numbered_from_the_initial_iteration(self):
+        initial = fcm.StateVector((0.5, 0.0, 0.0), 7)
+        traj = fcm.run(MICHAEL1, initial)
+        assert traj.states[0] is initial
+        assert [s.iteration for s in traj.states] == list(range(7, 7 + len(traj.states)))
+        for before, after in zip(traj.states, traj.states[1:]):
+            assert after.values == reference_step(MICHAEL1, before.values)
+
     def test_limit_cycle_detected(self):
         flipflop = fcm.ConceptMap(
             labels=("a", "b"),
@@ -181,7 +188,7 @@ class TestRun:
         traj = fcm.run(MICHAEL1, initial, max_iter=fcm.MAX_ITERATIONS_CAP)
         assert traj.terminal == fcm.FIXED_POINT
 
-        def no_step(cmap, state):
+        def no_step(cmap, values):
             raise AssertionError("stepped past a rejected max_iter")
 
         monkeypatch.setattr(fcm, "step", no_step)
@@ -228,9 +235,7 @@ class TestCompiledEquivalence:
             )
             for _ in range(5):
                 values = tuple(rng.uniform(-1, 1) for _ in range(n))
-                assert fcm.step(cmap, fcm.StateVector(values=values)).values == (
-                    reference_step(cmap, values)
-                )
+                assert fcm.step(cmap, values) == reference_step(cmap, values)
 
     def test_run_is_bit_identical(self):
         rng = random.Random(3)
@@ -263,10 +268,9 @@ class TestStepMemo:
 
     KINDS = (fcm.BIVALENT, fcm.TRIVALENT, fcm.SIGMOID)
 
-    def check(self, cmap, values, iteration=0):
-        got = fcm.step(cmap, fcm.StateVector(values, iteration))
-        assert hexes(got.values) == hexes(reference_step(cmap, values)), values
-        assert got.iteration == iteration + 1
+    def check(self, cmap, values):
+        got = fcm.step(cmap, values)
+        assert hexes(got) == hexes(reference_step(cmap, values)), values
         return got
 
     def test_revisited_states(self):
@@ -282,17 +286,16 @@ class TestStepMemo:
             for _ in range(30):
                 # An equal tuple, not the same object.
                 values = tuple(list(rng.choice(pool)))
-                self.check(cmap, values, rng.randrange(100))
+                self.check(cmap, values)
                 repeats += values == previous
                 previous = values
         assert repeats > 200
 
     def test_repeat_is_served_from_the_memo(self):
         values = (0.5, 0.5, 0.5)
-        first = fcm.step(MICHAEL1, fcm.StateVector(values))
-        again = fcm.step(MICHAEL1, fcm.StateVector(tuple(list(values)), 7))
-        assert again.values is first.values
-        assert again.iteration == 8
+        first = fcm.step(MICHAEL1, values)
+        again = fcm.step(MICHAEL1, tuple(list(values)))
+        assert again is first
 
     def test_two_maps_in_turn(self):
         rng = random.Random(23)
@@ -302,8 +305,8 @@ class TestStepMemo:
             pool = [tuple(rng.uniform(-1, 1) for _ in range(4)) for _ in range(2)]
             for k in range(20):
                 values = pool[k // 4 % 2]
-                self.check(first, values, k)
-                self.check(second, values, k)
+                self.check(first, values)
+                self.check(second, values)
 
     def test_signed_zeros(self):
         rng = random.Random(29)
@@ -340,7 +343,7 @@ class TestStepMemo:
         cmap = random_map(random.Random(2), 4, kind)
         before = (hash(cmap), repr(cmap))
         values = (0.1, 0.2, 0.3, 0.4)
-        fcm.step(cmap, fcm.StateVector(values))
+        fcm.step(cmap, values)
         assert cmap == random_map(random.Random(2), 4, kind)
         assert (hash(cmap), repr(cmap)) == before
         clones = (pickle.loads(pickle.dumps(cmap)), copy.copy(cmap), copy.deepcopy(cmap))
@@ -480,11 +483,11 @@ class TestGoldenReplay:
     def test_reference_trajectories(self, name):
         series = reference_series()[name]
         cmap = fcm.bundled_map(series["map"])
-        state = fcm.StateVector(values=tuple(series["initial"]))
+        values = tuple(series["initial"])
         for iteration, expected in enumerate(series["iterations"]):
             if iteration > 0:
-                state = fcm.step(cmap, state)
-            assert state.values == pytest.approx(tuple(expected), abs=1e-5), (
+                values = fcm.step(cmap, values)
+            assert values == pytest.approx(tuple(expected), abs=1e-5), (
                 f"{name} iteration {iteration}"
             )
 
@@ -559,6 +562,18 @@ class TestMapValidationAndFiles:
     def test_diagonal_must_be_zero(self):
         with pytest.raises(ValueError, match="self-feedback"):
             fcm.ConceptMap(labels=("a", "b"), weights=((0.5, 0), (0, 0)))
+
+    def test_labels_non_empty_and_unique(self):
+        with pytest.raises(InputError) as err:
+            fcm.ConceptMap(labels=(), weights=())
+        assert err.value.errors == ["labels: must name at least one node"]
+        with pytest.raises(InputError) as err:
+            fcm.ConceptMap(labels=("a", "b", "a", "b", "a"), weights=((0,) * 5,) * 5)
+        assert err.value.errors == [
+            "labels[2]: duplicate label 'a'",
+            "labels[3]: duplicate label 'b'",
+            "labels[4]: duplicate label 'a'",
+        ]
 
     def test_weight_range(self):
         with pytest.raises(ValueError, match="outside"):

@@ -440,6 +440,27 @@ class TestDocumentsAndExport:
             "['Improved user interface']"
         ]
 
+    @pytest.mark.parametrize("value", [5, ["root"], True])
+    def test_root_must_be_string(self, value):
+        # str(5) would name a node "5" if the net had one.
+        doc = goalnet.to_document(self.build_reference())
+        doc["nodes"][0]["id"] = "5"
+        doc["root"] = value
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.from_document(doc)
+        assert err.value.errors == [f"root: invalid value {value!r}"]
+
+    def test_many_goal_labels_with_one_repeat(self, tmp_path):
+        # First positions in a dict: one pass, not a search per label.
+        goals = [f"goal {i}" for i in range(100_000)] + ["goal 7"]
+        path = tmp_path / "goals.json"
+        path.write_text(json.dumps({"goals": goals, "assignment": {}}), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_goals(path)
+        assert err.value.errors == [
+            f"invalid goals file {path}: goals[100000]: duplicate goal label 'goal 7'"
+        ]
+
     def test_dot_export_styles(self):
         net = self.build_reference()
         dot = goalnet.export_dot(net)
