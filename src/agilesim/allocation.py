@@ -12,6 +12,10 @@ order their own computation, and the score is the quantity the plan
 maximizes per unit of accepted work, so it is the only coherent key.
 Ties are broken by type id so plans are deterministic.
 
+``plan_order`` compiles the visit order, checking that every type has
+economics, and ``smart_plan`` plans the offers by it; a caller that
+plans the same offered types many times compiles their order once.
+
 A score of exactly zero is rejected: acceptance requires a strictly
 positive score. Tasks not accepted are reported as rejected and return
 to the common queue for later days.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import AgentState
 
@@ -99,10 +103,14 @@ def visit_order(
 
 
 def plan_order(
-    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Iterable[str]
+    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Collection[str]
 ) -> list[tuple[str, float, bool]]:
-    """The visit order compiled for ``smart_plan``: one ``(type_id,
-    effort, score > 0)`` triple per type, in ``visit_order``'s order."""
+    """The visit order ``smart_plan`` plans by: one ``(type_id, effort,
+    score > 0)`` triple per type, in ``visit_order``'s order. A type
+    without economics raises ``UnknownTaskTypeError``."""
+    unknown = sorted(set(type_ids).difference(economics))
+    if unknown:
+        raise UnknownTaskTypeError(f"no economics for type(s): {', '.join(unknown)}")
     return [
         (tid, economics[tid].effort, economics[tid].availability_score(psi) > 0)
         for tid in visit_order(economics, psi, type_ids)
@@ -112,37 +120,21 @@ def plan_order(
 def smart_plan(
     agent: AgentState,
     incoming: Mapping[str, int],
-    economics: Mapping[str, TypeEconomics],
-    psi: float,
-    order: Sequence[tuple[str, float, bool]] | None = None,
+    order: Sequence[tuple[str, float, bool]],
 ) -> AllocationPlan:
     """Greedy daily acceptance plan for one agent.
 
-    ``incoming`` maps type id to the number of tasks offered today.
-    Types are visited in descending availability score; each strictly
+    ``incoming`` maps type id to the number of tasks offered today, and
+    ``order`` is ``plan_order(economics, psi, incoming)``. Types are
+    visited in that order, descending availability score; each strictly
     positive type accepts ``min(offered, floor(budget / effort))`` tasks
     and debits the budget, starting from the agent's full daily effort.
-
-    ``order`` is ``plan_order(economics, psi, incoming)`` compiled by a
-    caller that plans the same offers many times. Given it, the plan
-    trusts it: it neither checks ``incoming`` for unknown types and
-    negative counts nor sorts. Without it, both checks run and raise
-    ``UnknownTaskTypeError`` and ``ValueError``.
     """
-    if order is None:
-        unknown = [tid for tid in incoming if tid not in economics]
-        if unknown:
-            raise UnknownTaskTypeError(
-                f"no economics for incoming task type(s): {', '.join(sorted(unknown))}"
-            )
-        for tid, count in incoming.items():
-            if count < 0:
-                raise ValueError(
-                    f"incoming count for {tid!r} must be >= 0 (got {count})"
-                )
-        order = plan_order(economics, psi, incoming)
     if not 0 < agent.max_effort < math.inf:
         raise ValueError(f"max_effort must be in (0, inf) (got {agent.max_effort})")
+    if min(incoming.values(), default=0) < 0:
+        tid, count = min(incoming.items(), key=lambda item: item[1])
+        raise ValueError(f"incoming count for {tid!r} must be >= 0 (got {count})")
 
     budget = agent.max_effort
     accepted: dict[str, int] = {}

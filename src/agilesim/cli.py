@@ -65,14 +65,14 @@ def _write_queues(path: Path, firsts: dict[str, simulation.RunResult]) -> None:
     ``core.write_csv`` writes for rows ``[day, agent, pending_workload,
     congestion, allocator]``, rendered and written a day at a time."""
     cells = core.csv_cells(
-        [*firsts, *(agent for first in firsts.values() for agent in first.agent_ids)]
+        [*firsts, *(agent for first in firsts.values() for agent in first.categories)]
     )
 
     def days():
         for allocator, first in firsts.items():
             columns = [
                 _queue_cells(cells[agent], first.pending_workload[agent])
-                for agent in first.agent_ids
+                for agent in first.categories
             ]
             last = "," + cells[allocator] + "\n"
             # A day's rows differ only in their agent and pending_workload cells.
@@ -122,9 +122,9 @@ def _write_simulation_outputs(
         if not counted:
             continue
         first = repeated.trajectories[0]
-        for agent in first.agent_ids:
+        for agent, category in first.categories.items():
             share = share_sums.get(agent, 0.0) / counted
-            shares.append([agent, first.categories[agent], share, allocator])
+            shares.append([agent, category, share, allocator])
     core.write_csv(
         out_dir / "allocation.csv", ["agent", "category", "share", "allocator"], shares
     )
@@ -212,6 +212,11 @@ def cmd_fcm(args) -> int:
         cmap = fcm.bundled_map(args.map)
     else:
         cmap = fcm.load_map(args.map)
+        if "iteration" in cmap.labels:  # trajectory.csv's first column
+            i = cmap.labels.index("iteration")
+            raise core.InputError(
+                f"invalid map file {args.map}: labels[{i}]: 'iteration' is reserved"
+            )
     cmap = replace(
         cmap,
         transform=args.transform or cmap.transform,

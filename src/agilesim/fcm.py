@@ -157,13 +157,14 @@ class ConceptMap:
         if not n:
             raise InputError("labels: must name at least one node")
         first: dict[str, int] = {}
-        duplicates = [
-            f"labels[{i}]: duplicate label {label!r}"
-            for i, label in enumerate(self.labels)
-            if first.setdefault(label, i) != i
-        ]
-        if duplicates:
-            raise InputError(duplicates)
+        problems = []
+        for i, label in enumerate(self.labels):
+            if not label:
+                problems.append(f"labels[{i}]: must be non-empty")
+            elif first.setdefault(label, i) != i:
+                problems.append(f"labels[{i}]: duplicate label {label!r}")
+        if problems:
+            raise InputError(problems)
         if len(self.weights) != n or any(len(row) != n for row in self.weights):
             raise InputError(
                 f"weights: must be a {n}x{n} matrix matching the label count"

@@ -202,13 +202,17 @@ def build_goal_net(
     """Assemble the goal net from stories and their goal clustering.
 
     ``assignment`` maps each top-level story id to one of the
-    high-level goal labels (sub-stories follow their parents). When
-    ``explicit_transitions`` is given it replaces the inferred sibling
-    transitions entirely.
+    high-level goal labels (sub-stories follow their parents); a key that
+    names no top-level story is rejected. When ``explicit_transitions``
+    is given it replaces the inferred sibling transitions entirely.
     """
     _check_parents(stories)
+    story_index = {story.id: story for story in stories}
     label_set = set(high_level_goals)
     for story_id, label in assignment.items():
+        story = story_index.get(story_id)
+        if story is None or story.parent is not None:
+            raise GoalNetError(f"assignment.{story_id}: names no top-level story")
         if label not in label_set:
             raise GoalNetError(
                 f"assignment for story {story_id!r} uses unknown goal {label!r}"
@@ -226,7 +230,6 @@ def build_goal_net(
         children["root"].append(node_id)
         children[node_id] = []
 
-    story_index = {story.id: story for story in stories}
     ordered = sorted(stories, key=lambda s: _story_order(s.id))
     for story in ordered:
         node_id = f"story-{story.id}"

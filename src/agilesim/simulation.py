@@ -20,15 +20,15 @@ tasks per (type, claim day), and only the head task carries partial
 effort. Service still works task by task, so every float sum is taken
 in the order a task-by-task simulator would take it.
 
-A SMART visit is compiled once: the economics of the offered types and
-their visit order are memoized per (agent profile, mood) (agents with
-one competence and the same daily effort share a profile) by the
-offered (type, yesterday's completions of the type) pairs, and kept
-for the run. Under fcm-coupled mood few moods recur (an idle agent's
-mood is the mood map's idle constant), so the memo stays small.
-``smart_plan`` is handed that order and neither re-checks nor re-sorts
-the offers. An agent's terms for a type (effort, utility, competence,
-nominal days) are built at day 0, once per profile of the roster.
+A SMART visit is compiled once: the offered types' visit order
+(``allocation.plan_order``) is memoized per (agent profile, mood)
+(agents with one competence and the same daily effort share a profile)
+by the offered (type, yesterday's completions of the type) pairs, and
+kept for the run; the economics it is compiled from are not kept. Under
+fcm-coupled mood few moods recur (an idle agent's mood is the mood
+map's idle constant), so the memo stays small. An agent's terms for a
+type (effort, utility, competence, nominal days) are built at day 0,
+once per profile of the roster.
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with every series at horizon length
@@ -82,9 +82,9 @@ from .metrics import congestion
 
 _EPS = 1e-9
 
-# One compiled SMART visit: the economics of each offered type and their
-# visit order as ``allocation.plan_order`` triples.
-Visit = tuple[dict[str, TypeEconomics], list[tuple[str, float, bool]]]
+# One compiled SMART visit: the offered types' visit order as
+# ``allocation.plan_order`` triples.
+Visit = list[tuple[str, float, bool]]
 # What an agent's economics and service terms depend on besides its mood
 # (see ``_profile``).
 Profile = tuple[float, float]
@@ -112,9 +112,9 @@ class SimState:
     competent agent, fixed for the run (None under SMART).
 
     ``score_tables`` maps an agent's ``(Profile, mood)`` to one
-    ``Visit`` (the SMART economics of the offered types and their visit
-    order) per offered set, keyed by its tuple of (type, tasks of it
-    completed yesterday) pairs; it fills as moods are visited.
+    ``Visit`` (the compiled SMART visit order of the offered types) per
+    offered set, keyed by its tuple of (type, tasks of it completed
+    yesterday) pairs; it fills as moods are visited.
     ``service_terms`` maps each profile of the roster to ``(effort,
     utility, competence, nominal days)`` per type, built at day 0.
     Agents of one profile share both, so their size follows the
@@ -152,7 +152,8 @@ class RunResult:
     writes a day's slots for the agents that got or held work (and an
     emptied queue's float residue in ``pending_workload``) and adds to
     the counts. Mid-run the days not yet ticked read 0, and so does
-    ``global_utility`` until ``run`` sums it.
+    ``global_utility`` until ``run`` sums it. ``categories`` maps each
+    agent id, in roster order, to its category.
 
     ``completion_stream`` is recorded only under constant mood, and is
     None under fcm-coupled mood: the service term of each completion, in
@@ -163,8 +164,6 @@ class RunResult:
     scenario: str
     allocator: Allocator
     seed: int
-    horizon: int
-    agent_ids: list[str]
     categories: dict[str, str]
     assigned_effort: dict[str, list[float]]
     busy_effort: dict[str, list[float]]
@@ -252,8 +251,6 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
             scenario=config.name,
             allocator=config.allocator,
             seed=run_seed,
-            horizon=horizon,
-            agent_ids=[a.agent_id for a in agents],
             categories={a.agent_id: a.category.value for a in agents},
             assigned_effort={a.agent_id: [0.0] * horizon for a in agents},
             busy_effort={a.agent_id: [0.0] * horizon for a in agents},
@@ -313,13 +310,11 @@ def _profile(agent: AgentState) -> Profile:
 def _visit(
     state: SimState, agent: AgentState, offered: dict[str, int], psi: float
 ) -> Visit:
-    """The agent's SMART economics for the types offered today and their
-    compiled visit order (``allocation.plan_order``).
-
-    Both depend only on the agent's profile and mood and on which types
-    are offered with how many tasks of each the agent completed
-    yesterday, so they are built once per such set and kept for the run.
-    """
+    """The agent's compiled SMART visit order (``allocation.plan_order``)
+    for the types offered today. It depends only on the agent's profile
+    and mood and on which types are offered with how many tasks of each
+    the agent completed yesterday, so it is compiled once per such set
+    and kept for the run; the economics are built only then."""
     mood = agent.mood
     visits = state.score_tables.setdefault((_profile(agent), mood), {})
     recent = agent.recent_completions
@@ -338,7 +333,7 @@ def _visit(
             )
             for tid, count in key
         }
-        visit = visits[key] = (economics, plan_order(economics, psi, economics))
+        visit = visits[key] = plan_order(economics, psi, economics)
     return visit
 
 
@@ -390,8 +385,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         for agent in state.agents:
             if not offered:
                 break
-            economics, order = _visit(state, agent, offered, psi)
-            plan = smart_plan(agent, offered, economics, psi, order=order)
+            plan = smart_plan(agent, offered, _visit(state, agent, offered, psi))
             # plan.accepted is in visit order; its rejects go to the next agent.
             for tid, count in plan.accepted.items():
                 if count:

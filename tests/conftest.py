@@ -89,9 +89,9 @@ class SweepSummary:
 
 
 def _reduce_run(result: simulation.RunResult) -> tuple[dict, float]:
-    half = result.horizon // 2
+    half = len(result.arrivals) // 2
     maxima = {}
-    for agent in result.agent_ids:
+    for agent in result.categories:
         series = result.pending_workload[agent]
         maxima[agent] = (max(series[:half]), max(series[half:]))
     top_peak = max(result.pending_workload["dev-000"])

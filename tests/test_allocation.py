@@ -33,6 +33,13 @@ def econ(type_id, score, effort, psi=1.0, eu=None, mu=None):
     )
 
 
+def plan(planner, incoming, economics, psi):
+    """``smart_plan`` on the order ``plan_order`` compiles for the offers."""
+    return allocation.smart_plan(
+        planner, incoming, allocation.plan_order(economics, psi, incoming)
+    )
+
+
 class TestScalarOps:
     def test_expected_utility(self):
         assert allocation.expected_utility(10, 0.9, 1.0) == pytest.approx(9.0)
@@ -80,46 +87,46 @@ class TestSmartPlan:
             "A": econ("A", score=7.0, effort=3.0),
             "B": econ("B", score=-1.0, effort=1.0),
         }
-        plan = allocation.smart_plan(
-            agent(max_effort=10.0), {"A": 5, "B": 2}, economics, psi=1.0
-        )
-        assert plan.accepted == {"A": 3, "B": 0}
-        assert plan.leftover_effort == pytest.approx(1.0)
-        assert plan.rejected == {"A": 2, "B": 2}
+        got = plan(agent(max_effort=10.0), {"A": 5, "B": 2}, economics, psi=1.0)
+        assert got.accepted == {"A": 3, "B": 0}
+        assert got.leftover_effort == pytest.approx(1.0)
+        assert got.rejected == {"A": 2, "B": 2}
 
     def test_all_scores_nonpositive(self):
         economics = {
             "A": econ("A", score=0.0, effort=2.0),
             "B": econ("B", score=-3.0, effort=1.0),
         }
-        plan = allocation.smart_plan(
-            agent(max_effort=10.0), {"A": 4, "B": 4}, economics, psi=1.0
-        )
-        assert plan.accepted == {"A": 0, "B": 0}
-        assert plan.leftover_effort == pytest.approx(10.0)
+        got = plan(agent(max_effort=10.0), {"A": 4, "B": 4}, economics, psi=1.0)
+        assert got.accepted == {"A": 0, "B": 0}
+        assert got.leftover_effort == pytest.approx(10.0)
 
     def test_full_offer_accepted_when_it_fits(self):
         economics = {"A": econ("A", score=2.0, effort=2.0)}
-        plan = allocation.smart_plan(agent(max_effort=10.0), {"A": 3}, economics, 1.0)
-        assert plan.accepted == {"A": 3}
-        assert plan.leftover_effort == pytest.approx(4.0)
+        got = plan(agent(max_effort=10.0), {"A": 3}, economics, 1.0)
+        assert got.accepted == {"A": 3}
+        assert got.leftover_effort == pytest.approx(4.0)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(allocation.UnknownTaskTypeError):
-            allocation.smart_plan(agent(), {"Z": 1}, {}, 1.0)
+        with pytest.raises(allocation.UnknownTaskTypeError, match="Z"):
+            allocation.plan_order({"A": econ("A", 1.0, 1.0)}, 1.0, {"A": 1, "Z": 1})
 
     def test_negative_offer_rejected(self):
-        with pytest.raises(ValueError):
-            allocation.smart_plan(
-                agent(), {"A": -1}, {"A": econ("A", 1.0, 1.0)}, 1.0
-            )
+        # The count is checked whether or not the plan visits its type:
+        # A's score is positive, zero, then negative.
+        for incoming, score in [
+            ({"A": -1}, 1.0),
+            ({"B": 2, "A": -1}, 0.0),
+            ({"B": 2, "A": -3}, -1.0),
+        ]:
+            economics = {"A": econ("A", score, 1.0), "B": econ("B", 1.0, 1.0)}
+            with pytest.raises(ValueError, match="count for 'A' must be >= 0"):
+                plan(agent(), incoming, economics, 1.0)
 
     @pytest.mark.parametrize("max_effort", [0.0, -1.0, math.nan, math.inf])
     def test_max_effort_outside_open_range_rejected(self, max_effort):
         with pytest.raises(ValueError, match="max_effort must be in"):
-            allocation.smart_plan(
-                agent(max_effort=max_effort), {"A": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0
-            )
+            plan(agent(max_effort), {"A": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0)
 
     def test_zero_mood_accepts_nothing(self):
         rng = random.Random(5)
@@ -134,8 +141,8 @@ class TestSmartPlan:
                 for i in range(rng.randint(1, 5))
             }
             offers = {tid: rng.randint(0, 6) for tid in economics}
-            plan = allocation.smart_plan(agent(), offers, economics, psi=1.0)
-            assert all(count == 0 for count in plan.accepted.values())
+            got = plan(agent(), offers, economics, psi=1.0)
+            assert all(count == 0 for count in got.accepted.values())
 
 
 def random_instance(rng):
@@ -182,21 +189,21 @@ class TestPlanProperties:
         rng = random.Random(42)
         for _ in range(300):
             planner, offers, economics, psi = random_instance(rng)
-            plan = allocation.smart_plan(planner, offers, economics, psi)
+            got = plan(planner, offers, economics, psi)
             spent = sum(
-                plan.accepted[tid] * economics[tid].effort for tid in offers
+                got.accepted[tid] * economics[tid].effort for tid in offers
             )
             assert spent <= planner.max_effort + 1e-9
             for tid in offers:
-                assert 0 <= plan.accepted[tid] <= offers[tid]
-                assert plan.rejected[tid] == offers[tid] - plan.accepted[tid]
-            assert plan.leftover_effort == pytest.approx(planner.max_effort - spent)
+                assert 0 <= got.accepted[tid] <= offers[tid]
+                assert got.rejected[tid] == offers[tid] - got.accepted[tid]
+            assert got.leftover_effort == pytest.approx(planner.max_effort - spent)
 
     def test_oracle_equivalence(self):
         rng = random.Random(99)
         for _ in range(100):
             planner, offers, economics, psi = random_instance(rng)
-            plan = allocation.smart_plan(planner, offers, economics, psi)
+            got = plan(planner, offers, economics, psi)
             rows = [
                 (
                     tid,
@@ -207,15 +214,15 @@ class TestPlanProperties:
                 for tid in offers
             ]
             expected, leftover = retrace(planner.max_effort, rows)
-            assert plan.accepted == expected
-            assert plan.leftover_effort == pytest.approx(leftover)
+            assert got.accepted == expected
+            assert got.leftover_effort == pytest.approx(leftover)
 
     def test_monotone_in_score(self):
         rng = random.Random(7)
         for _ in range(200):
             planner, offers, economics, psi = random_instance(rng)
             target = rng.choice(list(offers))
-            before = allocation.smart_plan(planner, offers, economics, psi)
+            before = plan(planner, offers, economics, psi)
             boosted = dict(economics)
             raised = economics[target]
             boosted[target] = TypeEconomics(
@@ -224,7 +231,7 @@ class TestPlanProperties:
                 recent_service_rate=raised.recent_service_rate,
                 effort=raised.effort,
             )
-            after = allocation.smart_plan(planner, offers, boosted, psi)
+            after = plan(planner, offers, boosted, psi)
             assert after.accepted[target] >= before.accepted[target]
 
     def test_psi_scaling_keeps_order_when_rates_zero(self):
@@ -280,8 +287,8 @@ def reference_smart_plan(agent, incoming, economics, psi):
 
 
 class TestCompiledOrder:
-    """``smart_plan`` handed ``plan_order`` against ``smart_plan`` without
-    it and against the implementation before the compiled order."""
+    """``smart_plan`` handed ``plan_order`` against the implementation
+    before the compiled order."""
 
     def case(self, rng):
         # Few distinct utilities, competences and counts make score ties
@@ -305,7 +312,7 @@ class TestCompiledOrder:
             offers[tid] = rng.randint(0, 10)
         return planner, offers, economics, psi
 
-    def test_equivalent_to_unordered_and_reference(self):
+    def test_equivalent_to_reference(self):
         rng = random.Random(2024)
         seen = set()
         for case in range(2000):
@@ -314,18 +321,14 @@ class TestCompiledOrder:
             assert [tid for tid, _, _ in order] == allocation.visit_order(
                 economics, psi, list(offers)
             ), case
-            compiled = allocation.smart_plan(
-                planner, offers, economics, psi, order=order
-            )
-            unordered = allocation.smart_plan(planner, offers, economics, psi)
+            got = allocation.smart_plan(planner, offers, order)
             want = reference_smart_plan(planner, offers, economics, psi)
-            for got in (compiled, unordered):
-                # Accepted in visit order (the claim order), rejected in
-                # offer order, every float bit for bit.
-                assert list(got.accepted.items()) == list(want.accepted.items()), case
-                assert list(got.rejected.items()) == list(want.rejected.items()), case
-                assert got.leftover_effort == want.leftover_effort, case
-                assert repr(got.leftover_effort) == repr(want.leftover_effort), case
+            # Accepted in visit order (the claim order), rejected in offer
+            # order, every float bit for bit.
+            assert list(got.accepted.items()) == list(want.accepted.items()), case
+            assert list(got.rejected.items()) == list(want.rejected.items()), case
+            assert got.leftover_effort == want.leftover_effort, case
+            assert repr(got.leftover_effort) == repr(want.leftover_effort), case
             scores = [economics[tid].availability_score(psi) for tid in offers]
             if len(set(scores)) < len(scores):
                 seen.add("tie")

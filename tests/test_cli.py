@@ -259,8 +259,8 @@ def reference_queue_rows(firsts):
     return (
         [day, agent, first.pending_workload[agent][day], first.congestion[day], allocator]
         for allocator, first in firsts.items()
-        for day in range(first.horizon)
-        for agent in first.agent_ids
+        for day in range(len(first.arrivals))
+        for agent in first.categories
     )
 
 
@@ -311,7 +311,7 @@ def reference_allocation_rows(results):
                 share_sums[agent] = share_sums.get(agent, 0.0) + share
         if counted:
             first = runs[0]
-            for agent in first.agent_ids:
+            for agent in first.categories:
                 share = share_sums.get(agent, 0.0) / counted
                 rows.append([agent, first.categories[agent], share, allocator])
     return rows
@@ -322,14 +322,12 @@ def queue_run(agent_ids, pending_workload, congestion):
         scenario="hand-built",
         allocator=core.Allocator.SMART,
         seed=0,
-        horizon=len(congestion),
-        agent_ids=agent_ids,
-        categories={},
+        categories=dict.fromkeys(agent_ids, "HCA"),
         assigned_effort={},
         busy_effort={},
         pending_workload=pending_workload,
         congestion=congestion,
-        arrivals=[],
+        arrivals=[0] * len(congestion),
         completions=[],
         utility=[],
     )
@@ -590,9 +588,11 @@ class TestFcmCommand:
             ({"labels": None}, "labels: required key missing"),
             ({"labels": [], "weights": []}, "labels: must name at least one node"),
             ({"labels": ["a", "a"]}, "labels[1]: duplicate label 'a'"),
+            ({"labels": ["a", ""]}, "labels[1]: must be non-empty"),
+            ({"labels": ["a", "iteration"]}, "labels[1]: 'iteration' is reserved"),
         ],
         ids=["labels-number", "weights-row-number", "weight-nan", "c-nan", "labels-null",
-             "labels-empty", "labels-repeated"],
+             "labels-empty", "labels-repeated", "label-blank", "label-iteration"],
     )
     def test_malformed_map_file_exits_2(self, change, message, tmp_path, capsys):
         doc = {"labels": ["a", "b"], "weights": [[0, 0.4], [0.2, 0]], **change}

@@ -168,6 +168,20 @@ class TestBuildGoalNet:
         with pytest.raises(goalnet.GoalNetError, match="unknown goal"):
             build_goal_net([story], ["Account access"], {"1": "Something else"})
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [("99", "assignment.99: names no"), ("1.1", "assignment.1.1: names no")],
+        ids=["unknown", "sub-story"],
+    )
+    def test_assignment_names_a_top_level_story(self, key, message):
+        stories = [
+            parse_story("As a user, I want to x", story_id="1"),
+            goalnet.UserStory(id="1.1", role="user", goal="y", parent="1"),
+        ]
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G", key: "G"})
+        assert err.value.errors[0].startswith(message)
+
     def test_parent_must_be_prefix(self):
         stories = [
             parse_story("As a user, I want to x", story_id="1"),

@@ -45,8 +45,6 @@ def synthetic_result(assigned: dict[str, float]) -> simulation.RunResult:
         scenario="synthetic",
         allocator=core.Allocator.SMART,
         seed=0,
-        horizon=1,
-        agent_ids=agents,
         categories={a: "HCA" for a in agents},
         assigned_effort={a: [v] for a, v in assigned.items()},
         busy_effort={a: [0.0] for a in agents},

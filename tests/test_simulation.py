@@ -14,8 +14,8 @@ from agilesim.allocation import (
     TypeEconomics,
     awr_assign,
     expected_utility,
+    plan_order,
     smart_plan,
-    visit_order,
 )
 from agilesim.metrics import congestion
 from conftest import make_scenario, reference_step
@@ -76,6 +76,22 @@ def reference_state(config):
     )
 
 
+def scratch_economics(types, agent, offered):
+    """The agent's SMART economics for the offered types, built from its
+    competence, mood and yesterday's completions."""
+    return {
+        tid: TypeEconomics(
+            type_id=tid,
+            expected_utility=expected_utility(
+                types[tid].utility, agent.competence, agent.mood
+            ),
+            recent_service_rate=float(agent.recent_completions.get(tid, 0)),
+            effort=types[tid].effort,
+        )
+        for tid in offered
+    }
+
+
 def reference_tick(state, config):
     """The plain all-agents day on a ``reference_state``, task by task:
     every agent served, mood-stepped and recorded."""
@@ -95,18 +111,9 @@ def reference_tick(state, config):
         for agent in state.agents:
             if not offered:
                 break
-            economics = {
-                tid: TypeEconomics(
-                    type_id=tid,
-                    expected_utility=expected_utility(
-                        types[tid].utility, agent.competence, agent.mood
-                    ),
-                    recent_service_rate=float(agent.recent_completions.get(tid, 0)),
-                    effort=types[tid].effort,
-                )
-                for tid in offered
-            }
-            plan = smart_plan(agent, offered, economics, config.psi)
+            economics = scratch_economics(types, agent, offered)
+            order = plan_order(economics, config.psi, offered)
+            plan = smart_plan(agent, offered, order)
             for tid, count in plan.accepted.items():
                 if count:
                     queue = state.common_queue[tid]
@@ -541,7 +548,7 @@ class TestConservationAndAccounting:
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
         result = simulation.run(config)
-        for agent in result.agent_ids:
+        for agent in result.categories:
             cap = next(
                 s.max_effort
                 for s in config.team.categories
@@ -795,35 +802,19 @@ class TestIdleAgentEquivalence:
             types = config.task_types()
             visited_mood = {}
 
-            def checked_plan(agent, incoming, economics, psi, order=None):
+            def checked_plan(agent, incoming, order):
                 # A visit that overlays yesterday's completions, or one
                 # whose table was built at another mood, must still see
-                # the economics of a from-scratch build, and the visit
-                # order of those economics.
+                # the visit order of a from-scratch build's economics.
                 if agent.recent_completions:
                     seen.add("overlay")
                 if visited_mood.get(agent.agent_id, agent.mood) != agent.mood:
                     seen.add("mood moved")
                 visited_mood[agent.agent_id] = agent.mood
-                assert set(economics) == set(incoming), case
-                for tid in incoming:
-                    assert economics[tid] == TypeEconomics(
-                        type_id=tid,
-                        expected_utility=expected_utility(
-                            types[tid].utility, agent.competence, agent.mood
-                        ),
-                        recent_service_rate=float(agent.recent_completions.get(tid, 0)),
-                        effort=types[tid].effort,
-                    ), case
-                assert order == [
-                    (
-                        tid,
-                        economics[tid].effort,
-                        economics[tid].availability_score(psi) > 0,
-                    )
-                    for tid in visit_order(economics, psi, list(incoming))
-                ], case
-                return real_plan(agent, incoming, economics, psi, order=order)
+                assert order == plan_order(
+                    scratch_economics(types, agent, incoming), config.psi, incoming
+                ), case
+                return real_plan(agent, incoming, order)
 
             monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
@@ -860,7 +851,7 @@ class TestIdleAgentEquivalence:
             for task in state.completed:
                 received[task.assignee] += types[task.type_id].effort
             assert got_state.effort_received == received, case
-            for agent in got.agent_ids:
+            for agent in got.categories:
                 if any(
                     size == 0 and load != 0.0
                     for size, load in zip(
@@ -918,13 +909,12 @@ class TestIdleAgentEquivalence:
         real_plan = simulation.smart_plan
         visited = set()
 
-        def checked_plan(agent, incoming, economics, psi, order=None):
+        def checked_plan(agent, incoming, order):
             visited.add(agent.agent_id)
-            for tid in incoming:
-                assert economics[tid].expected_utility == expected_utility(
-                    types[tid].utility, agent.competence, agent.mood
-                )
-            return real_plan(agent, incoming, economics, psi, order=order)
+            assert order == plan_order(
+                scratch_economics(types, agent, incoming), config.psi, incoming
+            )
+            return real_plan(agent, incoming, order)
 
         monkeypatch.setattr(simulation, "smart_plan", checked_plan)
         for _ in range(config.horizon_days):
