@@ -125,10 +125,12 @@ def smart_plan(
     """Greedy daily acceptance plan for one agent.
 
     ``incoming`` maps type id to the number of tasks offered today, and
-    ``order`` is ``plan_order(economics, psi, incoming)``. Types are
-    visited in that order, descending availability score; each strictly
-    positive type accepts ``min(offered, floor(budget / effort))`` tasks
-    and debits the budget, starting from the agent's full daily effort.
+    ``order`` is ``plan_order(economics, psi, incoming)``; an order that
+    does not list each offered type exactly once raises ``ValueError``.
+    Types are visited in that order, descending availability score; each
+    strictly positive type accepts ``min(offered, floor(budget / effort))``
+    tasks and debits the budget, starting from the agent's full daily
+    effort.
     """
     if not 0 < agent.max_effort < math.inf:
         raise ValueError(f"max_effort must be in (0, inf) (got {agent.max_effort})")
@@ -140,9 +142,11 @@ def smart_plan(
     accepted: dict[str, int] = {}
     rejected = dict(incoming)
     for tid, effort, positive in order:
+        offered = incoming.get(tid)
+        if offered is None:
+            break
         count = 0
         if positive:
-            offered = incoming[tid]
             if offered * effort <= budget:
                 count = offered
             else:
@@ -150,6 +154,12 @@ def smart_plan(
             budget -= count * effort
             rejected[tid] = offered - count
         accepted[tid] = count
+    if not len(accepted) == len(order) == len(incoming):
+        listed = [tid for tid, _, _ in order]
+        raise ValueError(
+            f"order must list each offered type once: offered {sorted(incoming)}, "
+            f"order lists {listed}"
+        )
     return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
 
 

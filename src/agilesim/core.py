@@ -235,7 +235,7 @@ def preset(name: str) -> ScenarioConfig:
 
 # The largest scenario validate accepts, so that a valid scenario asks
 # for bounded work and memory: a run costs time per task, per agent-day
-# and per type-day, and keeps three float series per agent-day. Each cap
+# and per type-day, and keeps one float series per agent-day. Each cap
 # is 100x the largest preset or benchmark input: 100 days, 160 heads,
 # 15 000 tasks of 5 types and 10 repetitions.
 MAX_HORIZON_DAYS = 10_000

@@ -214,9 +214,7 @@ def build_goal_net(
         if story is None or story.parent is not None:
             raise GoalNetError(f"assignment.{story_id}: names no top-level story")
         if label not in label_set:
-            raise GoalNetError(
-                f"assignment for story {story_id!r} uses unknown goal {label!r}"
-            )
+            raise GoalNetError(f"assignment.{story_id}: unknown goal {label!r}")
 
     nodes: dict[str, GoalNode] = {}
     children: dict[str, list[str]] = {"root": []}

@@ -164,7 +164,7 @@ def allocation_proportion(result: simulation.RunResult) -> ProportionReport:
 
     Shares sum to 1 within 1e-9. Raises when nothing was allocated.
     """
-    totals = result.total_assigned_effort()
+    totals = result.assigned_effort
     grand_total = sum(totals.values())
     if grand_total <= 0:
         raise MetricsError("no allocations")

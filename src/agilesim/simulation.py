@@ -31,8 +31,8 @@ type (effort, utility, competence, nominal days) are built at day 0,
 once per profile of the roster.
 
 A day costs the work done in it, not the head count. The run's record,
-a ``RunResult``, is built at day 0 with every series at horizon length
-and full of zeros; ``tick`` writes a day's slot only for an agent that
+a ``RunResult``, is built at day 0 with its series and totals at zero;
+``tick`` writes a day's slot or adds to a total only for an agent that
 got or holds work, so an idle agent costs a reset of its recent
 completions in the service phase and nothing in the recording phase.
 Congestion and the task-conservation check share one walk a day over
@@ -107,9 +107,10 @@ class SimState:
     arrived task is counted once: in the common queue, in a run of an
     agent's ``pending``, or in ``metrics.completed_count``.
     ``effort_received`` sums, per agent, the effort of the tasks it
-    completed, in completion order. ``types`` is the scenario's task
-    types by id. ``awr_assignee`` is the AWR assignee, the most
-    competent agent, fixed for the run (None under SMART).
+    completed, in completion order; ``effort_spent``, the effort it
+    spent, a day at a time. ``types`` is the scenario's task types by
+    id. ``awr_assignee`` is the AWR assignee, the most competent agent,
+    fixed for the run (None under SMART).
 
     ``score_tables`` maps an agent's ``(Profile, mood)`` to one
     ``Visit`` (the compiled SMART visit order of the offered types) per
@@ -132,6 +133,7 @@ class SimState:
     quality_rng: random.Random
     metrics: RunResult
     effort_received: dict[str, float]
+    effort_spent: dict[str, float]
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: AgentState | None = None
@@ -148,25 +150,25 @@ class SimState:
 class RunResult:
     """Per-day series and totals for one simulated run.
 
-    Built by ``initial_state`` with one slot per day, all 0; ``tick``
-    writes a day's slots for the agents that got or held work (and an
-    emptied queue's float residue in ``pending_workload``) and adds to
-    the counts. Mid-run the days not yet ticked read 0, and so does
-    ``global_utility`` until ``run`` sums it. ``categories`` maps each
-    agent id, in roster order, to its category.
+    Built by ``initial_state`` with one slot per day and a total per
+    agent, all 0; ``tick`` writes a day's slots for the agents that got
+    or held work (and an emptied queue's float residue in
+    ``pending_workload``) and adds to the counts and totals. Mid-run the
+    days not yet ticked read 0, and so does ``global_utility`` until
+    ``run`` sums it. ``categories`` maps each agent id, in roster order,
+    to its category, and ``assigned_effort`` to the effort it claimed.
 
     ``completion_stream`` is recorded only under constant mood, and is
     None under fcm-coupled mood: the service term of each completion, in
     the order of the quality draws. ``completions`` splits it by day.
-    ``tick`` appends to it; ``run`` freezes it into a tuple.
+    ``tick`` appends to it.
     """
 
     scenario: str
     allocator: Allocator
     seed: int
     categories: dict[str, str]
-    assigned_effort: dict[str, list[float]]
-    busy_effort: dict[str, list[float]]
+    assigned_effort: dict[str, float]
     pending_workload: dict[str, list[float]]
     congestion: list[float]
     arrivals: list[int]
@@ -176,10 +178,7 @@ class RunResult:
     completed_count: int = 0
     high_quality_count: int = 0
     delay_count: int = 0
-    completion_stream: list[ServiceTerm] | tuple[ServiceTerm, ...] | None = None
-
-    def total_assigned_effort(self) -> dict[str, float]:
-        return {agent: sum(series) for agent, series in self.assigned_effort.items()}
+    completion_stream: list[ServiceTerm] | None = None
 
 
 @dataclass
@@ -252,8 +251,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
             allocator=config.allocator,
             seed=run_seed,
             categories={a.agent_id: a.category.value for a in agents},
-            assigned_effort={a.agent_id: [0.0] * horizon for a in agents},
-            busy_effort={a.agent_id: [0.0] * horizon for a in agents},
+            assigned_effort={a.agent_id: 0.0 for a in agents},
             pending_workload={a.agent_id: [0.0] * horizon for a in agents},
             congestion=[0.0] * horizon,
             arrivals=[0] * horizon,
@@ -262,6 +260,7 @@ def initial_state(config: ScenarioConfig, seed: int | None = None) -> SimState:
             completion_stream=None if mood_map is not None else [],
         ),
         effort_received={a.agent_id: 0.0 for a in agents},
+        effort_spent={a.agent_id: 0.0 for a in agents},
         mood_map=mood_map,
     )
     state._types_by_priority = sorted(types, key=lambda t: (-types[t].priority, t))
@@ -387,23 +386,27 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
                 break
             plan = smart_plan(agent, offered, _visit(state, agent, offered, psi))
             # plan.accepted is in visit order; its rejects go to the next agent.
+            assigned = 0.0
             for tid, count in plan.accepted.items():
                 if count:
                     common_queue[tid] -= count
                     effort = types[tid].effort
                     _claim(agent, tid, count, effort, day)
-                    metrics.assigned_effort[agent.agent_id][day] += count * effort
+                    assigned += count * effort
+            if assigned:
+                metrics.assigned_effort[agent.agent_id] += assigned
             offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every task in the common queue is assigned at once, none rejected.
+        agent, assigned = state.awr_assignee, 0.0
         for tid in state._types_by_priority:
             count = common_queue[tid]
             if count:
                 common_queue[tid] = 0
-                agent = state.awr_assignee
                 effort = types[tid].effort
                 _claim(agent, tid, count, effort, day)
-                assigned = metrics.assigned_effort[agent.agent_id]
-                assigned[day] = _add_each(assigned[day], effort, count)
+                assigned = _add_each(assigned, effort, count)
+        if assigned:
+            metrics.assigned_effort[agent.agent_id] += assigned
 
     # (3) Service, (4) quality outcomes, task by task in roster order so
     # the quality draws keep their order; only agents holding work are
@@ -466,7 +469,7 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         outcomes[agent_id] = (done, on_time, high_quality)
         completions_today += done
         metrics.high_quality_count += high_quality
-        metrics.busy_effort[agent_id][day] = max_effort - budget
+        state.effort_spent[agent_id] += max_effort - budget
         metrics.pending_workload[agent_id][day] = pending_effort
     metrics.delay_count += delayed
     metrics.completed_count += completions_today
@@ -498,7 +501,7 @@ def _check_effort(state: SimState) -> None:
         if agent.pending:
             head_type = agent.pending[0][0]
             expected += state.types[head_type].effort - agent.head_remaining
-        spent = sum(state.metrics.busy_effort[agent.agent_id])
+        spent = state.effort_spent[agent.agent_id]
         if not math.isclose(spent, expected, rel_tol=1e-9, abs_tol=1e-6):
             raise SimulationInvariantError(
                 f"effort conservation breached for agent {agent.agent_id}: "
@@ -507,16 +510,13 @@ def _check_effort(state: SimState) -> None:
 
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
-    """Execute one full run from an empty state and return the record
-    its days were written into, with its completion stream frozen."""
+    """Execute one full run from an empty state and return its record."""
     state = initial_state(config, seed)
     for _ in range(config.horizon_days):
         tick(state, config)
     _check_effort(state)
     result = state.metrics
     result.global_utility = sum(result.utility)
-    if result.completion_stream is not None:
-        result.completion_stream = tuple(result.completion_stream)
     return result
 
 

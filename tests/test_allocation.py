@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import agilesim
 from agilesim import allocation, core
 from agilesim.allocation import AllocationPlan, TypeEconomics
 
@@ -37,6 +38,13 @@ def plan(planner, incoming, economics, psi):
     """``smart_plan`` on the order ``plan_order`` compiles for the offers."""
     return allocation.smart_plan(
         planner, incoming, allocation.plan_order(economics, psi, incoming)
+    )
+
+
+def test_planner_is_exported_with_its_order():
+    assert (agilesim.plan_order, agilesim.smart_plan) == (
+        allocation.plan_order,
+        allocation.smart_plan,
     )
 
 
@@ -110,6 +118,34 @@ class TestSmartPlan:
     def test_unknown_type_rejected(self):
         with pytest.raises(allocation.UnknownTaskTypeError, match="Z"):
             allocation.plan_order({"A": econ("A", 1.0, 1.0)}, 1.0, {"A": 1, "Z": 1})
+
+    @pytest.mark.parametrize(
+        "incoming,compiled_for,listed",
+        [
+            ({"A": 1, "B": 3}, {"A": 1}, r"\['A'\]"),
+            ({"A": 1}, {"A": 1, "B": 3}, r"\['B', 'A'\]"),
+            ({"A": 1}, {"A": 1, "C": 3}, r"\['A', 'C'\]"),
+            ({"A": 1, "B": 1}, ["A", "A"], r"\['A', 'A'\]"),
+        ],
+        ids=[
+            "offered type missing",
+            "positive type not offered",
+            "type not offered",
+            "type listed twice",
+        ],
+    )
+    def test_order_must_list_exactly_the_offered_types(
+        self, incoming, compiled_for, listed
+    ):
+        # B scores above A, C below zero.
+        economics = {
+            "A": econ("A", 1.0, 1.0),
+            "B": econ("B", 2.0, 1.0),
+            "C": econ("C", -1.0, 1.0),
+        }
+        order = allocation.plan_order(economics, 1.0, compiled_for)
+        with pytest.raises(ValueError, match=f"order lists {listed}"):
+            allocation.smart_plan(agent(), incoming, order)
 
     def test_negative_offer_rejected(self):
         # The count is checked whether or not the plan visits its type:

@@ -324,7 +324,6 @@ def queue_run(agent_ids, pending_workload, congestion):
         seed=0,
         categories=dict.fromkeys(agent_ids, "HCA"),
         assigned_effort={},
-        busy_effort={},
         pending_workload=pending_workload,
         congestion=congestion,
         arrivals=[0] * len(congestion),
@@ -734,6 +733,17 @@ class TestMalformedCorpus:
         kind = name.split(".")[0]
         assert f"error: invalid {kind} file {paths[name]}: {message}" in err
         assert "Traceback" not in err
+
+    def test_unknown_goal_label_names_its_assignment(self, tmp_path, capsys):
+        goals = tmp_path / "goals.json"
+        goals.write_text(
+            json.dumps({"goals": ["G"], "assignment": {"1": "H"}}), encoding="utf-8"
+        )
+        argv = ["goalnet", "--stories", corpus_path("stories.json"), "--goals",
+                str(goals), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: assignment.1: unknown goal 'H'\n"
 
     def test_unknown_parent_of_a_later_story(self, tmp_path, capsys):
         # "1.1" names a parent listed after it, whose own parent is unknown.

@@ -165,7 +165,10 @@ class TestBuildGoalNet:
 
     def test_unknown_goal_label(self):
         story = parse_story("As a user, I want to log in", story_id="1")
-        with pytest.raises(goalnet.GoalNetError, match="unknown goal"):
+        with pytest.raises(
+            goalnet.GoalNetError,
+            match=r"^assignment\.1: unknown goal 'Something else'$",
+        ):
             build_goal_net([story], ["Account access"], {"1": "Something else"})
 
     @pytest.mark.parametrize(

@@ -46,8 +46,7 @@ def synthetic_result(assigned: dict[str, float]) -> simulation.RunResult:
         allocator=core.Allocator.SMART,
         seed=0,
         categories={a: "HCA" for a in agents},
-        assigned_effort={a: [v] for a, v in assigned.items()},
-        busy_effort={a: [0.0] for a in agents},
+        assigned_effort=dict(assigned),
         pending_workload={a: [0.0] for a in agents},
         congestion=[0.0],
         arrivals=[0],

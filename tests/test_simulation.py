@@ -252,9 +252,18 @@ def mood_trajectory(config, tick, state=None):
 
 
 SERIES = (
-    "assigned_effort", "busy_effort", "pending_workload", "congestion",
-    "arrivals", "completions", "utility", "delay_count",
+    "pending_workload", "congestion", "arrivals", "completions", "utility",
+    "delay_count",
 )
+
+
+def summed(series):
+    """``series`` added left to right from 0.0, as a run adds its days
+    into a total."""
+    total = 0.0
+    for value in series:
+        total += value
+    return total
 
 
 def random_scenario(rng, case):
@@ -393,7 +402,7 @@ class TestTickHandTraces:
         )
         result = simulation.run(config)
         assert result.completions == [0, 0, 0, 1, 0]
-        assert result.busy_effort["dev-000"][:4] == [3.0, 3.0, 3.0, 1.0]
+        assert result.pending_workload["dev-000"][:4] == [7.0, 4.0, 1.0, 0.0]
 
     def test_zero_mood_agent_accepts_nothing(self):
         config = make_scenario(
@@ -405,9 +414,7 @@ class TestTickHandTraces:
         result = simulation.run(config)
         assert result.completed_count == 0
         assert all(v == 0.0 for v in result.utility)
-        assert all(
-            result.assigned_effort["dev-000"][d] == 0.0 for d in range(3)
-        )
+        assert result.assigned_effort == {"dev-000": 0.0}
 
     def test_partial_task_state_midway(self):
         config = make_scenario(
@@ -500,7 +507,8 @@ class TestConservationAndAccounting:
             horizon_days=2,
             allocator=core.Allocator.AWR,
         )
-        assert simulation.run(config).busy_effort["dev-000"] == [3.0, 3.0]
+        assert simulation.run(config).pending_workload["dev-000"] == [7.0, 4.0]
+        assert ticked(config).effort_spent == {"dev-000": 6.0}
         real_tick = simulation.tick
 
         def corrupting_tick(state, config):
@@ -547,14 +555,17 @@ class TestConservationAndAccounting:
 
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
-        result = simulation.run(config)
-        for agent in result.categories:
-            cap = next(
-                s.max_effort
-                for s in config.team.categories
-                if s.category.value == result.categories[agent]
-            )
-            assert all(v <= cap + 1e-9 for v in result.busy_effort[agent])
+        state = simulation.initial_state(config)
+        caps = {agent.agent_id: agent.max_effort for agent in state.agents}
+        busy_days = 0
+        for _ in range(config.horizon_days):
+            spent = dict(state.effort_spent)
+            simulation.tick(state, config)
+            for agent, cap in caps.items():
+                busy = state.effort_spent[agent] - spent[agent]
+                assert busy <= cap + 1e-9
+                busy_days += busy > 0
+        assert busy_days > 0
 
 
 class TestRunAndRepetition:
@@ -583,7 +594,7 @@ class TestRunAndRepetition:
         a = simulation.run(smart)
         b = simulation.run(awr)
         assert a.arrivals == b.arrivals
-        assert a.total_assigned_effort() != b.total_assigned_effort()
+        assert a.assigned_effort != b.assigned_effort
 
     def test_run_repeated_aggregates(self):
         config = core.with_overrides(
@@ -741,7 +752,7 @@ class TestRepeatedRuns:
             ).trajectories
         )
         result = simulation.run(constant)
-        assert isinstance(result.completion_stream, tuple)
+        assert isinstance(result.completion_stream, list)
         assert len(result.completion_stream) == result.completed_count > 0
 
     def test_outcomes_index_their_trajectories(self, tmp_path):
@@ -844,6 +855,13 @@ class TestIdleAgentEquivalence:
                 t.quality_success for t in state.completed
             ), case
             assert got.global_utility == sum(want.utility), case
+            # A run's totals add the oracle's days in order, bit for bit.
+            for agent in got.categories:
+                for total, series in (
+                    (got.assigned_effort[agent], want.assigned_effort[agent]),
+                    (got_state.effort_spent[agent], want.busy_effort[agent]),
+                ):
+                    assert repr(total) == repr(summed(series)), (case, agent)
             assert got_moods == want_moods, case
             # The same number of quality draws, taken in the same order.
             assert got_state.quality_rng.getstate() == state.quality_rng.getstate(), case
@@ -881,7 +899,8 @@ class TestIdleAgentEquivalence:
         )
         state = simulation.initial_state(config)
         simulation.tick(state, config)
-        assert state.metrics.busy_effort["dev-000"] == [3.0, 0.0, 0.0, 0.0]
+        assert state.metrics.pending_workload["dev-000"] == [7.0, 0.0, 0.0, 0.0]
+        assert state.effort_spent == {"dev-000": 3.0}
         assert state.metrics.arrivals == [1, 0, 0, 0]
 
 
@@ -968,7 +987,7 @@ class TestSmartVersusAwrQuick:
             core.preset("S-I"), seed=1, allocator=core.Allocator.AWR
         )
         result = simulation.run(awr)
-        totals = result.total_assigned_effort()
+        totals = result.assigned_effort
         assert totals["dev-000"] == pytest.approx(sum(totals.values()))
 
 
