@@ -110,14 +110,15 @@ def _write_simulation_outputs(
             # Outcomes are grouped by trajectory: one report per trajectory.
             if outcome.trajectory != index:
                 index = outcome.trajectory
+                trajectory = repeated.trajectories[index]
                 try:
-                    report = metrics.allocation_proportion(repeated.trajectories[index])
+                    report = metrics.allocation_proportion(trajectory.assigned_effort)
                 except metrics.MetricsError:
                     report = None
             if report is None:
                 continue
             counted += 1
-            for agent, share in report.by_agent.items():
+            for agent, share in report.items():
                 share_sums[agent] = share_sums.get(agent, 0.0) + share
         if not counted:
             continue

@@ -235,12 +235,14 @@ def preset(name: str) -> ScenarioConfig:
 
 # The largest scenario validate accepts, so that a valid scenario asks
 # for bounded work and memory: a run costs time per task, per agent-day
-# and per type-day, and keeps one float series per agent-day. Each cap
-# is 100x the largest preset or benchmark input: 100 days, 160 heads,
-# 15 000 tasks of 5 types and 10 repetitions.
+# and per type-day, and keeps one float series per agent-day; under
+# fcm-coupled mood it keeps every repetition's. Each cap is 100x the
+# largest preset or benchmark input: 100 days, 160 heads, 15 000 tasks
+# of 5 types and 10 repetitions.
 MAX_HORIZON_DAYS = 10_000
 MAX_HEAD_COUNT = 16_000
 MAX_AGENT_DAYS = 1_600_000
+MAX_REPEATED_AGENT_DAYS = 16_000_000
 MAX_TASKS = 1_500_000
 MAX_TASK_TYPES = 500
 MAX_REPETITIONS = 1_000
@@ -254,8 +256,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     fields must be finite before their range is checked. Sizes are
     bounded by the ``MAX_*`` caps: ``horizon_days``, ``repetitions``,
     each head count and their total, each task count, their total and
-    the number of task types, and the agent-days (total head count x
-    ``horizon_days``).
+    the number of task types, the agent-days (total head count x
+    ``horizon_days``) and the repeated agent-days (agent-days x
+    ``repetitions``).
     """
     errors: list[str] = []
 
@@ -290,6 +293,12 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(
             f"horizon_days: total head-count x horizon_days must be <= "
             f"{MAX_AGENT_DAYS} (got {heads} x {config.horizon_days})"
+        )
+    if config.repetitions * heads * config.horizon_days > MAX_REPEATED_AGENT_DAYS:
+        errors.append(
+            f"repetitions: repetitions x total head-count x horizon_days must be "
+            f"<= {MAX_REPEATED_AGENT_DAYS} (got {config.repetitions} x {heads} x "
+            f"{config.horizon_days})"
         )
     for spec in config.team.categories:
         path = f"team.{spec.category.value}"

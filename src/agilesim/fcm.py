@@ -52,7 +52,6 @@ from .core import DocumentReader, InputError, list_of, load_input, real, text, w
 BIVALENT = "bivalent"
 TRIVALENT = "trivalent"
 SIGMOID = "sigmoid"
-_TRANSFORMS = (BIVALENT, TRIVALENT, SIGMOID)
 
 FIXED_POINT = "fixed-point"
 LIMIT_CYCLE = "limit-cycle"
@@ -97,14 +96,16 @@ def _trivalent(n: float) -> float:
 
 
 def _squash_function(kind: str, c: float) -> Callable[[float], float]:
-    """Resolve the squashing function for ``kind`` and steepness ``c``."""
+    """Resolve the squashing function for ``kind`` and steepness ``c``;
+    an unknown ``kind`` or a sigmoid ``c`` outside (0, inf) raises
+    :class:`InputError` at ``transform`` or ``c``."""
     if kind == BIVALENT:
         return _bivalent
     if kind == TRIVALENT:
         return _trivalent
     if kind == SIGMOID:
         if not 0 < c < math.inf:
-            raise ValueError(f"sigmoid steepness must be in (0, inf) (got {c})")
+            raise InputError(f"c: sigmoid steepness must be in (0, inf) (got {c})")
         exp = math.exp
 
         def sigmoid(n: float) -> float:
@@ -117,7 +118,7 @@ def _squash_function(kind: str, c: float) -> Callable[[float], float]:
                 return e / (1.0 + e)
 
         return sigmoid
-    raise ValueError(f"unknown transformation function {kind!r}")
+    raise InputError(f"transform: unknown transformation function {kind!r}")
 
 
 def transform(kind: str, n: float, c: float = 5.0) -> float:
@@ -178,12 +179,6 @@ class ConceptMap:
                     f"weights[{i}][{i}]: diagonal weight {row[i]} must be 0 "
                     "(no self-feedback)"
                 )
-        if self.transform not in _TRANSFORMS:
-            raise InputError(
-                f"transform: unknown transformation function {self.transform!r}"
-            )
-        if self.transform == SIGMOID and not 0 < self.c < math.inf:
-            raise InputError(f"c: sigmoid steepness must be in (0, inf) (got {self.c})")
         incoming = tuple(
             tuple((i, self.weights[i][j]) for i in range(n) if self.weights[i][j])
             for j in range(n)

@@ -618,10 +618,13 @@ def export_dot(net: GoalNet) -> str:
 # --- story corpus files ------------------------------------------------------
 
 
-def _stories_from_document(doc: dict) -> list[UserStory]:
+def _document_entries(doc, errors: list[str]):
+    """Yield ``(path, id, text, parent, tasks, environment, cut_across)``
+    for each entry of a JSON corpus, recording each field problem in
+    ``errors`` and skipping the entry it leaves unreadable."""
     reader = DocumentReader(doc, GoalNetError)
+    reader.errors = errors
     read = reader.field
-    stories = []
     for at, entry in reader.objects(doc, "stories"):
         story_id = read(entry, "id", text, at)
         body = read(entry, "text", text, at)
@@ -629,43 +632,50 @@ def _stories_from_document(doc: dict) -> list[UserStory]:
         tasks = read(entry, "tasks", list_of(text), at, ())
         env = read(entry, "environment", list_of(_name_value), at, ())
         cut_across = read(entry, "cut_across", boolean, at, False)
-        if None in (story_id, body, tasks, env):
+        if None not in (story_id, body, tasks, env):
+            yield f"{at}.text", story_id, body, parent, tasks, env, cut_across
+
+
+def _text_entries(corpus: str):
+    """Yield ``(line <n>, id, text, None)`` for each story line of a
+    plain-text corpus; an unnumbered line takes the next unused number.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a text file, so
+    ``<n>`` is the file line; a form feed is whitespace."""
+    used: set[str] = set()
+    auto_id = 0
+    for number, line in enumerate(re.split(r"\r\n?|\n", corpus), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        if parent is None and "." in story_id:
-            parent = story_id.rsplit(".", 1)[0]
-        try:
-            stories.append(parse_story(body, story_id, parent, tasks, env, cut_across))
-        except StoryParseError as exc:
-            reader.errors.append(f"{at}.text: {exc}")
-    reader.check()
-    return stories
+        match = re.match(r"^(?P<id>\d+(?:\.\d+)*)\s*:\s*(?P<text>.+)$", line)
+        if match:
+            story_id, body = match.group("id", "text")
+        else:
+            auto_id += 1
+            while str(auto_id) in used:
+                auto_id += 1
+            story_id, body = str(auto_id), line
+        used.add(story_id)
+        yield f"line {number}", story_id, body, None
 
 
 def _read_corpus(handle) -> list[UserStory]:
-    text = handle.read()
-    if text.lstrip().startswith("{"):
-        stories = _stories_from_document(json.loads(text))
+    corpus = handle.read()
+    errors: list[str] = []
+    if corpus.lstrip().startswith("{"):
+        entries = _document_entries(json.loads(corpus), errors)
     else:
-        stories = []
-        used: set[str] = set()
-        auto_id = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = re.match(r"^(?P<id>\d+(?:\.\d+)*)\s*:\s*(?P<text>.+)$", line)
-            if match:
-                story_id = match.group("id")
-                body = match.group("text")
-            else:
-                auto_id += 1
-                while str(auto_id) in used:
-                    auto_id += 1
-                story_id = str(auto_id)
-                body = line
-            used.add(story_id)
-            parent = story_id.rsplit(".", 1)[0] if "." in story_id else None
-            stories.append(parse_story(body, story_id=story_id, parent=parent))
+        entries = _text_entries(corpus)
+    stories = []
+    for where, story_id, body, parent, *details in entries:
+        if parent is None and "." in story_id:
+            parent = story_id.rsplit(".", 1)[0]
+        try:
+            stories.append(parse_story(body, story_id, parent, *details))
+        except StoryParseError as exc:
+            errors.append(f"{where}: {exc}")
+    if errors:
+        raise GoalNetError(errors)
     _check_parents(stories)
     return stories
 
@@ -677,6 +687,8 @@ def load_stories(path: str | Path) -> list[UserStory]:
     environment?, cut_across?}]}. Plain-text files carry one story per
     line, optionally prefixed with a dotted id and a colon
     ("1.2: As a ..."); unprefixed lines are numbered consecutively.
+    Every malformed entry is named (``stories[i].text`` or ``line <n>``)
+    and raised together as a :class:`GoalNetError`.
     """
     return load_input(path, "stories", _read_corpus)
 

@@ -15,11 +15,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-# Imported as a module (not ``from .simulation import RunResult``): the
-# simulator imports ``congestion`` from here while it is still loading.
-from . import simulation
 from .core import InputError, load_input
 
 
@@ -153,44 +150,24 @@ def congestion(queue_sizes: Iterable[int]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ProportionReport:
-    by_agent: dict[str, float]
-    by_category: dict[str, float]
-
-
-def allocation_proportion(result: simulation.RunResult) -> ProportionReport:
-    """Each agent's (and category's) share of total assigned effort.
+def allocation_proportion(assigned_effort: Mapping[str, float]) -> dict[str, float]:
+    """Each agent's share of the total effort in ``assigned_effort``
+    (agent -> effort claimed, as ``RunResult.assigned_effort``), keyed
+    in its order.
 
     Shares sum to 1 within 1e-9. Raises when nothing was allocated.
     """
-    totals = result.assigned_effort
-    grand_total = sum(totals.values())
+    grand_total = sum(assigned_effort.values())
     if grand_total <= 0:
         raise MetricsError("no allocations")
-    by_agent = {agent: effort / grand_total for agent, effort in totals.items()}
-    by_category: dict[str, float] = {}
-    for agent, share in by_agent.items():
-        category = result.categories[agent]
-        by_category[category] = by_category.get(category, 0.0) + share
-    return ProportionReport(by_agent=by_agent, by_category=by_category)
+    return {agent: effort / grand_total for agent, effort in assigned_effort.items()}
 
 
-def delay_percentage(
-    source: Union[simulation.RunResult, Sequence[SprintRecord]]
-) -> float:
-    """Fraction of completed tasks finished late, in [0, 1].
-
-    Log mode (sprint records): late means actual days exceed estimated
-    days. Simulation mode: late means completion after the nominal
-    duration ceil(effort / assignee max effort) counted from assignment,
-    since synthetic tasks carry no human estimate.
+def delay_percentage(records: Iterable[SprintRecord]) -> float:
+    """Fraction of sprint records finished late, in [0, 1]: late means
+    actual days exceed estimated days. Raises when there are none.
     """
-    if isinstance(source, simulation.RunResult):
-        if source.completed_count == 0:
-            raise MetricsError("no completions")
-        return source.delay_count / source.completed_count
-    records = list(source)
+    records = list(records)
     if not records:
         raise MetricsError("no completions")
     late = sum(1 for record in records if not record.on_time)

@@ -43,8 +43,7 @@ next values; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
 All agents step one shared map, and after an idle day an agent's mood is
 that map's idle constant, so a repeated idle step returns the stored
 tuple of the map's last-step memo (see ``fcm``). ``tick`` keeps the
-record's completion counts; ``run`` sums its global utility at the
-horizon and returns that same record.
+record's completion counts, and ``run`` returns that same record.
 
 Under constant mood the repetitions of ``run_repeated`` share one
 simulated trajectory and differ only in their quality draws: nothing
@@ -154,8 +153,8 @@ class RunResult:
     agent, all 0; ``tick`` writes a day's slots for the agents that got
     or held work (and an emptied queue's float residue in
     ``pending_workload``) and adds to the counts and totals. Mid-run the
-    days not yet ticked read 0, and so does ``global_utility`` until
-    ``run`` sums it. ``categories`` maps each agent id, in roster order,
+    days not yet ticked read 0. A run's global utility is
+    ``sum(utility)``. ``categories`` maps each agent id, in roster order,
     to its category, and ``assigned_effort`` to the effort it claimed.
 
     ``completion_stream`` is recorded only under constant mood, and is
@@ -174,7 +173,6 @@ class RunResult:
     arrivals: list[int]
     completions: list[int]
     utility: list[float]
-    global_utility: float = 0.0
     completed_count: int = 0
     high_quality_count: int = 0
     delay_count: int = 0
@@ -184,12 +182,12 @@ class RunResult:
 @dataclass
 class Outcome:
     """One repetition's quality outcomes: its seed, per-day utility and
-    totals, drawn on its set's trajectory at index ``trajectory``. With
-    that trajectory's other fields they are ``run(config, seed)``."""
+    high-quality count, drawn on its set's trajectory at index
+    ``trajectory``. With that trajectory's other fields they are
+    ``run(config, seed)``."""
 
     seed: int
     utility: list[float]
-    global_utility: float
     high_quality_count: int
     trajectory: int
 
@@ -515,9 +513,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     for _ in range(config.horizon_days):
         tick(state, config)
     _check_effort(state)
-    result = state.metrics
-    result.global_utility = sum(result.utility)
-    return result
+    return state.metrics
 
 
 def _redraw(first: RunResult, seed: int) -> Outcome:
@@ -548,7 +544,7 @@ def _redraw(first: RunResult, seed: int) -> Outcome:
             f"redraw at seed {seed}: replayed {consumed} service terms of a "
             f"stream of {len(stream)} for {first.completed_count} completions"
         )
-    return Outcome(seed, utility, sum(utility), high_quality, 0)
+    return Outcome(seed, utility, high_quality, 0)
 
 
 def run_repeated(config: ScenarioConfig) -> RepeatedResult:
@@ -571,12 +567,12 @@ def run_repeated(config: ScenarioConfig) -> RepeatedResult:
     else:
         trajectories, redrawn = [first], [_redraw(first, seed) for seed in seeds]
     outcomes = [
-        Outcome(r.seed, r.utility, r.global_utility, r.high_quality_count, i)
+        Outcome(r.seed, r.utility, r.high_quality_count, i)
         for i, r in enumerate(trajectories)
     ] + redrawn
     drawn_on = [trajectories[o.trajectory] for o in outcomes]
     metric_values = {
-        "global_utility": [o.global_utility for o in outcomes],
+        "global_utility": [sum(o.utility) for o in outcomes],
         "completed_count": [float(r.completed_count) for r in drawn_on],
         "high_quality_count": [float(o.high_quality_count) for o in outcomes],
         "delay_count": [float(r.delay_count) for r in drawn_on],

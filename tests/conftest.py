@@ -119,7 +119,7 @@ def preset_sweep() -> SweepSummary:
             utilities = []
             for rep in range(config.repetitions):
                 result = simulation.run(config, seed=config.seed + rep)
-                utilities.append(result.global_utility)
+                utilities.append(sum(result.utility))
                 maxima, top_peak = _reduce_run(result)
                 summary.half_maxima[key].append(maxima)
                 summary.top_agent_peak[key].append(top_peak)

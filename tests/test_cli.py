@@ -272,7 +272,6 @@ def per_seed_runs(repeated):
             copy.deepcopy(repeated.trajectories[outcome.trajectory]),
             seed=outcome.seed,
             utility=list(outcome.utility),
-            global_utility=outcome.global_utility,
             high_quality_count=outcome.high_quality_count,
         )
         for outcome in repeated.outcomes
@@ -303,11 +302,11 @@ def reference_allocation_rows(results):
         runs = per_seed_runs(repeated)
         for result in runs:
             try:
-                report = metrics.allocation_proportion(result)
+                report = metrics.allocation_proportion(result.assigned_effort)
             except metrics.MetricsError:
                 continue
             counted += 1
-            for agent, share in report.by_agent.items():
+            for agent, share in report.items():
                 share_sums[agent] = share_sums.get(agent, 0.0) + share
         if counted:
             first = runs[0]
@@ -398,9 +397,9 @@ class TestSimulationWriters:
         counted = []
         real = metrics.allocation_proportion
 
-        def counted_proportion(result):
-            counted.append(result)
-            return real(result)
+        def counted_proportion(assigned_effort):
+            counted.append(assigned_effort)
+            return real(assigned_effort)
 
         monkeypatch.setattr(metrics, "allocation_proportion", counted_proportion)
         cli._write_simulation_outputs(tmp_path, results)
@@ -450,7 +449,7 @@ class TestSimulationWriters:
             assert got == (tmp_path / "want.csv").read_bytes(), config.name
             assert len(want) == 2 * 3 * config.horizon_days
         awr = results[core.Allocator.AWR.value].outcomes
-        assert all(o.utility[0] == 0.0 < o.global_utility for o in awr)
+        assert all(o.utility[0] == 0.0 < sum(o.utility) for o in awr)
 
     def test_allocation_without_allocations(self, tmp_path):
         config = make_scenario(tasks=(), horizon_days=5, repetitions=3)

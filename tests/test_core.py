@@ -124,6 +124,16 @@ SIZE_CAPS = {
         lambda n: sized(heads=(core.MAX_HEAD_COUNT,), horizon_days=n),
         ["horizon_days"],
     ),
+    # Full agent-days repeated once more than the repeated agent-days allow.
+    "repeated-agent-days": (
+        core.MAX_REPEATED_AGENT_DAYS // core.MAX_AGENT_DAYS,
+        lambda n: sized(
+            heads=(core.MAX_HEAD_COUNT,),
+            horizon_days=core.MAX_AGENT_DAYS // core.MAX_HEAD_COUNT,
+            repetitions=n,
+        ),
+        ["repetitions"],
+    ),
 }
 
 

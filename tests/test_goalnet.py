@@ -522,5 +522,25 @@ class TestDocumentsAndExport:
     def test_story_file_bad_line(self, tmp_path):
         path = tmp_path / "stories.txt"
         path.write_text("1: not a story at all\n", encoding="utf-8")
-        with pytest.raises(goalnet.StoryParseError):
+        with pytest.raises(goalnet.GoalNetError, match="line 1:"):
             goalnet.load_stories(path)
+
+    def test_story_file_names_every_bad_line(self, tmp_path):
+        path = tmp_path / "stories.txt"
+        path.write_text(
+            "# corpus\n"
+            # A form feed is whitespace, not a line break.
+            "As a user, I want to search goods\x0c fast\n"
+            "this is not a story\n"
+            "\n"
+            "1.1: As a user, please add paying\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: line 3: expected role clause "
+            "'As a <role>,' (at position 0)",
+            f"invalid stories file {path}: line 5: expected 'I want to <goal>' "
+            "after the role (at position 10)",
+        ]

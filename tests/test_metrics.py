@@ -39,26 +39,6 @@ def record(
     )
 
 
-def synthetic_result(assigned: dict[str, float]) -> simulation.RunResult:
-    agents = list(assigned)
-    return simulation.RunResult(
-        scenario="synthetic",
-        allocator=core.Allocator.SMART,
-        seed=0,
-        categories={a: "HCA" for a in agents},
-        assigned_effort=dict(assigned),
-        pending_workload={a: [0.0] for a in agents},
-        congestion=[0.0],
-        arrivals=[0],
-        completions=[0],
-        utility=[0.0],
-        global_utility=0.0,
-        completed_count=0,
-        high_quality_count=0,
-        delay_count=0,
-    )
-
-
 class TestCompetence:
     def test_empty_history_is_half(self):
         assert metrics.competence([], "s1") == 0.5
@@ -230,32 +210,25 @@ class TestCongestion:
 
 class TestAllocationProportion:
     def test_normalization(self):
-        report = metrics.allocation_proportion(
-            synthetic_result({"a1": 30.0, "a2": 10.0})
-        )
-        assert report.by_agent == pytest.approx({"a1": 0.75, "a2": 0.25})
+        report = metrics.allocation_proportion({"a1": 30.0, "a2": 10.0})
+        assert report == pytest.approx({"a1": 0.75, "a2": 0.25})
 
     def test_single_agent(self):
-        report = metrics.allocation_proportion(synthetic_result({"a1": 12.0}))
-        assert report.by_agent == {"a1": 1.0}
+        assert metrics.allocation_proportion({"a1": 12.0}) == {"a1": 1.0}
 
     def test_equal_split(self):
-        report = metrics.allocation_proportion(
-            synthetic_result({f"a{i}": 4.0 for i in range(5)})
-        )
-        for share in report.by_agent.values():
+        report = metrics.allocation_proportion({f"a{i}": 4.0 for i in range(5)})
+        for share in report.values():
             assert share == pytest.approx(0.2)
 
     def test_shares_sum_to_one(self):
         result = simulation.run(core.with_overrides(core.preset("S-I"), seed=6))
-        report = metrics.allocation_proportion(result)
-        assert sum(report.by_agent.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(report.by_category.values()) == pytest.approx(1.0, abs=1e-9)
-        assert set(report.by_category) <= {"HCA", "MCA", "MIA", "HIA"}
+        report = metrics.allocation_proportion(result.assigned_effort)
+        assert sum(report.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_total_rejected(self):
         with pytest.raises(metrics.MetricsError, match="no allocations"):
-            metrics.allocation_proportion(synthetic_result({"a1": 0.0}))
+            metrics.allocation_proportion({"a1": 0.0})
 
 
 class TestDelayPercentage:
@@ -279,7 +252,7 @@ class TestDelayPercentage:
         )
         result = simulation.run(config)
         # nominal duration ceil(10 / 3) = 4 days and the task took 4
-        assert metrics.delay_percentage(result) == 0.0
+        assert (result.completed_count, result.delay_count) == (1, 0)
 
     def test_sim_mode_late(self):
         # Two tasks on one slow agent: the second waits and finishes late.
@@ -290,15 +263,7 @@ class TestDelayPercentage:
             allocator=core.Allocator.AWR,
         )
         result = simulation.run(config)
-        assert result.completed_count == 2
-        assert metrics.delay_percentage(result) == pytest.approx(0.5)
-
-    def test_sim_mode_no_completions(self):
-        config = make_scenario(
-            tasks=(("T1", 1, 1, 1, 0),), horizon_days=2
-        )
-        with pytest.raises(metrics.MetricsError):
-            metrics.delay_percentage(simulation.run(config))
+        assert (result.completed_count, result.delay_count) == (2, 1)
 
 
 class TestPearson:

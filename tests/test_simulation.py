@@ -389,7 +389,7 @@ class TestTickHandTraces:
         assert result.completions == [1]
         assert result.high_quality_count == 1
         assert result.delay_count == 0
-        assert result.global_utility == pytest.approx(10.0)
+        assert sum(result.utility) == pytest.approx(10.0)
 
     def test_carryover_service_under_awr(self):
         # Effort 10 against a 3-per-day budget finishes at the end of
@@ -575,7 +575,6 @@ class TestRunAndRepetition:
         assert len(result.utility) == config.horizon_days
         assert len(result.congestion) == config.horizon_days
         assert sum(result.arrivals) == config.total_tasks()
-        assert result.global_utility == pytest.approx(sum(result.utility))
         assert result.completed_count == sum(result.completions)
         assert result.high_quality_count <= result.completed_count
 
@@ -603,7 +602,7 @@ class TestRunAndRepetition:
         repeated = simulation.run_repeated(config)
         assert len(repeated.outcomes) == 3
         assert {o.seed for o in repeated.outcomes} == {21, 22, 23}
-        values = [o.global_utility for o in repeated.outcomes]
+        values = [sum(o.utility) for o in repeated.outcomes]
         assert repeated.mean["global_utility"] == pytest.approx(
             sum(values) / len(values)
         )
@@ -623,7 +622,7 @@ class TestRunAndRepetition:
         config = make_scenario(tasks=(("T1", 1, 1, 1, 0),), horizon_days=4)
         result = simulation.run(config)
         assert result.completed_count == 0
-        assert result.global_utility == 0.0
+        assert sum(result.utility) == 0.0
         assert all(v == 0.0 for v in result.utility)
         assert all(v == 0.0 for v in result.congestion)
 
@@ -648,9 +647,12 @@ def assert_runs_are_independent_runs(config):
                 config.name, config.allocator, config.seed, r, field.name
             )
         assert [v.hex() for v in outcome.utility] == [v.hex() for v in want_run.utility]
-        assert outcome.global_utility.hex() == want_run.global_utility.hex()
+        assert sum(outcome.utility).hex() == sum(want_run.utility).hex()
     for name in ("global_utility", "completed_count", "high_quality_count", "delay_count"):
-        values = [float(getattr(run, name)) for run in want]
+        values = [
+            sum(run.utility) if name == "global_utility" else float(getattr(run, name))
+            for run in want
+        ]
         assert repeated.mean[name] == statistics.fmean(values), name
         assert repeated.std[name] == statistics.stdev(values), name
     return repeated
@@ -854,7 +856,7 @@ class TestIdleAgentEquivalence:
             assert got.high_quality_count == sum(
                 t.quality_success for t in state.completed
             ), case
-            assert got.global_utility == sum(want.utility), case
+            assert sum(got.utility) == sum(want.utility), case
             # A run's totals add the oracle's days in order, bit for bit.
             for agent in got.categories:
                 for total, series in (
