@@ -78,18 +78,34 @@ class TypeEconomics:
         return psi * self.expected_utility - self.recent_service_rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AllocationPlan:
     """Outcome of one agent's daily acceptance decision.
 
     Always satisfies: sum(accepted[t] * effort[t]) <= max_effort and
     0 <= accepted[t] <= offered[t]; ``leftover_effort`` is the unspent
     budget and ``rejected`` the offers returned to the common queue.
+
+    ``__init__`` is written by hand: it takes the arguments of the
+    generated one, but sets each slot through its own setter, cheaper
+    than the frozen class's ``object.__setattr__`` per field.
     """
 
     accepted: dict[str, int]
     leftover_effort: float
     rejected: dict[str, int]
+
+    def __init__(
+        self, accepted: dict[str, int], leftover_effort: float, rejected: dict[str, int]
+    ):
+        _set_accepted(self, accepted)
+        _set_leftover_effort(self, leftover_effort)
+        _set_rejected(self, rejected)
+
+
+_set_accepted, _set_leftover_effort, _set_rejected = (
+    getattr(AllocationPlan, name).__set__ for name in AllocationPlan.__slots__
+)
 
 
 def visit_order(

@@ -14,7 +14,9 @@ Output contracts. Every CSV carries a header row; CSV and JSON files are
 written through ``core.write_csv``, ``core.write_csv_text`` and
 ``core.write_json``.
 
-* ``utility.csv``: day, run, allocator, cumulative_utility
+* ``utility.csv``: day, run, allocator, cumulative_utility. It is
+  rendered one repetition at a time and keeps the bytes
+  ``core.write_csv`` writes for those rows.
 * ``allocation.csv``: agent, category, share, allocator
 * ``queues.csv``: day, agent, pending_workload, congestion, allocator
   (series from the first trajectory). It is rendered a day at a time
@@ -86,20 +88,38 @@ def _write_queues(path: Path, firsts: dict[str, simulation.RunResult]) -> None:
     )
 
 
+def _write_utility(path: Path, results: dict[str, simulation.RepeatedResult]) -> None:
+    """Write ``utility.csv``: the bytes ``core.write_csv`` writes for rows
+    ``[day, run, allocator, cumulative_utility]``, rendered and written one
+    repetition at a time."""
+    cells = core.csv_cells(results)
+
+    def repetitions():
+        heads: list[str] = []
+        for allocator, repeated in results.items():
+            for run, outcome in enumerate(repeated.outcomes):
+                utility = outcome.utility
+                if len(heads) < len(utility):
+                    heads = [f"{day}," for day in range(len(utility))]
+                # A repetition's rows differ only in their day and total cells.
+                middle = f"{run},{cells[allocator]},"
+                yield "".join(
+                    [
+                        f"{head}{middle}{total!r}\n"
+                        for head, total in zip(heads, accumulate(utility))
+                    ]
+                )
+
+    core.write_csv_text(
+        path, ["day", "run", "allocator", "cumulative_utility"], repetitions()
+    )
+
+
 def _write_simulation_outputs(
     out_dir: Path, results: dict[str, simulation.RepeatedResult]
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    core.write_csv(
-        out_dir / "utility.csv",
-        ["day", "run", "allocator", "cumulative_utility"],
-        (
-            [day, run_index, allocator, value]
-            for allocator, repeated in results.items()
-            for run_index, outcome in enumerate(repeated.outcomes)
-            for day, value in enumerate(accumulate(outcome.utility))
-        ),
-    )
+    _write_utility(out_dir / "utility.csv", results)
 
     shares = []
     for allocator, repeated in results.items():

@@ -170,26 +170,48 @@ def _story_order(story_id: str) -> tuple:
     return tuple(key)
 
 
-def _check_parents(stories: Sequence[UserStory]) -> None:
+def _check_parents(
+    stories: Sequence[UserStory], places: Sequence[str] | None = None
+) -> None:
+    """Check that story ids are unique and that each parent is a known
+    proper prefix of its child's id. A parent id is strictly shorter than
+    its child's, so no chain of parents can come back to a story.
+
+    Every problem is raised together in one :class:`GoalNetError`, in
+    story order, each prefixed by its story's entry in ``places`` when
+    given (``line <n>`` or ``stories[i]``)."""
+    problems: list[tuple[int, str]] = []
     ids: set[str] = set()
-    for story in stories:
+    for index, story in enumerate(stories):
         if story.id in ids:
-            raise GoalNetError(f"story ids must be unique (repeated id {story.id!r})")
+            problems.append(
+                (index, f"story ids must be unique (repeated id {story.id!r})")
+            )
         ids.add(story.id)
-    for story in stories:
-        if story.parent is None:
+    for index, story in enumerate(stories):
+        parent = story.parent
+        if parent is None:
             continue
-        if story.parent not in ids:
-            raise GoalNetError(
-                f"story {story.id!r} references unknown parent {story.parent!r}"
+        if parent not in ids:
+            problems.append(
+                (index, f"story {story.id!r} references unknown parent {parent!r}")
             )
-        # A parent id is strictly shorter than its child's, so no chain
-        # of parents can come back to a story.
-        if not story.id.startswith(story.parent + "."):
-            raise GoalNetError(
-                f"story {story.id!r}: parent {story.parent!r} is not a proper "
-                "prefix of the id"
+        elif not story.id.startswith(parent + "."):
+            problems.append(
+                (
+                    index,
+                    f"story {story.id!r}: parent {parent!r} is not a proper "
+                    "prefix of the id",
+                )
             )
+    if problems:
+        problems.sort(key=lambda problem: problem[0])
+        raise GoalNetError(
+            [
+                problem if places is None else f"{places[index]}: {problem}"
+                for index, problem in problems
+            ]
+        )
 
 
 def build_goal_net(
@@ -619,9 +641,9 @@ def export_dot(net: GoalNet) -> str:
 
 
 def _document_entries(doc, errors: list[str]):
-    """Yield ``(path, id, text, parent, tasks, environment, cut_across)``
-    for each entry of a JSON corpus, recording each field problem in
-    ``errors`` and skipping the entry it leaves unreadable."""
+    """Yield ``(stories[i], id, text, parent, tasks, environment,
+    cut_across)`` for each entry of a JSON corpus, recording each field
+    problem in ``errors`` and skipping the entry it leaves unreadable."""
     reader = DocumentReader(doc, GoalNetError)
     reader.errors = errors
     read = reader.field
@@ -633,7 +655,7 @@ def _document_entries(doc, errors: list[str]):
         env = read(entry, "environment", list_of(_name_value), at, ())
         cut_across = read(entry, "cut_across", boolean, at, False)
         if None not in (story_id, body, tasks, env):
-            yield f"{at}.text", story_id, body, parent, tasks, env, cut_across
+            yield at, story_id, body, parent, tasks, env, cut_across
 
 
 def _text_entries(corpus: str):
@@ -664,19 +686,23 @@ def _read_corpus(handle) -> list[UserStory]:
     errors: list[str] = []
     if corpus.lstrip().startswith("{"):
         entries = _document_entries(json.loads(corpus), errors)
+        text_field = ".text"
     else:
         entries = _text_entries(corpus)
+        text_field = ""
     stories = []
+    places = []
     for where, story_id, body, parent, *details in entries:
         if parent is None and "." in story_id:
             parent = story_id.rsplit(".", 1)[0]
         try:
             stories.append(parse_story(body, story_id, parent, *details))
+            places.append(where)
         except StoryParseError as exc:
-            errors.append(f"{where}: {exc}")
+            errors.append(f"{where}{text_field}: {exc}")
     if errors:
         raise GoalNetError(errors)
-    _check_parents(stories)
+    _check_parents(stories, places)
     return stories
 
 
@@ -687,8 +713,9 @@ def load_stories(path: str | Path) -> list[UserStory]:
     environment?, cut_across?}]}. Plain-text files carry one story per
     line, optionally prefixed with a dotted id and a colon
     ("1.2: As a ..."); unprefixed lines are numbered consecutively.
-    Every malformed entry is named (``stories[i].text`` or ``line <n>``)
-    and raised together as a :class:`GoalNetError`.
+    Every malformed entry, repeated id and bad parent is named
+    (``stories[i]`` or ``line <n>``) and raised together as a
+    :class:`GoalNetError`.
     """
     return load_input(path, "stories", _read_corpus)
 

@@ -313,7 +313,11 @@ def _visit(
     the agent completed yesterday, so it is compiled once per such set
     and kept for the run; the economics are built only then."""
     mood = agent.mood
-    visits = state.score_tables.setdefault((_profile(agent), mood), {})
+    tables = state.score_tables
+    table_key = (_profile(agent), mood)
+    visits = tables.get(table_key)
+    if visits is None:
+        visits = tables[table_key] = {}
     recent = agent.recent_completions
     key = tuple([(tid, recent.get(tid, 0)) for tid in offered])
     visit = visits.get(key)

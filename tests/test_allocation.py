@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -87,6 +88,50 @@ class TestTypeEconomicsBounds:
         for zero in (0.0, -0.0):
             entry = TypeEconomics("T1", zero, zero, 5e-324)
             assert entry.availability_score(1.0) == 0.0
+
+
+class TestAllocationPlan:
+    """The hand-written ``__init__`` against a plan set field by field,
+    as the generated one of a frozen dataclass sets it."""
+
+    def field_by_field(self, accepted, leftover_effort, rejected):
+        plan = object.__new__(AllocationPlan)
+        object.__setattr__(plan, "accepted", accepted)
+        object.__setattr__(plan, "leftover_effort", leftover_effort)
+        object.__setattr__(plan, "rejected", rejected)
+        return plan
+
+    def test_built_by_keyword_and_by_position(self):
+        accepted, rejected = {"A": 2, "B": 0}, {"A": 1, "B": 4}
+        by_keyword = AllocationPlan(
+            rejected=rejected, leftover_effort=0.5, accepted=accepted
+        )
+        by_position = AllocationPlan(accepted, 0.5, rejected)
+        reference = self.field_by_field(accepted, 0.5, rejected)
+        assert by_keyword == by_position == reference
+        assert by_keyword.accepted is accepted and by_keyword.rejected is rejected
+        assert by_keyword.leftover_effort == 0.5
+        assert by_keyword != self.field_by_field(accepted, 0.25, rejected)
+        assert repr(by_position) == (
+            "AllocationPlan(accepted={'A': 2, 'B': 0}, leftover_effort=0.5, "
+            "rejected={'A': 1, 'B': 4})"
+        )
+
+    def test_missing_or_extra_arguments_rejected(self):
+        with pytest.raises(TypeError):
+            AllocationPlan({}, 1.0)
+        with pytest.raises(TypeError):
+            AllocationPlan({}, 1.0, {}, {})
+        with pytest.raises(TypeError):
+            AllocationPlan(accepted={}, leftover_effort=1.0, rejected={}, extra=1)
+
+    @pytest.mark.parametrize("name", ["accepted", "leftover_effort", "rejected"])
+    def test_fields_are_frozen(self, name):
+        plan = AllocationPlan({}, 1.0, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, None)
+        with pytest.raises((AttributeError, TypeError)):
+            plan.other = None
 
 
 class TestSmartPlan:

@@ -426,6 +426,19 @@ class TestSimulationWriters:
             )
             for name, seed in (("S-I", 0), ("M-M", 5), ("L-C", 987_654_321))
         ]
+        # One repetition per allocator, and a one-day horizon.
+        single = dataclasses.replace(
+            core.with_overrides(core.preset("M-C"), seed=2, repetitions=1),
+            mood_mode=mood_mode,
+        )
+        one_day = make_scenario(
+            categories=((core.Category.HCA, 2, 0.9, 6.0), (core.Category.MIA, 2, 0.45, 3.0)),
+            tasks=(("T1", 4.0, 6.3, 2.5, 7), ("T2", 2.0, 0.1, 1.5, 3)),
+            horizon_days=1,
+            repetitions=3,
+            seed=11,
+            mood_mode=mood_mode,
+        )
         # No task fits a day's effort: SMART accepts none, and AWR's
         # assignee completes nothing on day 0.
         idle = make_scenario(
@@ -436,7 +449,7 @@ class TestSimulationWriters:
             seed=4,
             mood_mode=mood_mode,
         )
-        for config in [*configs, idle]:
+        for config in [*configs, single, one_day, idle]:
             results = {
                 a.value: simulation.run_repeated(core.with_overrides(config, allocator=a))
                 for a in core.Allocator
@@ -447,7 +460,7 @@ class TestSimulationWriters:
             core.write_csv(tmp_path / "want.csv", header, want)
             got = (tmp_path / "utility.csv").read_bytes()
             assert got == (tmp_path / "want.csv").read_bytes(), config.name
-            assert len(want) == 2 * 3 * config.horizon_days
+            assert len(want) == 2 * config.repetitions * config.horizon_days
         awr = results[core.Allocator.AWR.value].outcomes
         assert all(o.utility[0] == 0.0 < sum(o.utility) for o in awr)
 
@@ -707,7 +720,7 @@ class TestMalformedCorpus:
             ("stories.json", ["stories", 0, "text"], "I want to x",
              "stories[0].text: expected role clause"),
             ("stories.json", ["stories", 2, "id"], "1.1",
-             "story ids must be unique (repeated id '1.1')"),
+             "stories[2]: story ids must be unique (repeated id '1.1')"),
             ("stories.json", ["stories", 1, "cut_across"], "false",
              "stories[1].cut_across: invalid value 'false'"),
             ("goals.json", ["goals", 1], "Improved user interface",

@@ -511,6 +511,55 @@ class TestDocumentsAndExport:
         with pytest.raises(goalnet.GoalNetError, match="story ids must be unique"):
             goalnet.load_stories(path)
 
+    def test_story_file_names_every_id_and_parent_problem(self, tmp_path):
+        path = tmp_path / "stories.txt"
+        path.write_text(
+            "1: As a user, I want to search goods\n"
+            "1: As a guest, I want to browse\n"
+            "7.1: As a user, I want to pay\n"
+            "8.1: As a user, I want to ship\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: line 2: story ids must be unique "
+            "(repeated id '1')",
+            f"invalid stories file {path}: line 3: story '7.1' references "
+            "unknown parent '7'",
+            f"invalid stories file {path}: line 4: story '8.1' references "
+            "unknown parent '8'",
+        ]
+
+    def test_json_corpus_names_each_story_entry(self, tmp_path):
+        path = tmp_path / "stories.json"
+        path.write_text(json.dumps({"stories": [
+            {"id": "2.1", "text": "As a user, I want to y"},
+            {"id": "1", "text": "As a user, I want to x"},
+            {"id": "1.1", "parent": "2", "text": "As a user, I want to z"},
+        ]}), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: stories[0]: story '2.1' references "
+            "unknown parent '2'",
+            f"invalid stories file {path}: stories[2]: story '1.1' references "
+            "unknown parent '2'",
+        ]
+
+    def test_build_names_every_problem_without_places(self):
+        stories = [
+            goalnet.UserStory(id="1", role="user", goal="x"),
+            goalnet.UserStory(id="1", role="user", goal="y"),
+            goalnet.UserStory(id="2.1", role="user", goal="z", parent="1"),
+        ]
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G"})
+        assert err.value.errors == [
+            "story ids must be unique (repeated id '1')",
+            "story '2.1': parent '1' is not a proper prefix of the id",
+        ]
+
     @pytest.mark.parametrize("name", ["stories.json", "goals.json"])
     def test_byte_order_mark_accepted(self, name, tmp_path):
         path = tmp_path / name
