@@ -165,13 +165,17 @@ def allocation_proportion(assigned_effort: Mapping[str, float]) -> dict[str, flo
 
 def delay_percentage(records: Iterable[SprintRecord]) -> float:
     """Fraction of sprint records finished late, in [0, 1]: late means
-    actual days exceed estimated days. Raises when there are none.
+    actual days exceed estimated days. Raises when there are none. The
+    records are read once, so a generator serves as well as a list.
     """
-    records = list(records)
-    if not records:
+    total = late = 0
+    for record in records:
+        total += 1
+        if not record.on_time:
+            late += 1
+    if not total:
         raise MetricsError("no completions")
-    late = sum(1 for record in records if not record.on_time)
-    return late / len(records)
+    return late / total
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

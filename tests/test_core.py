@@ -1,7 +1,9 @@
 import csv
+import enum
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -397,21 +399,42 @@ AWKWARD_TEXT = (
 )
 
 
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+# Keys json converts to strings, and values json writes as numbers or
+# text although they are of other types.
+AWKWARD_KEYS = (0, -7, 10**20, True, False, None, Level.LOW) + AWKWARD_FLOATS
+AWKWARD_VALUES = (Level.LOW, core.Category.HCA)
+
+
+def random_text(rng: random.Random) -> str:
+    return rng.choice(AWKWARD_TEXT) + chr(rng.randrange(1, 0xD800))
+
+
 def random_document(rng: random.Random, depth: int = 0):
-    kind = rng.randrange(6 if depth < 3 else 4)
+    kind = rng.randrange(9 if depth < 3 else 5)
     if kind == 0:
         return rng.choice(AWKWARD_FLOATS + (rng.uniform(-1e6, 1e6),))
     if kind == 1:
         return rng.choice([0, -1, rng.randint(-(10**20), 10**20)])
     if kind == 2:
-        return rng.choice(AWKWARD_TEXT) + chr(rng.randrange(1, 0xD800))
+        return random_text(rng)
     if kind == 3:
-        return rng.choice([None, True, False])
+        return rng.choice((None, True, False) + AWKWARD_VALUES)
     if kind == 4:
-        return [random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        # A list of strings only, possibly empty, which write_json joins.
+        return [random_text(rng) for _ in range(rng.randint(0, 4))]
+    items = [random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    if kind == 7:
+        return {rng.choice(AWKWARD_TEXT) + str(i): item for i, item in enumerate(items)}
     return {
-        rng.choice(AWKWARD_TEXT) + str(i): random_document(rng, depth + 1)
-        for i in range(rng.randint(0, 4))
+        rng.choice(AWKWARD_KEYS + (random_text(rng),)): item for item in items
     }
 
 
@@ -421,7 +444,7 @@ class TestOutputWriters:
 
     def test_json_equals_dump_plus_newline(self, tmp_path):
         rng = random.Random(15)
-        for case in range(300):
+        for case in range(2000):
             doc = random_document(rng)
             core.write_json(tmp_path / "got.json", doc)
             with open(tmp_path / "want.json", "w", encoding="utf-8") as handle:
@@ -429,6 +452,16 @@ class TestOutputWriters:
                 handle.write("\n")
             got = (tmp_path / "got.json").read_bytes()
             assert got == (tmp_path / "want.json").read_bytes(), case
+
+    @pytest.mark.parametrize(
+        "doc", [[1, object()], {"a": {"b": object()}}, {(1, 2): 0}, [{"a": 1, (1,): 2}]],
+        ids=["value-in-list", "value-in-dict", "key", "key-in-list"],
+    )
+    def test_json_rejects_what_json_rejects(self, tmp_path, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            core.write_json(tmp_path / "bad.json", doc)
 
     def test_json_awkward_floats(self, tmp_path):
         core.write_json(tmp_path / "floats.json", list(AWKWARD_FLOATS))

@@ -243,6 +243,19 @@ class TestDelayPercentage:
         with pytest.raises(metrics.MetricsError):
             metrics.delay_percentage([])
 
+    def test_generator_reads_as_its_list(self):
+        rng = random.Random(7)
+        records = [
+            record(actual=rng.randint(0, 6), estimated=rng.randint(0, 6))
+            for _ in range(50)
+        ]
+        expected = metrics.delay_percentage(records)
+        assert expected == sum(not r.on_time for r in records) / len(records)
+        assert 0 < expected < 1
+        assert metrics.delay_percentage(r for r in records) == expected
+        with pytest.raises(metrics.MetricsError, match="no completions"):
+            metrics.delay_percentage(r for r in ())
+
     def test_sim_mode(self):
         config = make_scenario(
             categories=((core.Category.HCA, 1, 1.0, 3.0),),
