@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -507,9 +506,6 @@ def csv_cells(values: Iterable[str]) -> dict[str, str]:
     return cells
 
 
-# When requires-python reaches 3.13, write_json is json.dumps alone and
-# the streamed writer below is deleted.
-_JSON_INDENTS_IN_C = sys.version_info >= (3, 13)
 _json_text = json.encoder.encode_basestring_ascii
 
 
@@ -517,19 +513,20 @@ def write_json(path: str | Path, doc: Any) -> None:
     """Write ``doc`` as UTF-8 JSON indented by 2, ending in a newline:
     the bytes of ``json.dumps(doc, indent=2) + "\\n"``.
 
-    Before Python 3.13 ``json`` indents in its pure-Python encoder and
-    joins the whole document into one string. So the text is streamed
-    into the file instead, one ``write`` per piece, with no document
-    string or chunk list in memory: each value and key is rendered as
-    ``json`` renders it, strings by ``json``'s own C
-    ``encode_basestring_ascii``, in about half the time on a goal net.
-    From 3.13 ``json.dumps`` indents in C, is the faster of the two and
-    is called instead. An unsupported value or key raises ``json``'s
-    ``TypeError`` after the pieces before it are written.
+    With ``indent`` set, ``json`` (before Python 3.13) lays the text out
+    in its pure-Python encoder and joins the whole document into one
+    string. So the text is streamed into the file instead, one ``write``
+    per piece, with no document string or chunk list in memory: each
+    value and key is rendered as ``json`` renders it, strings by
+    ``json``'s own C ``encode_basestring_ascii``, in about half the time
+    on a goal net.
+
+    The file is opened, and truncated, before the first piece. An
+    unsupported value or key raises ``json``'s ``TypeError`` and leaves
+    the file holding the pieces before it: a partial, invalid document
+    where an earlier one may have been. A document that contains itself
+    raises ``RecursionError``, not ``json``'s ``ValueError``.
     """
-    if _JSON_INDENTS_IN_C:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        return
     with open(path, "w", encoding="utf-8") as handle:
         _write_json_value(handle.write, doc, "\n")
         handle.write("\n")

@@ -463,6 +463,15 @@ class TestOutputWriters:
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             core.write_json(tmp_path / "bad.json", doc)
 
+    def test_json_error_leaves_a_partial_file(self, tmp_path):
+        # The text is streamed into the file: an error replaces a file
+        # written before with the pieces up to the unsupported value.
+        path = tmp_path / "out.json"
+        core.write_json(path, {"old": True})
+        with pytest.raises(TypeError):
+            core.write_json(path, {"a": 1, "b": object()})
+        assert path.read_text(encoding="utf-8") == '{\n  "a": 1'
+
     def test_json_awkward_floats(self, tmp_path):
         core.write_json(tmp_path / "floats.json", list(AWKWARD_FLOATS))
         text = (tmp_path / "floats.json").read_text(encoding="utf-8")
