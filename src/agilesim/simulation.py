@@ -3,12 +3,12 @@
 Each day: (1) new tasks are admitted to the common queue of their type;
 (2) agents acquire work, either through per-agent acceptance plans
 (SMART) or by assigning every task on arrival to the most competent
-agent (AWR); (3) each agent spends up to its daily effort on its
-pending tasks in acceptance order, carrying partial effort across days;
-(4) each completion draws a quality outcome with success probability
-equal to the worker's competence; (5) moods update
-according to the scenario's mood mode; (6) the day's metrics are
-recorded.
+agent (AWR); then, in one walk over the roster, (3) each agent spends
+up to its daily effort on its pending tasks in acceptance order,
+carrying partial effort across days, (4) each completion draws a
+quality outcome with success probability equal to the worker's
+competence, and (5) the agent's mood updates according to the
+scenario's mood mode; (6) the day's metrics are recorded.
 
 Tasks are counts, not objects: tasks of one type share their effort,
 utility and priority, and no output depends on which task of a type was
@@ -33,13 +33,13 @@ once per profile of the roster.
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with its series and totals at zero;
 ``tick`` writes a day's slot or adds to a total only for an agent that
-got or holds work, so an idle agent costs a reset of its recent
-completions in the service phase and nothing in the recording phase.
-Congestion and the task-conservation check share one walk a day over
-the agents' runs, each agent's runs totalled per type; only agents
-served that day hold any. Under fcm-coupled mood every agent still
-takes one ``fcm.step`` a day, from ``(mood, progress, quality)`` to the
-next values; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
+got or holds work, so an idle agent costs the walk a reset of its recent
+completions and, under fcm-coupled mood, its mood step. The walk also
+takes the queue sizes that congestion and the task-conservation check
+read: after its service an agent's runs totalled per type; only agents
+served that day hold any. Under fcm-coupled mood every agent takes one
+``fcm.step`` a day, from ``(mood, progress, quality)`` to the next
+values; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
 All agents step one shared map, and after an idle day an agent's mood is
 that map's idle constant, so a repeated idle step returns the stored
 tuple of the map's last-step memo (see ``fcm``). ``tick`` keeps the
@@ -338,18 +338,11 @@ def _visit(
     return visit
 
 
-def _check_conservation(state: SimState) -> float:
+def _check_conservation(state: SimState, queue_sizes: list[int]) -> float:
     """Check that every task is in exactly one place and return the
-    day's congestion, from one walk over every agent's runs (an idle
-    agent's too, so a task lost or duplicated there is caught): an
-    agent's runs totalled per type are its queue sizes."""
-    queue_sizes: list[int] = []
-    for agent in state.agents:
-        if agent.pending:
-            counts: dict[str, int] = {}
-            for tid, _, n in agent.pending:
-                counts[tid] = counts.get(tid, 0) + n
-            queue_sizes.extend(counts.values())
+    day's congestion. ``queue_sizes`` are the agents' queue sizes, taken
+    in ``tick``'s walk after each agent's service: every agent that
+    holds work is served, so they count every assigned task."""
     in_common = sum(state.common_queue.values())
     in_agents = sum(queue_sizes)
     completed = state.metrics.completed_count
@@ -410,15 +403,19 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         if assigned:
             metrics.assigned_effort[agent.agent_id] += assigned
 
-    # (3) Service, (4) quality outcomes, task by task in roster order so
-    # the quality draws keep their order; only agents holding work are
-    # served. Each agent's day runs on locals, written back once.
+    # (3) Service, (4) quality outcomes and (5) mood update, in one walk
+    # in roster order, so the quality draws keep their order. Only agents
+    # holding work are served, each on locals written back once; one that
+    # was not served steps from (mood, 0.5, 0.5), most days an input the
+    # map's memo answers.
     completions_today = 0
     utility_today = 0.0
     delayed = 0
     draw = state.quality_rng.random
     stream = metrics.completion_stream
-    outcomes: dict[str, tuple[int, int, int]] = {}
+    mood_map = state.mood_map
+    step = fcm.step
+    queue_sizes: list[int] = []
     for agent in state.agents:
         agent_id = agent.agent_id
         pending = agent.pending
@@ -428,6 +425,8 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
             # A finished queue can leave a float residue in pending_effort.
             if agent.pending_effort:
                 metrics.pending_workload[agent_id][day] = agent.pending_effort
+            if mood_map is not None:
+                agent.mood = step(mood_map, (agent.mood, 0.5, 0.5))[0]
             continue
         max_effort = budget = agent.max_effort
         head_remaining = agent.head_remaining
@@ -468,29 +467,27 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         agent.pending_effort = pending_effort
         state.effort_received[agent_id] = received
         agent.recent_completions = served
-        outcomes[agent_id] = (done, on_time, high_quality)
         completions_today += done
         metrics.high_quality_count += high_quality
         state.effort_spent[agent_id] += max_effort - budget
         metrics.pending_workload[agent_id][day] = pending_effort
-    metrics.delay_count += delayed
-    metrics.completed_count += completions_today
-
-    # (5) Mood update; an agent that was not served steps from
-    # (mood, 0.5, 0.5), most days an input the map's memo answers.
-    mood_map = state.mood_map
-    if mood_map is not None:
-        for agent in state.agents:
-            done, on_time, high_quality = outcomes.get(agent.agent_id, (0, 0, 0))
+        if pending:  # its queue sizes: its runs totalled per type
+            counts: dict[str, int] = {}
+            for tid, _, n in pending:
+                counts[tid] = counts.get(tid, 0) + n
+            queue_sizes.extend(counts.values())
+        if mood_map is not None:
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5
-            agent.mood = fcm.step(mood_map, (agent.mood, progress, quality))[0]
+            agent.mood = step(mood_map, (agent.mood, progress, quality))[0]
+    metrics.delay_count += delayed
+    metrics.completed_count += completions_today
 
     # (6) Record the day's totals and advance the clock.
     metrics.arrivals[day] = arrived
     metrics.completions[day] = completions_today
     metrics.utility[day] = utility_today
-    metrics.congestion[day] = _check_conservation(state)
+    metrics.congestion[day] = _check_conservation(state, queue_sizes)
     state.day += 1
     return state
 

@@ -524,10 +524,13 @@ class TestConservationAndAccounting:
         with pytest.raises(simulation.SimulationInvariantError, match="dev-000"):
             simulation.run_repeated(core.with_overrides(config, repetitions=3))
 
-    def test_task_conservation_breach_is_caught(self, monkeypatch):
-        # dev-000 holds the only task; a duplicate of it slipped into the
-        # queue of dev-001, which held no work and so was not served,
-        # must still be counted.
+    @staticmethod
+    def assert_breach_on_day_1(monkeypatch, corrupt):
+        """Run a one-task AWR scenario in which ``corrupt(holder, idle)``
+        edits the queues between day 0 and day 1; dev-000 holds the only
+        task and dev-001 holds none. The check counts the queues during
+        ``tick``'s walk over the roster, so the edit is made before the
+        day starts, not after the walk."""
         config = make_scenario(
             categories=(
                 (core.Category.HCA, 1, 1.0, 3.0),
@@ -537,21 +540,35 @@ class TestConservationAndAccounting:
             horizon_days=3,
             allocator=core.Allocator.AWR,
         )
-        real_check = simulation._check_conservation
+        simulation.run(config)
+        real_tick = simulation.tick
 
-        def corrupting_check(state):
+        def corrupting_tick(state, config):
             if state.day == 1:
                 holder, idle = state.agents
                 assert holder.pending and not idle.pending
-                idle.pending.append(list(holder.pending[0]))
-            return real_check(state)
+                corrupt(holder, idle)
+            return real_tick(state, config)
 
-        monkeypatch.setattr(simulation, "_check_conservation", corrupting_check)
+        monkeypatch.setattr(simulation, "tick", corrupting_tick)
         with pytest.raises(
             simulation.SimulationInvariantError,
             match="task conservation breached on day 1",
         ):
             simulation.run(config)
+
+    def test_task_conservation_breach_is_caught(self, monkeypatch):
+        # A duplicate of the task, claimed by dev-001 as a well-formed run,
+        # must be counted.
+        self.assert_breach_on_day_1(
+            monkeypatch, lambda holder, idle: simulation._claim(idle, "T1", 1, 10.0, 0)
+        )
+
+    def test_task_lost_from_a_queue_is_caught(self, monkeypatch):
+        # The holder's only run is gone, so the holder is not served that day.
+        self.assert_breach_on_day_1(
+            monkeypatch, lambda holder, idle: holder.pending.popleft()
+        )
 
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
@@ -963,6 +980,41 @@ class TestMoodCoupling:
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
             assert all(0.0 < agent.mood < 1.0 for agent in state.agents)
+
+    @pytest.mark.parametrize("allocator", list(core.Allocator))
+    def test_one_mood_step_per_agent_day(self, monkeypatch, allocator):
+        # Served and idle agents alike step the mood map once a day, and
+        # under constant mood none does.
+        def scenario(mood_mode):
+            return make_scenario(
+                categories=(
+                    (core.Category.HCA, 1, 0.9, 20.0),
+                    (core.Category.HIA, 2, 0.1, 10.0),
+                ),
+                tasks=(("T1", 5, 5, 5, 12),),
+                horizon_days=6,
+                allocator=allocator,
+                mood_mode=mood_mode,
+            )
+
+        real_step = fcm.step
+        calls = []
+
+        def counted_step(cmap, values):
+            calls.append(values)
+            return real_step(cmap, values)
+
+        monkeypatch.setattr(fcm, "step", counted_step)
+        config = scenario(core.MoodMode.fcm_coupled())
+        state = simulation.initial_state(config)
+        for day in range(1, config.horizon_days + 1):
+            simulation.tick(state, config)
+            assert len(calls) == len(state.agents) * day
+        spent = list(state.effort_spent.values())
+        assert 0.0 in spent and any(spent)
+        calls.clear()
+        ticked(scenario(core.MoodMode.constant(0.5)))
+        assert calls == []
 
     def test_fcm_coupled_is_deterministic(self):
         config = make_scenario(
