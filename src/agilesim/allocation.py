@@ -82,9 +82,11 @@ class TypeEconomics:
 class AllocationPlan:
     """Outcome of one agent's daily acceptance decision.
 
-    Always satisfies: sum(accepted[t] * effort[t]) <= max_effort and
-    0 <= accepted[t] <= offered[t]; ``leftover_effort`` is the unspent
-    budget and ``rejected`` the offers returned to the common queue.
+    Always satisfies: sum(accepted[t] * effort[t]) <= max_effort up to
+    rounding (the products are rounded as the budget is debited, so
+    ``leftover_effort`` can end an ulp below 0) and 0 <= accepted[t] <=
+    offered[t]; ``leftover_effort`` is the unspent budget and
+    ``rejected`` the offers returned to the common queue.
 
     ``__init__`` is written by hand: it takes the arguments of the
     generated one, but sets each slot through its own setter, cheaper
@@ -145,8 +147,8 @@ def smart_plan(
     does not list each offered type exactly once raises ``ValueError``.
     Types are visited in that order, descending availability score; each
     strictly positive type accepts ``min(offered, floor(budget / effort))``
-    tasks and debits the budget, starting from the agent's full daily
-    effort.
+    tasks, none once rounding has left the budget below 0, and debits
+    the budget, starting from the agent's full daily effort.
     """
     if not 0 < agent.max_effort < math.inf:
         raise ValueError(f"max_effort must be in (0, inf) (got {agent.max_effort})")
@@ -166,7 +168,8 @@ def smart_plan(
             if offered * effort <= budget:
                 count = offered
             else:
-                count = math.floor(budget / effort)
+                # A budget overspent by rounding floors to -1.
+                count = max(math.floor(budget / effort), 0)
             budget -= count * effort
             rejected[tid] = offered - count
         accepted[tid] = count

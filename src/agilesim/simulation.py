@@ -20,15 +20,19 @@ tasks per (type, claim day), and only the head task carries partial
 effort. Service still works task by task, so every float sum is taken
 in the order a task-by-task simulator would take it.
 
-A SMART visit is compiled once: the offered types' visit order
-(``allocation.plan_order``) is memoized per (agent profile, mood)
-(agents with one competence and the same daily effort share a profile)
-by the offered (type, yesterday's completions of the type) pairs, and
-kept for the run; the economics it is compiled from are not kept. Under
-fcm-coupled mood few moods recur (an idle agent's mood is the mood
-map's idle constant), so the memo stays small. An agent's terms for a
-type (effort, utility, competence, nominal days) are built at day 0,
-once per profile of the roster.
+A SMART acceptance is planned once: an agent's claims (the non-zero
+``(type, count, effort)`` triples of its ``allocation.smart_plan``) are
+memoized per (agent profile, mood) (agents with one competence and the
+same daily effort share a profile) by the offer, one (type, yesterday's
+completions of the type, count) triple per offered type, and kept for
+the run. A count whose tasks together cost more than the agent's daily
+effort is keyed as -1: the budget never exceeds that effort, so the
+planner takes ``floor(budget / effort)`` of it, or none, whatever the
+count, and an overloaded backlog that grows every day keeps hitting the
+memo. Under fcm-coupled mood few moods recur (an idle agent's mood is
+the mood map's idle constant), so the memo stays small. An agent's terms
+for a type (effort, utility, competence, nominal days) are built at day
+0, once per profile of the roster.
 
 A day costs the work done in it, not the head count. The run's record,
 a ``RunResult``, is built at day 0 with its series and totals at zero;
@@ -81,9 +85,9 @@ from .metrics import congestion
 
 _EPS = 1e-9
 
-# One compiled SMART visit: the offered types' visit order as
-# ``allocation.plan_order`` triples.
-Visit = list[tuple[str, float, bool]]
+# One SMART acceptance: the non-zero ``(type_id, count, effort)`` claims
+# of an agent's plan, in visit order.
+Claims = list[tuple[str, int, float]]
 # What an agent's economics and service terms depend on besides its mood
 # (see ``_profile``).
 Profile = tuple[float, float]
@@ -111,10 +115,11 @@ class SimState:
     id. ``awr_assignee`` is the AWR assignee, the most competent agent,
     fixed for the run (None under SMART).
 
-    ``score_tables`` maps an agent's ``(Profile, mood)`` to one
-    ``Visit`` (the compiled SMART visit order of the offered types) per
-    offered set, keyed by its tuple of (type, tasks of it completed
-    yesterday) pairs; it fills as moods are visited.
+    ``plan_tables`` maps an agent's ``(Profile, mood)`` to its SMART
+    ``Claims`` per offer, keyed by its tuple of (type, tasks of it
+    completed yesterday, count offered) triples in offer order, with
+    the count -1 where the offered tasks cost more than the profile's
+    daily effort; it fills as moods and offers are visited.
     ``service_terms`` maps each profile of the roster to ``(effort,
     utility, competence, nominal days)`` per type, built at day 0.
     Agents of one profile share both, so their size follows the
@@ -136,8 +141,8 @@ class SimState:
     arrived_total: int = 0
     mood_map: fcm.ConceptMap | None = None
     awr_assignee: AgentState | None = None
-    score_tables: dict[
-        tuple[Profile, float], dict[tuple[tuple[str, int], ...], Visit]
+    plan_tables: dict[
+        tuple[Profile, float], dict[tuple[tuple[str, int, int], ...], Claims]
     ] = field(default_factory=dict)
     service_terms: dict[Profile, dict[str, ServiceTerm]] = field(
         default_factory=dict
@@ -304,38 +309,49 @@ def _profile(agent: AgentState) -> Profile:
     return (agent.competence, agent.max_effort)
 
 
-def _visit(
+def _claims(
     state: SimState, agent: AgentState, offered: dict[str, int], psi: float
-) -> Visit:
-    """The agent's compiled SMART visit order (``allocation.plan_order``)
-    for the types offered today. It depends only on the agent's profile
-    and mood and on which types are offered with how many tasks of each
-    the agent completed yesterday, so it is compiled once per such set
-    and kept for the run; the economics are built only then."""
+) -> Claims:
+    """The agent's SMART claims on today's offer: planned the first time
+    its profile and mood meet the offer's key (see ``plan_tables``) and
+    kept for the run; the economics are built only then."""
     mood = agent.mood
-    tables = state.score_tables
+    max_effort = agent.max_effort
+    tables = state.plan_tables
     table_key = (_profile(agent), mood)
-    visits = tables.get(table_key)
-    if visits is None:
-        visits = tables[table_key] = {}
+    plans = tables.get(table_key)
+    if plans is None:
+        plans = tables[table_key] = {}
+    types = state.types
     recent = agent.recent_completions
-    key = tuple([(tid, recent.get(tid, 0)) for tid in offered])
-    visit = visits.get(key)
-    if visit is None:
-        types = state.types
+    key = tuple([
+        (
+            tid,
+            recent.get(tid, 0),
+            count if count * types[tid].effort <= max_effort else -1,
+        )
+        for tid, count in offered.items()
+    ])
+    claims = plans.get(key)
+    if claims is None:
         economics = {
             tid: TypeEconomics(
                 type_id=tid,
                 expected_utility=expected_utility(
                     types[tid].utility, agent.competence, mood
                 ),
-                recent_service_rate=float(count),
+                recent_service_rate=float(served),
                 effort=types[tid].effort,
             )
-            for tid, count in key
+            for tid, served, _ in key
         }
-        visit = visits[key] = plan_order(economics, psi, economics)
-    return visit
+        plan = smart_plan(agent, offered, plan_order(economics, psi, economics))
+        claims = plans[key] = [
+            (tid, count, types[tid].effort)
+            for tid, count in plan.accepted.items()
+            if count
+        ]
+    return claims
 
 
 def _check_conservation(state: SimState, queue_sizes: list[int]) -> float:
@@ -375,22 +391,18 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     # (2) Allocation.
     if config.allocator is Allocator.SMART:
         psi = config.psi
-        offered = {tid: count for tid, count in common_queue.items() if count}
         for agent in state.agents:
+            # The tasks earlier agents left, in type order.
+            offered = {tid: count for tid, count in common_queue.items() if count}
             if not offered:
                 break
-            plan = smart_plan(agent, offered, _visit(state, agent, offered, psi))
-            # plan.accepted is in visit order; its rejects go to the next agent.
             assigned = 0.0
-            for tid, count in plan.accepted.items():
-                if count:
-                    common_queue[tid] -= count
-                    effort = types[tid].effort
-                    _claim(agent, tid, count, effort, day)
-                    assigned += count * effort
+            for tid, count, effort in _claims(state, agent, offered, psi):
+                common_queue[tid] -= count
+                _claim(agent, tid, count, effort, day)
+                assigned += count * effort
             if assigned:
                 metrics.assigned_effort[agent.agent_id] += assigned
-            offered = {tid: count for tid, count in plan.rejected.items() if count}
     else:  # AWR: every task in the common queue is assigned at once, none rejected.
         agent, assigned = state.awr_assignee, 0.0
         for tid in state._types_by_priority:

@@ -160,6 +160,18 @@ class TestSmartPlan:
         assert got.accepted == {"A": 3}
         assert got.leftover_effort == pytest.approx(4.0)
 
+    def test_budget_overspent_by_rounding_accepts_none(self):
+        # 17 * 0.1 is 1.7000000000000002: the first type leaves the budget
+        # an ulp below 0, and the next must take none of its offer, not -1.
+        economics = {
+            "T1": econ("T1", score=2.0, effort=0.1),
+            "T2": econ("T2", score=1.0, effort=0.5),
+        }
+        got = plan(agent(max_effort=1.7), {"T1": 20, "T2": 3}, economics, 1.0)
+        assert got.accepted == {"T1": 17, "T2": 0}
+        assert got.rejected == {"T1": 3, "T2": 3}
+        assert -1e-15 < got.leftover_effort < 0
+
     def test_unknown_type_rejected(self):
         with pytest.raises(allocation.UnknownTaskTypeError, match="Z"):
             allocation.plan_order({"A": econ("A", 1.0, 1.0)}, 1.0, {"A": 1, "Z": 1})
@@ -257,7 +269,7 @@ def retrace(max_effort, rows):
             if offered * effort <= budget:
                 accepted = offered
             else:
-                accepted = math.floor(budget / effort)
+                accepted = max(math.floor(budget / effort), 0)
             budget -= accepted * effort
         else:
             accepted = 0

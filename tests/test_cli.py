@@ -166,6 +166,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
 
+    def test_budget_overspent_by_rounding_runs(self, tmp_path, capsys):
+        # 17 tasks of effort 0.1 overspend a 1.7 budget by an ulp; T2 must
+        # then be accepted 0 times, not -1, or the queue sizes go negative.
+        config = make_scenario(
+            categories=((core.Category.HCA, 1, 1.0, 1.7),),
+            tasks=(("T1", 10.0, 10.0, 0.1, 2000), ("T2", 5.0, 5.0, 0.5, 300)),
+            horizon_days=10,
+        )
+        path = tmp_path / "scenario.json"
+        core.save_scenario(config, path)
+        argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out" / "queues.csv").exists()
+
     def test_invalid_scenario_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"name\": \"x\"}", encoding="utf-8")

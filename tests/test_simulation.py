@@ -303,6 +303,27 @@ def random_scenario(rng, case):
     )
 
 
+def saturating_scenario(**overrides):
+    """Two profiles offered far more than their daily effort covers, at
+    fractional efforts whose products round past the budget: 17 tasks
+    of effort 0.1 cost 1.7000000000000002 > 1.7."""
+    settings = dict(
+        categories=(
+            (core.Category.HCA, 1, 1.0, 1.7),
+            (core.Category.MCA, 2, 0.6, 2.1),
+        ),
+        tasks=(
+            ("T1", 9.0, 9.0, 0.1, 600),
+            ("T2", 7.0, 5.0, 0.5, 150),
+            ("T3", 5.0, 4.0, 1 / 3, 120),
+            ("T4", 3.0, 3.0, 0.7, 90),
+        ),
+        horizon_days=12,
+    )
+    settings.update(overrides)
+    return make_scenario(**settings)
+
+
 def arrival_counts(tasks):
     """Per day, the count of each type among ``reference_arrivals``."""
     per_day = {}
@@ -825,10 +846,14 @@ class TestIdleAgentEquivalence:
 
     def test_runs_are_identical(self, monkeypatch):
         rng = random.Random(17)
+        configs = [random_scenario(rng, case) for case in range(150)] + [
+            saturating_scenario(allocator=allocator, mood_mode=mood_mode)
+            for allocator in core.Allocator
+            for mood_mode in (core.MoodMode.constant(1.0), core.MoodMode.fcm_coupled())
+        ]
         seen = set()
         real_plan = simulation.smart_plan
-        for case in range(150):
-            config = random_scenario(rng, case)
+        for case, config in enumerate(configs):
             types = config.task_types()
             visited_mood = {}
 
@@ -924,8 +949,9 @@ class TestIdleAgentEquivalence:
 
 
     def test_tables_shared_only_by_agents_of_one_competence(self, monkeypatch):
-        # dev-001 and dev-002 share SMART visits and service terms;
-        # dev-000, of another competence, must not read theirs.
+        # dev-001 and dev-002 share SMART plans and service terms, so
+        # dev-002 may reuse a plan dev-001 made; dev-000, of another
+        # competence, must not read theirs.
         config = make_scenario(
             categories=(
                 (core.Category.HCA, 1, 1.0, 4.0),
@@ -944,24 +970,122 @@ class TestIdleAgentEquivalence:
             }
             for competence in (1.0, 0.5)
         }
-        real_plan = simulation.smart_plan
+        real_claims = simulation._claims
         visited = set()
 
-        def checked_plan(agent, incoming, order):
+        def checked_claims(state, agent, offered, psi):
+            # Memoized or not, an agent's claims are those of a plan made
+            # from scratch on the day's offer.
             visited.add(agent.agent_id)
-            assert order == plan_order(
-                scratch_economics(types, agent, incoming), config.psi, incoming
+            claims = real_claims(state, agent, offered, psi)
+            scratch = smart_plan(
+                agent,
+                offered,
+                plan_order(scratch_economics(types, agent, offered), psi, offered),
             )
-            return real_plan(agent, incoming, order)
+            assert claims == [
+                (tid, count, types[tid].effort)
+                for tid, count in scratch.accepted.items()
+                if count
+            ], (state.day, agent.agent_id)
+            return claims
 
-        monkeypatch.setattr(simulation, "smart_plan", checked_plan)
+        monkeypatch.setattr(simulation, "_claims", checked_claims)
         for _ in range(config.horizon_days):
             simulation.tick(state, config)
         assert visited == {"dev-000", "dev-001", "dev-002"}
         profiles = {simulation._profile(agent) for agent in state.agents}
         assert profiles == {(1.0, 4.0), (0.5, 4.0)}
-        assert {profile for profile, _ in state.score_tables} == profiles
+        assert {profile for profile, _ in state.plan_tables} == profiles
         assert set(state.service_terms) == profiles
+
+
+class TestPlanMemo:
+    """``plan_tables`` keys an offered count the daily effort cannot
+    cover as -1; such counts must plan alike, and an overloaded backlog
+    must reuse its plans."""
+
+    def test_equal_keys_plan_equal_acceptances(self):
+        # Each offer's memoized claims must be those of a plan made from
+        # scratch on that offer; offers of one key share one stored plan,
+        # so equal keys give equal acceptances.
+        efforts = {"T1": 0.1, "T2": 0.3, "T3": 1 / 3, "T4": 0.7}
+        rng = random.Random(11)
+        reused = 0
+        for max_effort in (1.7, 0.1 * 3, 1.0, 0.7 * 3, 2.0):
+            config = make_scenario(
+                categories=((core.Category.HCA, 1, 1.0, max_effort),),
+                tasks=tuple(
+                    (tid, 1.0, rng.choice((1.0, 2.0, 4.0)), effort, 1)
+                    for tid, effort in efforts.items()
+                ),
+            )
+            types = config.task_types()
+            state = simulation.initial_state(config)
+            (agent,) = state.agents
+            counts = {}
+            for tid, effort in efforts.items():
+                # Just below, at and just above count * effort ==
+                # max_effort, and 1.7 / 0.1's 17.
+                fit = math.floor(max_effort / effort)
+                counts[tid] = [
+                    count
+                    for count in sorted({1, fit - 1, fit, fit + 1, fit + 2, 17, 40})
+                    if count > 0
+                ]
+            raw_offers = set()
+            for _ in range(300):
+                agent.recent_completions = {
+                    tid: rng.choice((0, 0, 1, 3)) for tid in efforts
+                }
+                offered = {
+                    tid: rng.choice(counts[tid])
+                    for tid in rng.sample(list(efforts), rng.randint(1, 4))
+                }
+                psi = 1.0
+                claims = simulation._claims(state, agent, offered, psi)
+                scratch = smart_plan(
+                    agent,
+                    offered,
+                    plan_order(scratch_economics(types, agent, offered), psi, offered),
+                )
+                assert claims == [
+                    (tid, count, efforts[tid])
+                    for tid, count in scratch.accepted.items()
+                    if count
+                ], (max_effort, offered)
+                assert all(count >= 0 for count in scratch.accepted.values())
+                recent = agent.recent_completions
+                raw_offers.add(
+                    tuple((tid, recent[tid], count) for tid, count in offered.items())
+                )
+            stored = sum(len(plans) for plans in state.plan_tables.values())
+            reused += len(raw_offers) - stored
+        # Many distinct raw offers fell on one key.
+        assert reused > 100
+
+    def test_overloaded_backlog_reuses_its_plans(self, monkeypatch):
+        # The backlog grows every day, so a key of the raw counts would
+        # plan every agent-day afresh: 3 agents x 40 days.
+        config = saturating_scenario(
+            tasks=(
+                ("T1", 9.0, 9.0, 0.1, 4000),
+                ("T2", 7.0, 5.0, 0.5, 800),
+                ("T3", 5.0, 4.0, 1 / 3, 800),
+            ),
+            horizon_days=40,
+        )
+        real_plan = simulation.smart_plan
+        calls = []
+
+        def counted_plan(agent, incoming, order):
+            calls.append(agent.agent_id)
+            return real_plan(agent, incoming, order)
+
+        monkeypatch.setattr(simulation, "smart_plan", counted_plan)
+        state = ticked(config)
+        assert len(calls) <= 12, len(calls)
+        assert {profile for profile, _ in state.plan_tables} == {(1.0, 1.7), (0.6, 2.1)}
 
 
 class TestMoodCoupling:
