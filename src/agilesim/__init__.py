@@ -27,7 +27,6 @@ from .allocation import (
     TypeEconomics,
     awr_assign,
     expected_utility,
-    plan_order,
     smart_plan,
 )
 from .fcm import ConceptMap, StateVector, Trajectory

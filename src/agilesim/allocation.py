@@ -12,10 +12,6 @@ order their own computation, and the score is the quantity the plan
 maximizes per unit of accepted work, so it is the only coherent key.
 Ties are broken by type id so plans are deterministic.
 
-``plan_order`` compiles the visit order, checking that every type has
-economics, and ``smart_plan`` plans the offers by it; a caller that
-plans the same offered types many times compiles their order once.
-
 A score of exactly zero is rejected: acceptance requires a strictly
 positive score. Tasks not accepted are reported as rejected and return
 to the common queue for later days.
@@ -29,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import AgentState
 
@@ -78,7 +74,7 @@ class TypeEconomics:
         return psi * self.expected_utility - self.recent_service_rate
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AllocationPlan:
     """Outcome of one agent's daily acceptance decision.
 
@@ -87,27 +83,11 @@ class AllocationPlan:
     ``leftover_effort`` can end an ulp below 0) and 0 <= accepted[t] <=
     offered[t]; ``leftover_effort`` is the unspent budget and
     ``rejected`` the offers returned to the common queue.
-
-    ``__init__`` is written by hand: it takes the arguments of the
-    generated one, but sets each slot through its own setter, cheaper
-    than the frozen class's ``object.__setattr__`` per field.
     """
 
     accepted: dict[str, int]
     leftover_effort: float
     rejected: dict[str, int]
-
-    def __init__(
-        self, accepted: dict[str, int], leftover_effort: float, rejected: dict[str, int]
-    ):
-        _set_accepted(self, accepted)
-        _set_leftover_effort(self, leftover_effort)
-        _set_rejected(self, rejected)
-
-
-_set_accepted, _set_leftover_effort, _set_rejected = (
-    getattr(AllocationPlan, name).__set__ for name in AllocationPlan.__slots__
-)
 
 
 def visit_order(
@@ -120,38 +100,27 @@ def visit_order(
     )
 
 
-def plan_order(
-    economics: Mapping[str, TypeEconomics], psi: float, type_ids: Collection[str]
-) -> list[tuple[str, float, bool]]:
-    """The visit order ``smart_plan`` plans by: one ``(type_id, effort,
-    score > 0)`` triple per type, in ``visit_order``'s order. A type
-    without economics raises ``UnknownTaskTypeError``."""
-    unknown = sorted(set(type_ids).difference(economics))
-    if unknown:
-        raise UnknownTaskTypeError(f"no economics for type(s): {', '.join(unknown)}")
-    return [
-        (tid, economics[tid].effort, economics[tid].availability_score(psi) > 0)
-        for tid in visit_order(economics, psi, type_ids)
-    ]
-
-
 def smart_plan(
     agent: AgentState,
     incoming: Mapping[str, int],
-    order: Sequence[tuple[str, float, bool]],
+    economics: Mapping[str, TypeEconomics],
+    psi: float,
 ) -> AllocationPlan:
     """Greedy daily acceptance plan for one agent.
 
-    ``incoming`` maps type id to the number of tasks offered today, and
-    ``order`` is ``plan_order(economics, psi, incoming)``; an order that
-    does not list each offered type exactly once raises ``ValueError``.
-    Types are visited in that order, descending availability score; each
-    strictly positive type accepts ``min(offered, floor(budget / effort))``
+    ``incoming`` maps type id to the number of tasks offered today; an
+    offered type without ``economics`` raises ``UnknownTaskTypeError``,
+    and economics for types not offered are ignored. Types are visited
+    in ``visit_order``, descending availability score; each strictly
+    positive type accepts ``min(offered, floor(budget / effort))``
     tasks, none once rounding has left the budget below 0, and debits
     the budget, starting from the agent's full daily effort.
     """
     if not 0 < agent.max_effort < math.inf:
         raise ValueError(f"max_effort must be in (0, inf) (got {agent.max_effort})")
+    unknown = sorted(set(incoming).difference(economics))
+    if unknown:
+        raise UnknownTaskTypeError(f"no economics for type(s): {', '.join(unknown)}")
     if min(incoming.values(), default=0) < 0:
         tid, count = min(incoming.items(), key=lambda item: item[1])
         raise ValueError(f"incoming count for {tid!r} must be >= 0 (got {count})")
@@ -159,12 +128,12 @@ def smart_plan(
     budget = agent.max_effort
     accepted: dict[str, int] = {}
     rejected = dict(incoming)
-    for tid, effort, positive in order:
-        offered = incoming.get(tid)
-        if offered is None:
-            break
+    for tid in visit_order(economics, psi, incoming):
+        offered = incoming[tid]
+        entry = economics[tid]
         count = 0
-        if positive:
+        if entry.availability_score(psi) > 0:
+            effort = entry.effort
             if offered * effort <= budget:
                 count = offered
             else:
@@ -173,12 +142,6 @@ def smart_plan(
             budget -= count * effort
             rejected[tid] = offered - count
         accepted[tid] = count
-    if not len(accepted) == len(order) == len(incoming):
-        listed = [tid for tid, _, _ in order]
-        raise ValueError(
-            f"order must list each offered type once: offered {sorted(incoming)}, "
-            f"order lists {listed}"
-        )
     return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -137,7 +139,9 @@ def technical_productivity(records: Iterable[SprintRecord], agent: str) -> float
         )
     if not per_sprint:
         return 0.0
-    return sum(per_sprint.values()) / len(per_sprint)
+    # A left fold, not sum(): from Python 3.12 sum() compensates, and its
+    # float result moves with the version.
+    return reduce(add, per_sprint.values(), 0) / len(per_sprint)
 
 
 def congestion(queue_sizes: Iterable[int]) -> float:
@@ -157,7 +161,7 @@ def allocation_proportion(assigned_effort: Mapping[str, float]) -> dict[str, flo
 
     Shares sum to 1 within 1e-9. Raises when nothing was allocated.
     """
-    grand_total = sum(assigned_effort.values())
+    grand_total = reduce(add, assigned_effort.values(), 0)
     if grand_total <= 0:
         raise MetricsError("no allocations")
     return {agent: effort / grand_total for agent, effort in assigned_effort.items()}

@@ -70,13 +70,14 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from . import fcm
 from .allocation import (
     TypeEconomics,
     awr_assign,
     expected_utility,
-    plan_order,
     smart_plan,
 )
 from .allocation import visit_order  # noqa: F401  perfbench/tracing.py patches it here
@@ -158,9 +159,10 @@ class RunResult:
     agent, all 0; ``tick`` writes a day's slots for the agents that got
     or held work (and an emptied queue's float residue in
     ``pending_workload``) and adds to the counts and totals. Mid-run the
-    days not yet ticked read 0. A run's global utility is
-    ``sum(utility)``. ``categories`` maps each agent id, in roster order,
-    to its category, and ``assigned_effort`` to the effort it claimed.
+    days not yet ticked read 0. A run's global utility is ``utility``
+    added left to right. ``categories`` maps each agent id, in roster
+    order, to its category, and ``assigned_effort`` to the effort it
+    claimed.
 
     ``completion_stream`` is recorded only under constant mood, and is
     None under fcm-coupled mood: the service term of each completion, in
@@ -345,7 +347,7 @@ def _claims(
             )
             for tid, served, _ in key
         }
-        plan = smart_plan(agent, offered, plan_order(economics, psi, economics))
+        plan = smart_plan(agent, offered, economics, psi)
         claims = plans[key] = [
             (tid, count, types[tid].effort)
             for tid, count in plan.accepted.items()
@@ -560,6 +562,33 @@ def _redraw(first: RunResult, seed: int) -> Outcome:
     return Outcome(seed, utility, high_quality, 0)
 
 
+def _stdev(values: list[float]) -> float:
+    """Sample standard deviation of two or more values, correctly
+    rounded, as ``statistics.stdev`` gives it from Python 3.11 on (3.10
+    rounds the variance and then its square root).
+
+    Each value is an integer over a power of two, so the variance is
+    ``(n * sum(a * a) - sum(a) ** 2) / (n * (n - 1) * d * d)`` exactly
+    over numerators ``a`` of the common denominator ``d``. Its square
+    root is taken to 109 bits rounded to odd, then rounded once to a
+    float, as ``statistics._float_sqrt_of_frac`` does.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    d = max(q for _, q in ratios)
+    numerators = [p * (d // q) for p, q in ratios]
+    n = len(numerators)
+    num = n * sum(a * a for a in numerators) - sum(numerators) ** 2
+    den = n * (n - 1) * d * d
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def run_repeated(config: ScenarioConfig) -> RepeatedResult:
     """Run ``config.repetitions`` seeded runs (seed, seed+1, ...) and
     aggregate per-metric mean and sample standard deviation.
@@ -585,14 +614,15 @@ def run_repeated(config: ScenarioConfig) -> RepeatedResult:
     ] + redrawn
     drawn_on = [trajectories[o.trajectory] for o in outcomes]
     metric_values = {
-        "global_utility": [sum(o.utility) for o in outcomes],
+        # A left fold: sum() compensates from Python 3.12 on.
+        "global_utility": [reduce(add, o.utility, 0) for o in outcomes],
         "completed_count": [float(r.completed_count) for r in drawn_on],
         "high_quality_count": [float(o.high_quality_count) for o in outcomes],
         "delay_count": [float(r.delay_count) for r in drawn_on],
     }
     mean = {name: statistics.fmean(values) for name, values in metric_values.items()}
     std = {
-        name: statistics.stdev(values) if len(values) > 1 else 0.0
+        name: _stdev(values) if len(values) > 1 else 0.0
         for name, values in metric_values.items()
     }
     return RepeatedResult(trajectories, outcomes, mean, std)

@@ -165,9 +165,7 @@ def test_criterion_5_acceptance_plan_property_suite():
     rng = random.Random(2024)
     for index in range(1000):
         planner, offers, economics, psi = random_instance(rng)
-        plan = allocation.smart_plan(
-            planner, offers, allocation.plan_order(economics, psi, offers)
-        )
+        plan = allocation.smart_plan(planner, offers, economics, psi)
         spent = sum(plan.accepted[tid] * economics[tid].effort for tid in offers)
         assert spent <= planner.max_effort + 1e-9
         assert plan.leftover_effort == pytest.approx(planner.max_effort - spent)

@@ -35,18 +35,9 @@ def econ(type_id, score, effort, psi=1.0, eu=None, mu=None):
     )
 
 
-def plan(planner, incoming, economics, psi):
-    """``smart_plan`` on the order ``plan_order`` compiles for the offers."""
-    return allocation.smart_plan(
-        planner, incoming, allocation.plan_order(economics, psi, incoming)
-    )
-
-
-def test_planner_is_exported_with_its_order():
-    assert (agilesim.plan_order, agilesim.smart_plan) == (
-        allocation.plan_order,
-        allocation.smart_plan,
-    )
+def test_planner_is_exported():
+    assert agilesim.smart_plan is allocation.smart_plan
+    assert not hasattr(agilesim, "plan_order")
 
 
 class TestScalarOps:
@@ -91,8 +82,8 @@ class TestTypeEconomicsBounds:
 
 
 class TestAllocationPlan:
-    """The hand-written ``__init__`` against a plan set field by field,
-    as the generated one of a frozen dataclass sets it."""
+    """The generated ``__init__`` of the frozen, slotted dataclass
+    against a plan set field by field."""
 
     def field_by_field(self, accepted, leftover_effort, rejected):
         plan = object.__new__(AllocationPlan)
@@ -140,7 +131,9 @@ class TestSmartPlan:
             "A": econ("A", score=7.0, effort=3.0),
             "B": econ("B", score=-1.0, effort=1.0),
         }
-        got = plan(agent(max_effort=10.0), {"A": 5, "B": 2}, economics, psi=1.0)
+        got = allocation.smart_plan(
+            agent(max_effort=10.0), {"A": 5, "B": 2}, economics, psi=1.0
+        )
         assert got.accepted == {"A": 3, "B": 0}
         assert got.leftover_effort == pytest.approx(1.0)
         assert got.rejected == {"A": 2, "B": 2}
@@ -150,13 +143,15 @@ class TestSmartPlan:
             "A": econ("A", score=0.0, effort=2.0),
             "B": econ("B", score=-3.0, effort=1.0),
         }
-        got = plan(agent(max_effort=10.0), {"A": 4, "B": 4}, economics, psi=1.0)
+        got = allocation.smart_plan(
+            agent(max_effort=10.0), {"A": 4, "B": 4}, economics, psi=1.0
+        )
         assert got.accepted == {"A": 0, "B": 0}
         assert got.leftover_effort == pytest.approx(10.0)
 
     def test_full_offer_accepted_when_it_fits(self):
         economics = {"A": econ("A", score=2.0, effort=2.0)}
-        got = plan(agent(max_effort=10.0), {"A": 3}, economics, 1.0)
+        got = allocation.smart_plan(agent(max_effort=10.0), {"A": 3}, economics, 1.0)
         assert got.accepted == {"A": 3}
         assert got.leftover_effort == pytest.approx(4.0)
 
@@ -167,42 +162,36 @@ class TestSmartPlan:
             "T1": econ("T1", score=2.0, effort=0.1),
             "T2": econ("T2", score=1.0, effort=0.5),
         }
-        got = plan(agent(max_effort=1.7), {"T1": 20, "T2": 3}, economics, 1.0)
+        got = allocation.smart_plan(
+            agent(max_effort=1.7), {"T1": 20, "T2": 3}, economics, 1.0
+        )
         assert got.accepted == {"T1": 17, "T2": 0}
         assert got.rejected == {"T1": 3, "T2": 3}
         assert -1e-15 < got.leftover_effort < 0
 
     def test_unknown_type_rejected(self):
         with pytest.raises(allocation.UnknownTaskTypeError, match="Z"):
-            allocation.plan_order({"A": econ("A", 1.0, 1.0)}, 1.0, {"A": 1, "Z": 1})
+            allocation.smart_plan(
+                agent(), {"A": 1, "Z": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0
+            )
 
-    @pytest.mark.parametrize(
-        "incoming,compiled_for,listed",
-        [
-            ({"A": 1, "B": 3}, {"A": 1}, r"\['A'\]"),
-            ({"A": 1}, {"A": 1, "B": 3}, r"\['B', 'A'\]"),
-            ({"A": 1}, {"A": 1, "C": 3}, r"\['A', 'C'\]"),
-            ({"A": 1, "B": 1}, ["A", "A"], r"\['A', 'A'\]"),
-        ],
-        ids=[
-            "offered type missing",
-            "positive type not offered",
-            "type not offered",
-            "type listed twice",
-        ],
-    )
-    def test_order_must_list_exactly_the_offered_types(
-        self, incoming, compiled_for, listed
-    ):
-        # B scores above A, C below zero.
-        economics = {
-            "A": econ("A", 1.0, 1.0),
-            "B": econ("B", 2.0, 1.0),
-            "C": econ("C", -1.0, 1.0),
-        }
-        order = allocation.plan_order(economics, 1.0, compiled_for)
-        with pytest.raises(ValueError, match=f"order lists {listed}"):
-            allocation.smart_plan(agent(), incoming, order)
+    def test_economics_for_types_not_offered_ignored(self):
+        # The types a random subset leaves out score above, between and
+        # below those it offers.
+        rng = random.Random(3)
+        extras = 0
+        for _ in range(200):
+            planner, offers, economics, psi = random_instance(rng)
+            kept = rng.sample(list(offers), rng.randint(1, len(offers)))
+            offers = {tid: offers[tid] for tid in sorted(kept)}
+            extras += len(economics) - len(offers)
+            got = allocation.smart_plan(planner, offers, economics, psi)
+            trimmed = {tid: economics[tid] for tid in offers}
+            want = allocation.smart_plan(planner, offers, trimmed, psi)
+            assert got == want
+            assert list(got.accepted) == list(want.accepted)
+            assert repr(got.leftover_effort) == repr(want.leftover_effort)
+        assert extras > 200
 
     def test_negative_offer_rejected(self):
         # The count is checked whether or not the plan visits its type:
@@ -214,12 +203,14 @@ class TestSmartPlan:
         ]:
             economics = {"A": econ("A", score, 1.0), "B": econ("B", 1.0, 1.0)}
             with pytest.raises(ValueError, match="count for 'A' must be >= 0"):
-                plan(agent(), incoming, economics, 1.0)
+                allocation.smart_plan(agent(), incoming, economics, 1.0)
 
     @pytest.mark.parametrize("max_effort", [0.0, -1.0, math.nan, math.inf])
     def test_max_effort_outside_open_range_rejected(self, max_effort):
         with pytest.raises(ValueError, match="max_effort must be in"):
-            plan(agent(max_effort), {"A": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0)
+            allocation.smart_plan(
+                agent(max_effort), {"A": 1}, {"A": econ("A", 1.0, 1.0)}, 1.0
+            )
 
     def test_zero_mood_accepts_nothing(self):
         rng = random.Random(5)
@@ -234,7 +225,7 @@ class TestSmartPlan:
                 for i in range(rng.randint(1, 5))
             }
             offers = {tid: rng.randint(0, 6) for tid in economics}
-            got = plan(agent(), offers, economics, psi=1.0)
+            got = allocation.smart_plan(agent(), offers, economics, psi=1.0)
             assert all(count == 0 for count in got.accepted.values())
 
 
@@ -282,7 +273,7 @@ class TestPlanProperties:
         rng = random.Random(42)
         for _ in range(300):
             planner, offers, economics, psi = random_instance(rng)
-            got = plan(planner, offers, economics, psi)
+            got = allocation.smart_plan(planner, offers, economics, psi)
             spent = sum(
                 got.accepted[tid] * economics[tid].effort for tid in offers
             )
@@ -296,7 +287,7 @@ class TestPlanProperties:
         rng = random.Random(99)
         for _ in range(100):
             planner, offers, economics, psi = random_instance(rng)
-            got = plan(planner, offers, economics, psi)
+            got = allocation.smart_plan(planner, offers, economics, psi)
             rows = [
                 (
                     tid,
@@ -315,7 +306,7 @@ class TestPlanProperties:
         for _ in range(200):
             planner, offers, economics, psi = random_instance(rng)
             target = rng.choice(list(offers))
-            before = plan(planner, offers, economics, psi)
+            before = allocation.smart_plan(planner, offers, economics, psi)
             boosted = dict(economics)
             raised = economics[target]
             boosted[target] = TypeEconomics(
@@ -324,7 +315,7 @@ class TestPlanProperties:
                 recent_service_rate=raised.recent_service_rate,
                 effort=raised.effort,
             )
-            after = plan(planner, offers, boosted, psi)
+            after = allocation.smart_plan(planner, offers, boosted, psi)
             assert after.accepted[target] >= before.accepted[target]
 
     def test_psi_scaling_keeps_order_when_rates_zero(self):
@@ -350,8 +341,8 @@ class TestPlanProperties:
 
 
 def reference_smart_plan(agent, incoming, economics, psi):
-    """``smart_plan`` as it was before the compiled visit order: checks,
-    a sort by a lambda, and the score computed again in the loop."""
+    """``smart_plan`` written out on its own: checks, a sort by a lambda,
+    and the score computed again in the loop."""
     unknown = [tid for tid in incoming if tid not in economics]
     if unknown:
         raise allocation.UnknownTaskTypeError(", ".join(sorted(unknown)))
@@ -379,9 +370,8 @@ def reference_smart_plan(agent, incoming, economics, psi):
     return AllocationPlan(accepted=accepted, leftover_effort=budget, rejected=rejected)
 
 
-class TestCompiledOrder:
-    """``smart_plan`` handed ``plan_order`` against the implementation
-    before the compiled order."""
+class TestReferencePlan:
+    """``smart_plan`` against ``reference_smart_plan``, bit for bit."""
 
     def case(self, rng):
         # Few distinct utilities, competences and counts make score ties
@@ -410,11 +400,7 @@ class TestCompiledOrder:
         seen = set()
         for case in range(2000):
             planner, offers, economics, psi = self.case(rng)
-            order = allocation.plan_order(economics, psi, offers)
-            assert [tid for tid, _, _ in order] == allocation.visit_order(
-                economics, psi, list(offers)
-            ), case
-            got = allocation.smart_plan(planner, offers, order)
+            got = allocation.smart_plan(planner, offers, economics, psi)
             want = reference_smart_plan(planner, offers, economics, psi)
             # Accepted in visit order (the claim order), rejected in offer
             # order, every float bit for bit.

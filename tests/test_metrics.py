@@ -103,6 +103,11 @@ class TestTechnicalProductivity:
     def test_no_completions(self):
         assert metrics.technical_productivity([], "s1") == 0.0
 
+    def test_sprints_summed_left_to_right(self):
+        # Python 3.12+'s compensated sum() would give 1.0 / 10.
+        records = [record(sprint=s, difficulty=0.1) for s in range(1, 11)]
+        assert metrics.technical_productivity(records, "s1") == 0.09999999999999999
+
 
 class TestSprintRecord:
     def test_fields_are_frozen(self):
@@ -215,6 +220,11 @@ class TestAllocationProportion:
 
     def test_single_agent(self):
         assert metrics.allocation_proportion({"a1": 12.0}) == {"a1": 1.0}
+
+    def test_total_summed_left_to_right(self):
+        # Python 3.12+'s compensated sum() would total 1.0, sharing 0.1.
+        report = metrics.allocation_proportion({f"a{i}": 0.1 for i in range(10)})
+        assert set(report.values()) == {0.10000000000000002}
 
     def test_equal_split(self):
         report = metrics.allocation_proportion({f"a{i}": 4.0 for i in range(5)})

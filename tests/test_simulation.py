@@ -2,8 +2,10 @@ import dataclasses
 import math
 import random
 import statistics
+import sys
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
 
@@ -14,7 +16,6 @@ from agilesim.allocation import (
     TypeEconomics,
     awr_assign,
     expected_utility,
-    plan_order,
     smart_plan,
 )
 from agilesim.metrics import congestion
@@ -112,8 +113,7 @@ def reference_tick(state, config):
             if not offered:
                 break
             economics = scratch_economics(types, agent, offered)
-            order = plan_order(economics, config.psi, offered)
-            plan = smart_plan(agent, offered, order)
+            plan = smart_plan(agent, offered, economics, config.psi)
             for tid, count in plan.accepted.items():
                 if count:
                     queue = state.common_queue[tid]
@@ -648,6 +648,20 @@ class TestRunAndRepetition:
         again = simulation.run_repeated(config)
         assert again.outcomes[-1].utility == repeated.outcomes[-1].utility
 
+    def test_global_utility_summed_left_to_right(self):
+        # Days credit 0.1, then 0.2 four times: a left fold gives
+        # 0.8999999999999999, the compensated sum of Python 3.12+ 0.9.
+        config = make_scenario(
+            categories=((core.Category.HCA, 1, 1.0, 10.0),),
+            tasks=(("T1", 1.0, 0.1, 1.0, 10),),
+            horizon_days=10,
+            repetitions=2,
+        )
+        repeated = simulation.run_repeated(config)
+        assert sorted(set(repeated.outcomes[0].utility)) == [0.0, 0.1, 0.2]
+        assert repeated.mean["global_utility"] == 0.8999999999999999
+        assert repeated.std["global_utility"] == 0.0
+
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_run_repeated_rejects_fewer_than_one_repetition(self, repetitions):
         config = make_scenario(repetitions=repetitions)
@@ -688,12 +702,71 @@ def assert_runs_are_independent_runs(config):
         assert sum(outcome.utility).hex() == sum(want_run.utility).hex()
     for name in ("global_utility", "completed_count", "high_quality_count", "delay_count"):
         values = [
-            sum(run.utility) if name == "global_utility" else float(getattr(run, name))
+            summed(run.utility)
+            if name == "global_utility"
+            else float(getattr(run, name))
             for run in want
         ]
         assert repeated.mean[name] == statistics.fmean(values), name
-        assert repeated.std[name] == statistics.stdev(values), name
+        assert repeated.std[name] == reference_stdev(values), name
     return repeated
+
+
+def reference_stdev(values):
+    """The float nearest the square root of the exact sample variance:
+    ``math.sqrt``'s guess, moved while the midpoint to the next float up
+    or down squares to the other side of the variance."""
+    n = len(values)
+    mean = sum(map(Fraction, values)) / n
+    variance = sum((Fraction(v) - mean) ** 2 for v in values) / (n - 1)
+    root = math.sqrt(variance)
+    up, down = math.nextafter(root, math.inf), math.nextafter(root, 0.0)
+    while (Fraction(root) + Fraction(up)) ** 2 < 4 * variance:
+        root, up = up, math.nextafter(up, math.inf)
+    while (Fraction(root) + Fraction(down)) ** 2 > 4 * variance:
+        root, down = down, math.nextafter(down, 0.0)
+    return root
+
+
+class TestStdev:
+    """``run_repeated``'s sample standard deviation is correctly rounded
+    on every Python version."""
+
+    def cases(self):
+        rng = random.Random(31)
+        for case in range(3000):
+            n = rng.randint(2, 12)
+            kind = case % 4
+            if kind == 0:
+                yield [rng.uniform(0.0, 1000.0) for _ in range(n)]
+            elif kind == 1:
+                yield [rng.uniform(-5.0, 5.0)] * n
+            elif kind == 2:
+                yield [float(rng.randint(0, 50)) for _ in range(n)]
+            else:
+                choices = (0.1, 0.2, 0.3, 1e10, -7.5, 1e-300)
+                yield [rng.choice(choices) for _ in range(n)]
+
+    def test_equals_reference(self):
+        for values in self.cases():
+            want = reference_stdev(values)
+            assert repr(simulation._stdev(values)) == repr(want), values
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11"
+    )
+    def test_equals_statistics_stdev(self):
+        for values in self.cases():
+            want = statistics.stdev(values)
+            assert repr(simulation._stdev(values)) == repr(want), values
+
+    def test_preset_spread_pinned(self):
+        # 3.10's statistics.stdev rounds twice and gives ...305 here, so
+        # summary.csv differed between versions.
+        config = core.with_overrides(core.preset("L-M"), seed=1)
+        assert config.allocator is core.Allocator.SMART
+        repeated = simulation.run_repeated(config)
+        assert repeated.std["global_utility"] == 112.81159317887304
 
 
 class TestRepeatedRuns:
@@ -857,19 +930,18 @@ class TestIdleAgentEquivalence:
             types = config.task_types()
             visited_mood = {}
 
-            def checked_plan(agent, incoming, order):
+            def checked_plan(agent, incoming, economics, psi):
                 # A visit that overlays yesterday's completions, or one
                 # whose table was built at another mood, must still see
-                # the visit order of a from-scratch build's economics.
+                # a from-scratch build's economics.
                 if agent.recent_completions:
                     seen.add("overlay")
                 if visited_mood.get(agent.agent_id, agent.mood) != agent.mood:
                     seen.add("mood moved")
                 visited_mood[agent.agent_id] = agent.mood
-                assert order == plan_order(
-                    scratch_economics(types, agent, incoming), config.psi, incoming
-                ), case
-                return real_plan(agent, incoming, order)
+                assert economics == scratch_economics(types, agent, incoming), case
+                assert psi == config.psi, case
+                return real_plan(agent, incoming, economics, psi)
 
             monkeypatch.setattr(simulation, "smart_plan", checked_plan)
             got = simulation.run(config)
@@ -979,9 +1051,7 @@ class TestIdleAgentEquivalence:
             visited.add(agent.agent_id)
             claims = real_claims(state, agent, offered, psi)
             scratch = smart_plan(
-                agent,
-                offered,
-                plan_order(scratch_economics(types, agent, offered), psi, offered),
+                agent, offered, scratch_economics(types, agent, offered), psi
             )
             assert claims == [
                 (tid, count, types[tid].effort)
@@ -1045,9 +1115,7 @@ class TestPlanMemo:
                 psi = 1.0
                 claims = simulation._claims(state, agent, offered, psi)
                 scratch = smart_plan(
-                    agent,
-                    offered,
-                    plan_order(scratch_economics(types, agent, offered), psi, offered),
+                    agent, offered, scratch_economics(types, agent, offered), psi
                 )
                 assert claims == [
                     (tid, count, efforts[tid])
@@ -1078,9 +1146,9 @@ class TestPlanMemo:
         real_plan = simulation.smart_plan
         calls = []
 
-        def counted_plan(agent, incoming, order):
+        def counted_plan(agent, incoming, economics, psi):
             calls.append(agent.agent_id)
-            return real_plan(agent, incoming, order)
+            return real_plan(agent, incoming, economics, psi)
 
         monkeypatch.setattr(simulation, "smart_plan", counted_plan)
         state = ticked(config)
