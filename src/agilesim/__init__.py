@@ -44,6 +44,7 @@ from .simulation import (
 )
 from .metrics import (
     LogSchemaError,
+    LogSummary,
     MetricsError,
     SprintRecord,
     allocation_proportion,
@@ -52,6 +53,7 @@ from .metrics import (
     delay_percentage,
     ingest_log,
     pearson,
+    summarize_log,
     technical_productivity,
 )
 from .goalnet import (

@@ -293,30 +293,17 @@ def cmd_goalnet(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = metrics.ingest_log(args.log)
-    # One pass groups the log by agent; each bucket keeps file order, so
-    # the per-agent metrics sum the same values in the same order as a
-    # scan of the whole log would.
-    by_agent: dict[str, list[metrics.SprintRecord]] = {}
-    for record in records:
-        by_agent.setdefault(record.assignee_id, []).append(record)
-    agents = sorted(by_agent)
-    competence = {
-        agent: metrics.competence(by_agent[agent], agent) for agent in agents
-    }
-    productivity = {
-        agent: metrics.technical_productivity(by_agent[agent], agent)
-        for agent in agents
-    }
+    summary = metrics.summarize_log(args.log)
+    competence, productivity = summary.competence, summary.productivity
+    agents = list(competence)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = {"competence": competence, "productivity": productivity}
-    # Each series is built in sorted agent order, which is the row order.
+    # Each series is keyed in sorted agent order, which is the row order.
     for name, values in series.items():
         core.write_csv(out_dir / f"{name}.csv", ["agent", name], values.items())
-    delay = metrics.delay_percentage(records)
-    print(f"records: {len(records)} across {len(agents)} agents")
-    print(f"delay percentage: {delay:.4f}")
+    print(f"records: {summary.records} across {len(agents)} agents")
+    print(f"delay percentage: {summary.delay:.4f}")
     for agent in agents:
         print(
             f"{agent}: competence {competence[agent]:.4f}, "

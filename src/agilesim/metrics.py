@@ -7,15 +7,23 @@ negative evidence (late OR quality at/below the midpoint), with +1
 smoothing on both sides so an empty history scores exactly 0.5.
 "Satisfactory quality" means a rating strictly greater than 5 on the
 0-10 scale.
-"""
+
+A sprint log is read in chunks of rows, each turned into columns and
+checked on its distinct cell texts. :func:`summarize_log`, which the
+``ingest`` command reports, folds each agent's competence, productivity
+and late count from those columns without building records;
+:func:`ingest_log` builds a :class:`SprintRecord` per row from the same
+columns for library callers. Both reject a log with the same errors."""
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from itertools import islice, repeat
+from operator import add, and_, gt, le, sub
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,24 +35,15 @@ class MetricsError(ValueError):
 
 
 class LogSchemaError(InputError):
-    """Raised by :func:`ingest_log`; carries one entry per problem."""
+    """Raised when a sprint log is rejected; carries one entry per problem."""
 
 
-# SprintRecord's default ``extras``: stands for "omitted".
-_FRESH = object()
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SprintRecord:
     """One completed task as logged in a sprint activity record.
 
     Scales: difficulty, priority, confidence, quality on 0-10;
     mood_begin and mood_end on 1-5; collaborators >= 1.
-
-    ``__init__`` is written by hand: it takes the arguments of the
-    generated one, but sets each slot through its own setter, cheaper
-    than the frozen class's ``object.__setattr__`` per field. A record
-    built without ``extras`` gets a fresh empty dict of its own.
     """
 
     task_id: str
@@ -61,36 +60,6 @@ class SprintRecord:
     mood_end: float
     extras: dict = field(default_factory=dict, compare=False)
 
-    def __init__(
-        self,
-        task_id: str,
-        assignee_id: str,
-        sprint_index: int,
-        difficulty: float,
-        priority: float,
-        confidence: float,
-        estimated_days: float,
-        actual_days: float,
-        quality: float,
-        collaborators: int,
-        mood_begin: float,
-        mood_end: float,
-        extras: dict = _FRESH,
-    ):
-        _set_task_id(self, task_id)
-        _set_assignee_id(self, assignee_id)
-        _set_sprint_index(self, sprint_index)
-        _set_difficulty(self, difficulty)
-        _set_priority(self, priority)
-        _set_confidence(self, confidence)
-        _set_estimated_days(self, estimated_days)
-        _set_actual_days(self, actual_days)
-        _set_quality(self, quality)
-        _set_collaborators(self, collaborators)
-        _set_mood_begin(self, mood_begin)
-        _set_mood_end(self, mood_end)
-        _set_extras(self, {} if extras is _FRESH else extras)
-
     @property
     def on_time(self) -> bool:
         return self.actual_days - self.estimated_days <= 0
@@ -98,14 +67,6 @@ class SprintRecord:
     @property
     def satisfactory(self) -> bool:
         return self.quality > 5
-
-
-(
-    _set_task_id, _set_assignee_id, _set_sprint_index, _set_difficulty,
-    _set_priority, _set_confidence, _set_estimated_days, _set_actual_days,
-    _set_quality, _set_collaborators, _set_mood_begin, _set_mood_end,
-    _set_extras,
-) = (getattr(SprintRecord, name).__set__ for name in SprintRecord.__slots__)
 
 
 def competence(records: Iterable[SprintRecord], agent: str) -> float:
@@ -124,6 +85,11 @@ def competence(records: Iterable[SprintRecord], agent: str) -> float:
             alpha += record.difficulty
         else:
             beta += record.difficulty
+    return _evidence_score(alpha, beta)
+
+
+def _evidence_score(alpha: float, beta: float) -> float:
+    """Competence from positive and negative evidence, +1 on each side."""
     return (alpha + 1.0) / ((alpha + 1.0) + (beta + 1.0))
 
 
@@ -139,9 +105,14 @@ def technical_productivity(records: Iterable[SprintRecord], agent: str) -> float
         )
     if not per_sprint:
         return 0.0
+    return _mean_per_sprint(list(per_sprint.values()))
+
+
+def _mean_per_sprint(totals: list[float]) -> float:
+    """The mean of per-sprint workload totals, in first-seen order."""
     # A left fold, not sum(): from Python 3.12 sum() compensates, and its
     # float result moves with the version.
-    return reduce(add, per_sprint.values(), 0) / len(per_sprint)
+    return reduce(add, totals, 0) / len(totals)
 
 
 def congestion(queue_sizes: Iterable[int]) -> float:
@@ -223,36 +194,86 @@ _RANGES = {
     "mood_end": (1.0, 5.0),
 }
 
+# Rows per chunk: a log is read, checked and handed on this many rows at
+# a time, so memory stays flat in the length of the log.
+_CHUNK_ROWS = 8192
 
-class _ParsedCells(dict):
-    """Raw cell text -> ``parse(text)``, each distinct text parsed once.
 
-    The key is the raw text, so ``"-0"`` and ``"0"`` are parsed apart. A
-    text whose parse raises is not stored.
-    """
+def _in_range(low: float, high: float):
+    def check(text: str) -> float:
+        value = float(text)
+        if low <= value <= high:
+            return value
+        raise ValueError(text)
 
-    __slots__ = ("parse",)
+    return check
 
-    def __init__(self, parse):
-        self.parse = parse
 
-    def __missing__(self, raw):
-        value = self[raw] = self.parse(raw)
+def _days(text: str) -> float:
+    value = float(text)
+    if 0.0 <= value < math.inf:
         return value
+    raise ValueError(text)
 
 
-def ingest_log(path: str | Path) -> list[SprintRecord]:
-    """Parse and range-validate a sprint activity CSV.
+def _sprint(text: str) -> int:
+    value = float(text)
+    if value.is_integer():
+        return int(value)
+    raise ValueError(text)
 
-    Every problem is collected (with its row number: the file line on
-    which the record ends, header = row 1, blank lines counted) and
-    raised together as a :class:`LogSchemaError`, as is a log without
-    records.
+
+def _collaborators(text: str) -> int:
+    value = float(text)
+    if value >= 1.0 and value.is_integer():
+        return int(value)
+    raise ValueError(text)
+
+
+def _optional(text: str) -> float | None:
+    """A pass-through cell: None when blank, else a finite number."""
+    if not text or text.isspace():
+        return None
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(text)
+
+
+def _cell_checks(optional: Sequence[str]) -> dict:
+    """Column -> the check of one cell text: it returns the cell's value
+    or raises ValueError. A row is valid when each of its cells is, so a
+    column can be checked on its distinct texts alone. The ranges are
+    read from ``_RANGES`` on each call."""
+    checks = {
+        "assignee_id": str.strip,
+        "sprint_index": _sprint,
+        "estimated_days": _days,
+        "actual_days": _days,
+        "collaborators": _collaborators,
+    }
+    for column, (low, high) in _RANGES.items():
+        checks[column] = _in_range(low, high)
+    for column in optional:
+        checks[column] = _optional
+    return checks
+
+
+def _log_chunks(handle):
+    """Read a sprint log in chunks of ``_CHUNK_ROWS`` rows and yield each
+    as columns: a dict from column name to an iterator over the chunk's
+    values, in row order, emptied when the next chunk is asked for.
+    Blank lines are skipped; a row shorter than the header reads its
+    missing cells as empty.
+
+    Each column keeps a memo from cell text to value, so a distinct text
+    is checked once per log. Once a text fails its check no further
+    chunk is yielded; the rest of the log is still checked, then the
+    handle is read again from where it started to word the problems of
+    each row holding a failed text, and all of them are raised as one
+    :class:`LogSchemaError`. So is a log without records.
     """
-    return load_input(path, "log", _read_log)
-
-
-def _read_log(handle) -> list[SprintRecord]:
+    start = handle.tell()
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:
@@ -270,103 +291,74 @@ def _read_log(handle) -> list[SprintRecord]:
     if problems:
         raise LogSchemaError(problems)
     position = {name: index for index, name in enumerate(header)}
-    (
-        task_at, assignee_at, sprint_at, difficulty_at, priority_at,
-        confidence_at, estimated_at, actual_at, quality_at,
-        collaborators_at, mood_begin_at, mood_end_at,
-    ) = (position[col] for col in _REQUIRED_COLUMNS)
     optional = tuple(col for col in _OPTIONAL_COLUMNS if col in position)
-    optional_at = tuple((col, position[col]) for col in optional)
-    numeric = _REQUIRED_COLUMNS[2:] + optional
-    (
-        (difficulty_low, difficulty_high), (priority_low, priority_high),
-        (confidence_low, confidence_high), (quality_low, quality_high),
-        (mood_begin_low, mood_begin_high), (mood_end_low, mood_end_high),
-    ) = (
-        _RANGES[col]
-        for col in (
-            "difficulty", "priority", "confidence", "quality", "mood_begin", "mood_end"
-        )
-    )
+    checks = _cell_checks(optional)
+    memos = {col: {} for col in checks}
+    rejected = {col: set() for col in checks}
     width = len(header)
-    records: list[SprintRecord] = []
+    clean = True
+    rows = 0
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        if not all(chunk):  # a blank line reads as an empty row
+            chunk = list(filter(None, chunk))
+            if not chunk:
+                continue
+        if min(map(len, chunk)) < width:
+            for row in chunk:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+        rows += len(chunk)
+        columns = list(zip(*chunk))
+        del chunk  # the columns hold its cells
+        for col, check in checks.items():
+            memo, bad = memos[col], rejected[col]
+            for text in set(columns[position[col]]).difference(memo, bad):
+                try:
+                    memo[text] = check(text)
+                except ValueError:
+                    bad.add(text)
+            clean = clean and not bad
+        if clean:
+            values = {
+                col: map(memos[col].__getitem__, columns[position[col]])
+                for col in checks
+            }
+            values["task_id"] = map(str.strip, columns[position["task_id"]])
+            yield values
+            values.clear()
+        # Only one chunk's cells are alive at a time: drop these before
+        # the next chunk is read.
+        del columns
+    if not clean:
+        handle.seek(start)
+        raise LogSchemaError(_worded_errors(handle, position, rejected, optional))
+    if not rows:
+        raise LogSchemaError(["no records"])
+
+
+def _worded_errors(handle, position, rejected, optional) -> list[str]:
+    """The problems of each row of the log at ``handle`` that holds a
+    text in ``rejected`` (column -> failed texts), in file order."""
+    reader = csv.reader(handle)
+    header = next(reader)
+    width = len(header)
+    failed_at = [(position[col], texts) for col, texts in rejected.items() if texts]
+    numeric = _REQUIRED_COLUMNS[2:] + optional
     errors: list[str] = []
-    isfinite = math.isfinite
-    inf = math.inf
-    # Each row is read by position and checked in one expression; a row
-    # shorter than the header reads its missing cells as empty. A row
-    # that fails here is re-read cell by cell to word its errors. A log
-    # repeats few cell texts, so each distinct number and assignee is
-    # parsed once, on its first sight; the records that share a text
-    # share its value. task_id is unique per row and is not memoised.
-    floats = _ParsedCells(float)
-    names = _ParsedCells(str.strip)
     for row in reader:
         if not row:  # a blank line
             continue
         if len(row) < width:
             row += [""] * (width - len(row))
-        try:
-            sprint = floats[row[sprint_at]]
-            difficulty = floats[row[difficulty_at]]
-            priority = floats[row[priority_at]]
-            confidence = floats[row[confidence_at]]
-            estimated = floats[row[estimated_at]]
-            actual = floats[row[actual_at]]
-            quality = floats[row[quality_at]]
-            collaborators = floats[row[collaborators_at]]
-            mood_begin = floats[row[mood_begin_at]]
-            mood_end = floats[row[mood_end_at]]
-            extras = {}
-            for col, index in optional_at:
-                raw = row[index]
-                if raw and not raw.isspace():
-                    extras[col] = value = floats[raw]
-                    if not isfinite(value):
-                        raise ValueError(col)
-        except ValueError:
-            pass
-        else:
-            if (
-                sprint.is_integer()
-                and difficulty_low <= difficulty <= difficulty_high
-                and priority_low <= priority <= priority_high
-                and confidence_low <= confidence <= confidence_high
-                and 0.0 <= estimated < inf
-                and 0.0 <= actual < inf
-                and quality_low <= quality <= quality_high
-                and collaborators >= 1.0
-                and collaborators.is_integer()
-                and mood_begin_low <= mood_begin <= mood_begin_high
-                and mood_end_low <= mood_end <= mood_end_high
-            ):
-                records.append(
-                    SprintRecord(
-                        row[task_at].strip(),
-                        names[row[assignee_at]],
-                        int(sprint),
-                        difficulty,
-                        priority,
-                        confidence,
-                        estimated,
-                        actual,
-                        quality,
-                        int(collaborators),
-                        mood_begin,
-                        mood_end,
-                        extras,
-                    )
-                )
-                continue
-        problems = _row_errors(
-            dict(zip(header, row)), reader.line_num, numeric, optional
-        )
-        # The two readings agree on which rows are valid; should they
-        # not, a rejected row is still named rather than dropped.
-        errors += problems or [f"row {reader.line_num}: rejected"]
-    if errors or not records:
-        raise LogSchemaError(errors or ["no records"])
-    return records
+        if any(row[at] in texts for at, texts in failed_at):
+            problems = _row_errors(
+                dict(zip(header, row)), reader.line_num, numeric, optional
+            )
+            # The column checks and the cell-by-cell reading agree on
+            # which rows are valid; should they not, a rejected row is
+            # still named rather than dropped.
+            errors += problems or [f"row {reader.line_num}: rejected"]
+    return errors
 
 
 def _row_errors(row, row_no, numeric, optional) -> list[str]:
@@ -402,3 +394,96 @@ def _row_errors(row, row_no, numeric, optional) -> list[str]:
         if not parsed[column].is_integer():
             problems.append(f"row {row_no}: {column} must be an integer")
     return problems
+
+
+def ingest_log(path: str | Path) -> list[SprintRecord]:
+    """Parse and range-validate a sprint activity CSV into records.
+
+    Every problem is collected (with its row number: the file line on
+    which the record ends, header = row 1, blank lines counted) and
+    raised together as a :class:`LogSchemaError`, as is a log without
+    records.
+    """
+    return load_input(path, "log", _read_log)
+
+
+def _read_log(handle) -> list[SprintRecord]:
+    records: list[SprintRecord] = []
+    for values in _log_chunks(handle):
+        columns = [values[col] for col in _REQUIRED_COLUMNS]
+        optional = [col for col in _OPTIONAL_COLUMNS if col in values]
+        if optional:
+            # extras: each row's non-blank pass-through cells
+            rows = zip(*(values[col] for col in optional))
+            columns.append(
+                [
+                    {col: v for col, v in zip(optional, row) if v is not None}
+                    for row in rows
+                ]
+            )
+        records += map(SprintRecord, *columns)
+    return records
+
+
+@dataclass(frozen=True, slots=True)
+class LogSummary:
+    """What ``agilesim ingest`` reports of a sprint log: how many records
+    it holds and how many of them finished late, and each agent's
+    competence and technical productivity, keyed in sorted agent order.
+    Each value equals what ``delay_percentage``, ``competence`` and
+    ``technical_productivity`` give over the log's records."""
+
+    records: int
+    late: int
+    competence: dict[str, float]
+    productivity: dict[str, float]
+
+    @property
+    def delay(self) -> float:
+        """The fraction of records finished late."""
+        return self.late / self.records
+
+
+def summarize_log(path: str | Path) -> LogSummary:
+    """Validate a sprint activity CSV as :func:`ingest_log` does, with
+    the same errors, and fold it per agent without building records."""
+    return load_input(path, "log", _summarize_log)
+
+
+def _summarize_log(handle) -> LogSummary:
+    # Per agent, in file order: the evidence summed per (agent, positive)
+    # and the difficulty summed per (agent, sprint), each key in
+    # first-seen order and each float added in the order the
+    # record-based metrics add it.
+    evidence: dict[tuple[str, bool], float] = defaultdict(float)
+    per_sprint: dict[tuple[str, int], float] = defaultdict(float)
+    records = late = 0
+    for values in _log_chunks(handle):
+        names = list(values["assignee_id"])
+        # SprintRecord.on_time: actual_days - estimated_days <= 0
+        slip = map(sub, values["actual_days"], values["estimated_days"])
+        on_time = list(map(le, slip, repeat(0)))
+        records += len(on_time)
+        late += on_time.count(False)
+        # positive evidence: on time and satisfactory (quality > 5)
+        positive = map(and_, on_time, map(gt, values["quality"], repeat(5)))
+        for sprint_key, evidence_key, difficulty in zip(
+            zip(names, values["sprint_index"]),
+            zip(names, positive),
+            values["difficulty"],
+        ):
+            evidence[evidence_key] += difficulty
+            per_sprint[sprint_key] += difficulty
+    totals: dict[str, list[float]] = {}
+    for (name, _), total in per_sprint.items():
+        totals.setdefault(name, []).append(total)
+    agents = sorted(totals)
+    return LogSummary(
+        records,
+        late,
+        {
+            agent: _evidence_score(evidence[agent, True], evidence[agent, False])
+            for agent in agents
+        },
+        {agent: _mean_per_sprint(totals[agent]) for agent in agents},
+    )

@@ -361,7 +361,7 @@ def reference_smart_plan(agent, incoming, economics, psi):
             if offered * econ.effort <= budget:
                 count = offered
             else:
-                count = math.floor(budget / econ.effort)
+                count = max(math.floor(budget / econ.effort), 0)
             budget -= count * econ.effort
         else:
             count = 0
@@ -423,6 +423,21 @@ class TestReferencePlan:
             ):
                 seen.add("floor")
         assert seen == {"tie", "non-positive", "zero", "zero mood", "floor"}
+
+    def test_budget_overspent_by_rounding(self):
+        # 17 * 0.1 leaves a budget of 1.7 an ulp below 0 after T1, so the
+        # floor for T2 is -1 unless clamped at 0.
+        economics = {
+            "T1": econ("T1", score=2.0, effort=0.1),
+            "T2": econ("T2", score=1.0, effort=0.5),
+        }
+        planner, offers = agent(max_effort=1.7), {"T1": 20, "T2": 3}
+        got = allocation.smart_plan(planner, offers, economics, 1.0)
+        want = reference_smart_plan(planner, offers, economics, 1.0)
+        assert want.leftover_effort < 0
+        assert list(got.accepted.items()) == list(want.accepted.items())
+        assert list(got.rejected.items()) == list(want.rejected.items())
+        assert repr(got.leftover_effort) == repr(want.leftover_effort)
 
 
 class TestAwrAssign:

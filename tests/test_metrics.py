@@ -778,3 +778,136 @@ class TestReadLogEquivalence:
                 ("0", 1.0), ("0.0", 1.0), ("-0", -1.0), ("-0.0", -1.0)
             }
 
+    def test_same_records_or_same_errors_in_small_chunks(self, tmp_path, monkeypatch):
+        """At three rows a chunk, a log spans several chunks and a bad row
+        often sits in a later one: its errors keep their file rows."""
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", 3)
+        self.test_same_records_or_same_errors(tmp_path, monkeypatch)
+
+    def test_repeated_cells_in_small_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", 3)
+        self.test_repeated_cells_parse_as_the_reference(tmp_path)
+
+    def test_command_path_has_the_same_errors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", 3)
+        rng = random.Random(33)
+        path = tmp_path / "log.csv"
+        failed = 0
+        for case in range(300):
+            path.write_text(fuzz_log(rng), encoding="utf-8", newline="")
+            errors = []
+            for parse in (metrics._read_log, metrics._summarize_log):
+                try:
+                    core.load_input(path, "log", parse)
+                    errors.append(None)
+                except metrics.LogSchemaError as exc:
+                    errors.append(exc.errors)
+            assert errors[0] == errors[1], case
+            failed += errors[0] is not None
+        assert 0 < failed < 300
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_error_in_a_later_chunk_names_its_file_row(
+        self, bom, tmp_path, monkeypatch
+    ):
+        """Lines 2-8 are valid, line 9 is blank and line 10 has quality
+        11: at three rows a chunk it is read in the third chunk. "11"
+        is a valid estimated_days in lines 3 and 10, so only the quality
+        cell may mark a row for re-reading. The header starts with
+        quality, so the re-read must skip a byte-order mark as the first
+        reading did."""
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", 3)
+        header = "quality," + LOG_HEADER.replace(",quality", "")
+        good = "7,t1,s1,1,8,5,7,3,3,1,3,4"
+        rows = [good, "7,t2,s1,1,8,5,7,11,3,1,3,4", *[good] * 5, ""]
+        rows.append("11,t9,s2,1,8,5,7,11,3,1,3,4")
+        path = write_log(tmp_path, rows, header=bom + header)
+        for read in (metrics.ingest_log, metrics.summarize_log):
+            with pytest.raises(metrics.LogSchemaError) as err:
+                read(path)
+            assert err.value.errors == [
+                f"invalid log file {path}: row 10: quality 11.0 outside [0, 10]"
+            ]
+
+
+def summary_log(rng):
+    """A valid log text: interleaved agents whose names come padded or
+    not, sprints written as 3 and 3.0, -0 cells, fractional
+    difficulties, blank lines, short rows and the optional columns."""
+    header = list(metrics._REQUIRED_COLUMNS)
+    header += rng.sample(metrics._OPTIONAL_COLUMNS, rng.randint(0, 3))
+    rng.shuffle(header)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for number in range(rng.randint(1, 40)):
+        if rng.random() < 0.1:
+            out.write("\n")
+        agent = rng.choice(["a", "b", "c"])
+        cells = {
+            "task_id": f"t{number}",
+            "assignee_id": rng.choice(["", " ", "\t"]) + agent + rng.choice(["", " "]),
+            "sprint_index": rng.choice(["1", "3", "3.0", " 3", "-0", "7"]),
+            "difficulty": rng.choice(
+                ["-0", "0", "0.1", "0.2", "3.3", repr(rng.uniform(0, 10))]
+            ),
+            "priority": "5",
+            "confidence": "-0",
+            "estimated_days": rng.choice(["-0", "0", "2", "2.5", "3"]),
+            "actual_days": rng.choice(["-0", "0", "2", "2.5", "3", "1e300"]),
+            "quality": rng.choice(["-0", "5", "5.0", "5.01", "8", "10"]),
+            "collaborators": rng.choice(["1", "2.0"]),
+            "mood_begin": "3",
+            "mood_end": "4",
+        }
+        for column in metrics._OPTIONAL_COLUMNS:
+            cells[column] = rng.choice(["", " ", "-0", "12.5"])
+        row = [cells[column] for column in header]
+        if rng.random() < 0.2:
+            # Drop trailing optional cells, so the row stays valid.
+            while row and header[len(row) - 1] in metrics._OPTIONAL_COLUMNS:
+                row.pop()
+                if rng.random() < 0.5:
+                    break
+        writer.writerow(row)
+    return out.getvalue()
+
+
+class TestSummarizeLog:
+    """``summarize_log``, the fold the ``ingest`` command reports, against
+    ``delay_percentage``, ``competence`` and ``technical_productivity``
+    over ``ingest_log``'s records, value for value."""
+
+    @pytest.mark.parametrize("chunk_rows", [3, 8192])
+    def test_equals_the_record_metrics(self, chunk_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk_rows)
+        rng = random.Random(32)
+        path = tmp_path / "log.csv"
+        for case in range(200):
+            path.write_text(summary_log(rng), encoding="utf-8", newline="")
+            records = metrics.ingest_log(path)
+            summary = metrics.summarize_log(path)
+            agents = sorted({record.assignee_id for record in records})
+            assert summary.records == len(records), case
+            assert summary.late == sum(not record.on_time for record in records), case
+            assert summary.delay == metrics.delay_percentage(records), case
+            assert list(summary.competence) == agents, case
+            assert list(summary.productivity) == agents, case
+            for agent in agents:
+                want = metrics.competence(records, agent)
+                assert summary.competence[agent] == want, case
+                assert repr(summary.competence[agent]) == repr(want), case
+                want = metrics.technical_productivity(records, agent)
+                assert summary.productivity[agent] == want, case
+                assert repr(summary.productivity[agent]) == repr(want), case
+
+    def test_sums_in_file_order(self, tmp_path):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 from the left and 0.6
+        # from the right: the fold adds in file order, as the records do.
+        rows = [
+            f"t{i},a,1,{difficulty},5,7,3,3,8,1,3,4"
+            for i, difficulty in enumerate(["0.1", "0.2", "0.3"])
+        ]
+        summary = metrics.summarize_log(write_log(tmp_path, rows))
+        assert summary.productivity == {"a": 0.6000000000000001}
+        assert summary.competence == {"a": 1.6000000000000001 / 2.6000000000000001}
