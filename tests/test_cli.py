@@ -838,6 +838,18 @@ class TestIngestCommand:
         assert code == 2
         assert "quality" in capsys.readouterr().err
 
+    def test_blank_assignee_exits_2(self, tmp_path, capsys):
+        path = self.write_log(
+            tmp_path, ["t1,s1,1,8,5,7,3,3,8,1,3,4", "t2, ,1,8,5,7,3,3,8,1,3,4"]
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--log", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "row 3: assignee_id is blank" in err
+        assert "Traceback" not in err
+        assert not (out / "competence.csv").exists()
+
     def test_non_utf8_log_exits_2(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
         path.write_bytes(LOG_HEADER.encode() + b"\nt1,s\xff1,1,8,5,7,3,3,8,1,3,4\n")

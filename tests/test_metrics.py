@@ -531,6 +531,30 @@ class TestIngestLog:
             f"invalid log file {path}: row 2: mood_end is not numeric ('')"
         ]
 
+    def test_blank_assignee_rejected(self, tmp_path):
+        path = write_log(
+            tmp_path,
+            [
+                "t1,s1,1,8,5,7,3,3,7,1,3,4",
+                "t2,,1,8,5,7,3,3,7,1,3,4",
+                "t3,  ,1,8,5,7,3,3,12,1,3,4",
+                "t4, \t,1,x,5,7,3,3,7,1,3,4",
+            ],
+        )
+        for read in (metrics.ingest_log, metrics.summarize_log):
+            with pytest.raises(metrics.LogSchemaError) as err:
+                read(path)
+            assert err.value.errors == [
+                f"invalid log file {path}: {problem}"
+                for problem in (
+                    "row 3: assignee_id is blank",
+                    "row 4: assignee_id is blank",
+                    "row 4: quality 12.0 outside [0, 10]",
+                    "row 5: assignee_id is blank",
+                    "row 5: difficulty is not numeric ('x')",
+                )
+            ]
+
     def test_rejected_row_never_vanishes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(metrics, "_row_errors", lambda *args: [])
         path = write_log(
@@ -543,8 +567,9 @@ class TestIngestLog:
 
 def reference_read_log(handle):
     """The cell-by-cell parser that ``metrics._read_log`` replaced: each
-    ``DictReader`` row has every numeric cell stripped, parsed and checked
-    on its own, then the ranges checked over ``_RANGES``."""
+    ``DictReader`` row has its assignee checked for a name and every
+    numeric cell stripped, parsed and checked on its own, then the ranges
+    checked over ``_RANGES``."""
     reader = csv.DictReader(handle)
     if reader.fieldnames is None:
         raise metrics.LogSchemaError(["file is empty: no header row"])
@@ -557,6 +582,9 @@ def reference_read_log(handle):
     errors = []
     for row in reader:
         row_no = reader.line_num
+        blank = not (row.get("assignee_id") or "").strip()
+        if blank:
+            errors.append(f"row {row_no}: assignee_id is blank")
         parsed = {}
         row_bad = False
         for column in numeric:
@@ -594,7 +622,7 @@ def reference_read_log(handle):
         if parsed["sprint_index"] != int(parsed["sprint_index"]):
             errors.append(f"row {row_no}: sprint_index must be an integer")
             row_bad = True
-        if row_bad:
+        if row_bad or blank:
             continue
         records.append(
             SprintRecord(
@@ -621,12 +649,16 @@ def reference_read_log(handle):
 # Cells for the equivalence fuzz. Non-integer collaborators, a repeated
 # known column and a byte-order mark are left out: those are the three
 # places where ``_read_log`` deliberately differs from the reference.
-TEXT_CELLS = ["t1", " dev-3 ", "a,b", "two\nlines", '"quoted"', "", "  "]
+# A blank assignee is rejected, so assignee_id draws no blank text.
+TEXT_CELLS = ["t1", " dev-3 ", "a,b", "two\nlines", '"quoted"']
+BLANK_CELLS = ["", "  "]
 PAD = ["", "", "", " ", "\t", "\xa0"]
 
 
 def valid_cell(rng, column):
-    if column in ("task_id", "assignee_id"):
+    if column == "task_id":
+        return rng.choice(TEXT_CELLS + BLANK_CELLS)
+    if column == "assignee_id":
         return rng.choice(TEXT_CELLS)
     if column == "sprint_index":
         return rng.choice(["0", "3", "12", "2.0", "-1", "1e1"])
@@ -639,7 +671,7 @@ def valid_cell(rng, column):
         return rng.choice(["0", "-0.0", "3", repr(rng.uniform(0, 9)), "1e300"])
     if column in metrics._OPTIONAL_COLUMNS:
         return rng.choice(["", " ", "12", "-7.5", "88", "1e-300"])
-    return rng.choice(TEXT_CELLS + ["nan", "1"])
+    return rng.choice(TEXT_CELLS + BLANK_CELLS + ["nan", "1"])
 
 
 def bad_cell(rng, column):
@@ -732,7 +764,7 @@ class TestReadLogEquivalence:
         that parse to equal values (or fail) must each still read as the
         reference reads them."""
         numbers = ["0", "-0", "0.0", "-0.0", " 5", "5 ", "5", "1e1", "10", "+3", "3"]
-        assignees = ["dev-1", " dev-1", "dev-1 ", "\tdev-2", "dev-2", "", "  "]
+        assignees = ["dev-1", " dev-1", "dev-1 ", "\tdev-2", "dev-2"]
         bad = ["nan", "x", "", "-1", "11"]
         header = list(metrics._REQUIRED_COLUMNS) + ["workload"]
         path = tmp_path / "log.csv"
@@ -911,3 +943,204 @@ class TestSummarizeLog:
         summary = metrics.summarize_log(write_log(tmp_path, rows))
         assert summary.productivity == {"a": 0.6000000000000001}
         assert summary.competence == {"a": 1.6000000000000001 / 2.6000000000000001}
+
+
+def record_summary(records):
+    """The ``LogSummary`` the record-based metrics give over ``records``."""
+    agents = sorted({record.assignee_id for record in records})
+    return metrics.LogSummary(
+        len(records),
+        sum(not record.on_time for record in records),
+        {agent: metrics.competence(records, agent) for agent in agents},
+        {agent: metrics.technical_productivity(records, agent) for agent in agents},
+    )
+
+
+SPLIT_HEADER = LOG_HEADER + ",workload"
+
+# Lines the comma split must not read: each sends its chunk, and the rest
+# of the log, to csv.reader.
+ODD_KINDS = (
+    "quoted", "quoted newline", "crlf", "cr", "nul", "blank", "short", "long"
+)
+
+
+def plain_line(rng, number, quality=None):
+    """One valid row of ``SPLIT_HEADER`` with no quote, as a file line."""
+    cells = [
+        f"t{number}",
+        f"dev-{rng.randrange(5)}",
+        str(rng.randrange(1, 4)),
+        rng.choice(["0.5", "3", "7.25", "10", "-0"]),
+        "5",
+        "7",
+        str(rng.randint(0, 4)),
+        str(rng.randint(0, 5)),
+        quality or rng.choice(["2", "5", "8.5", " 9"]),
+        str(rng.randint(1, 3)),
+        "3",
+        "4",
+        rng.choice(["", "12", "-7.5"]),
+    ]
+    return ",".join(cells) + "\n"
+
+
+def odd_line(rng, number, kind):
+    """A row of ``SPLIT_HEADER`` written as a line of ``kind``."""
+    cells = plain_line(rng, number).removesuffix("\n").split(",")
+    end = "\n"
+    if kind == "quoted":
+        cells[1] = f'"{cells[1]}"'
+    elif kind == "quoted newline":
+        cells[0] = f'"{cells[0]}\nnote"'
+    elif kind == "crlf":
+        end = "\r\n"
+    elif kind == "cr":
+        end = "\r"
+    elif kind == "nul":
+        cells[0] += "\0"
+    elif kind == "blank":
+        cells = []
+    elif kind == "short":
+        cells.pop()  # the optional workload cell
+    elif kind == "long":
+        cells.append("extra")
+    return ",".join(cells) + end
+
+
+def split_path_log(rng, chunk_rows, kinds, dirty):
+    """A log text of plain rows, at least two chunks long, with a line of
+    each of ``kinds`` set in. A quoted newline opens on the last line of
+    the second chunk, right after a plain chunk, and closes in the third;
+    the others go anywhere. A dirty log has quality 12 in one row. Half
+    the logs lack the final newline."""
+    lines = [plain_line(rng, number) for number in range(2 * chunk_rows)]
+    lines += [plain_line(rng, number) for number in range(rng.randint(0, 40))]
+    for kind in kinds:
+        at = rng.randrange(len(lines))
+        if kind == "quoted newline":
+            at = 2 * chunk_rows - 1
+        lines[at] = odd_line(rng, at, kind)
+    if dirty:
+        at = rng.randrange(len(lines))
+        lines[at] = plain_line(rng, at, quality="12")
+    text = SPLIT_HEADER + "\n" + "".join(lines)
+    return text.removesuffix("\n") if rng.random() < 0.5 else text
+
+
+def read_outcomes(path):
+    """``_read_log``, ``reference_read_log`` and ``_summarize_log`` of the
+    log at ``path``, each as (result, None) or (None, errors)."""
+    outcomes = []
+    for parse in (metrics._read_log, reference_read_log, metrics._summarize_log):
+        try:
+            outcomes.append((core.load_input(path, "log", parse), None))
+        except core.InputError as exc:
+            outcomes.append((None, exc.errors))
+    return outcomes
+
+
+class TestSplitPath:
+    """A chunk of plain lines is split on its commas; from the first other
+    chunk on, the log goes through ``csv.reader``. Both must read every
+    log as ``reference_read_log`` does."""
+
+    @pytest.mark.parametrize("chunk_rows", [3, metrics._CHUNK_ROWS])
+    def test_mixed_logs_read_as_the_reference(
+        self, chunk_rows, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk_rows)
+        rng = random.Random(34)
+        path = tmp_path / "log.csv"
+        kinds = ("plain",) + ODD_KINDS
+        cases = 10 * len(kinds) if chunk_rows == 3 else len(kinds)
+        seen = set()
+        for case in range(cases):
+            kind = kinds[case % len(kinds)]
+            mix = [] if kind == "plain" else [kind]
+            if chunk_rows == 3 and rng.random() < 0.3:
+                mix.append(rng.choice(ODD_KINDS))
+            log = split_path_log(rng, chunk_rows, mix, dirty=case % 3 == 2)
+            path.write_text(log, encoding="utf-8", newline="")
+            outcomes = read_outcomes(path)
+            (got, got_errors), (want, want_errors), (summary, summary_errors) = outcomes
+            assert got_errors == want_errors == summary_errors, (case, mix)
+            if want is None:
+                seen.add("errors")
+                continue
+            seen.add("records")
+            assert got == want, (case, mix)
+            assert repr(got) == repr(want), (case, mix)
+            assert [r.extras for r in got] == [r.extras for r in want], (case, mix)
+            assert summary == record_summary(want), (case, mix)
+        assert seen == {"records", "errors"}
+
+    @pytest.mark.parametrize("chunk_rows", [3, metrics._CHUNK_ROWS])
+    def test_lines_over_the_field_limit(self, chunk_rows, tmp_path, monkeypatch):
+        """A line longer than the field size limit goes to csv.reader: it
+        reads a line whose cells are all within the limit, and rejects a
+        cell over it with csv's own message."""
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk_rows)
+        rng = random.Random(35)
+        path = tmp_path / "log.csv"
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(64)
+            for task, readable in (("t" * 50, True), ("t" * 65, False)):
+                # The long line opens the second chunk, after a plain one.
+                lines = [plain_line(rng, n) for n in range(2 * chunk_rows + 2)]
+                line = lines[chunk_rows]
+                lines[chunk_rows] = task + line[line.index(",") :]
+                path.write_text(SPLIT_HEADER + "\n" + "".join(lines), encoding="utf-8")
+                outcomes = read_outcomes(path)
+                (got, got_errors), (want, want_errors), (summary, _) = outcomes
+                assert got_errors == want_errors
+                if readable:
+                    assert len(got) == 2 * chunk_rows + 2
+                    assert got[chunk_rows].task_id == task
+                    assert got == want and repr(got) == repr(want)
+                    assert summary == record_summary(want)
+                else:
+                    assert [errors for _, errors in outcomes] == [
+                        [f"invalid log file {path}: field larger than field limit (64)"]
+                    ] * 3
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("chunk_rows", [3, metrics._CHUNK_ROWS])
+    def test_plain_crlf_and_quoted_copies_agree(
+        self, chunk_rows, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk_rows)
+        rng = random.Random(36)
+        lines = [plain_line(rng, number) for number in range(3 * chunk_rows + 1)]
+        plain = SPLIT_HEADER + "\n" + "".join(lines)
+        # The assignee of the first row of the third chunk, quoted.
+        cells = lines[2 * chunk_rows].split(",")
+        cells[1] = f'"{cells[1]}"'
+        lines[2 * chunk_rows] = ",".join(cells)
+        quoted = SPLIT_HEADER + "\n" + "".join(lines)
+        summaries = []
+        for number, text in enumerate([plain, plain.replace("\n", "\r\n"), quoted]):
+            path = tmp_path / f"log{number}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            summaries.append(metrics.summarize_log(path))
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert summaries[0].records == 3 * chunk_rows + 1
+
+    def test_plain_chunks_are_split_until_the_first_other(self, monkeypatch):
+        """At three rows a chunk: the first two chunks are plain, the third
+        holds a quoted cell, so it and every later chunk go through
+        csv.reader (whose columns are tuples), plain or not."""
+        monkeypatch.setattr(metrics, "_CHUNK_ROWS", 3)
+        rng = random.Random(37)
+        lines = [plain_line(rng, number) for number in range(12)]
+        lines[7] = odd_line(rng, 7, "quoted")
+        text = SPLIT_HEADER + "\n" + "".join(lines)
+        handle = io.StringIO(text, newline="")
+        width = len(next(csv.reader(handle)))
+        chunks = list(metrics._body_columns(handle, width))
+        assert [type(columns) for columns in chunks] == [list] * 4
+        assert [type(columns[0]) for columns in chunks] == [list, list, tuple, tuple]
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        assert [list(row) for columns in chunks for row in zip(*columns)] == rows
