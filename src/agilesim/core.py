@@ -77,7 +77,9 @@ class AgentState:
     acceptance order, which is the service order, as ``[type_id,
     claim_day, count]`` runs. Only the head task can be partly served;
     ``head_remaining`` is its remaining effort while ``pending`` is
-    non-empty.
+    non-empty. ``queued`` counts the tasks those runs hold per type,
+    with no zero entries, so a queue's sizes are read without walking
+    its runs; the simulator checks the two agree.
     """
 
     agent_id: str
@@ -89,6 +91,7 @@ class AgentState:
     head_remaining: float = 0.0
     pending_effort: float = 0.0
     recent_completions: dict[str, int] = field(default_factory=dict)
+    queued: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

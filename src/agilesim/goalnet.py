@@ -97,11 +97,23 @@ class GoalNet:
         return len({node.level for node in self.nodes.values()})
 
 
-_STORY_TEMPLATE = re.compile(
-    r"^as\s+an?\s+(?P<role>[^,]+?)\s*,\s*i\s+want\s+to\s+(?P<goal>.+?)"
-    r"(?:\s+so\s+that\s+(?P<benefit>.+?))?\s*\.?$",
-    re.IGNORECASE,
+# A story is "As a(n) <role>, I want to <goal>[ so that <benefit>][.]":
+# the role runs to the first comma, the goal to the first " so that "
+# with text after it, and one trailing "." or " ." ends the sentence.
+_STORY_PREFIX = re.compile(
+    r"as\s+an?\s+(?P<role>[^,]+?)\s*,\s*i\s+want\s+to\s+(?=.)", re.IGNORECASE
 )
+_SO_THAT = re.compile(r"\s+so\s+that\s+(?=.)", re.IGNORECASE)
+
+
+def _without_full_stop(clause: str) -> str:
+    """``clause`` (normalized, non-empty) less one trailing ``" ."`` or
+    ``"."``, unless that would leave it empty."""
+    if len(clause) > 2 and clause.endswith(" ."):
+        return clause[:-2]
+    if len(clause) > 1 and clause.endswith("."):
+        return clause[:-1]
+    return clause
 
 
 def parse_story(
@@ -119,7 +131,7 @@ def parse_story(
     matching failed.
     """
     normalized = " ".join(text.split())
-    match = _STORY_TEMPLATE.match(normalized)
+    match = _STORY_PREFIX.match(normalized)
     if match is None:
         if not re.match(r"as\s+an?\s+", normalized, re.IGNORECASE):
             raise StoryParseError("expected role clause 'As a <role>,'", 0)
@@ -132,14 +144,19 @@ def parse_story(
                 "expected 'I want to <goal>' after the role", comma + 1
             )
         raise StoryParseError("text does not match the story template", 0)
-    role = match.group("role").strip()
-    goal = match.group("goal").strip()
-    benefit = match.group("benefit")
+    start = match.end()
+    # The goal holds at least one character.
+    so_that = _SO_THAT.search(normalized, start + 1)
+    if so_that is None:
+        goal, benefit = _without_full_stop(normalized[start:]), None
+    else:
+        goal = normalized[start : so_that.start()]
+        benefit = _without_full_stop(normalized[so_that.end() :])
     return UserStory(
         id=story_id,
-        role=role,
+        role=match.group("role"),
         goal=goal,
-        benefit=benefit.strip() if benefit else None,
+        benefit=benefit,
         parent=parent,
         tasks=tuple(tasks),
         environment=tuple((str(n), str(v)) for n, v in environment),

@@ -40,10 +40,15 @@ a ``RunResult``, is built at day 0 with its series and totals at zero;
 got or holds work, so an idle agent costs the walk a reset of its recent
 completions and, under fcm-coupled mood, its mood step. The walk also
 takes the queue sizes that congestion and the task-conservation check
-read: after its service an agent's runs totalled per type; only agents
-served that day hold any. Under fcm-coupled mood every agent takes one
-``fcm.step`` a day, from ``(mood, progress, quality)`` to the next
-values; one that completed nothing steps from ``(mood, 0.5, 0.5)``.
+read: an agent's ``queued`` counts per type, which ``_claim`` adds to
+and the walk debits by the day's completions. Only agents served that
+day hold any, and after an agent's service the walk checks that its
+counts add up to the tasks its runs hold, in one pass over the runs
+that sums their counts without a Python loop, so a backlog of
+thousands of runs costs a day little. Under fcm-coupled mood every
+agent takes one ``fcm.step`` a day, from ``(mood, progress, quality)``
+to the next values; one that completed nothing steps from ``(mood, 0.5,
+0.5)``.
 All agents step one shared map, and after an idle day an agent's mood is
 that map's idle constant, so a repeated idle step returns the stored
 tuple of the map's last-step memo (see ``fcm``). ``tick`` keeps the
@@ -71,7 +76,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 
 from . import fcm
 from .allocation import (
@@ -301,6 +306,8 @@ def _claim(agent: AgentState, tid: str, count: int, effort: float, day: int) -> 
     if not pending:
         agent.head_remaining = effort
     pending.append([tid, day, count])
+    queued = agent.queued
+    queued[tid] = queued.get(tid, 0) + count
     agent.pending_effort = _add_each(agent.pending_effort, effort, count)
 
 
@@ -358,9 +365,11 @@ def _claims(
 
 def _check_conservation(state: SimState, queue_sizes: list[int]) -> float:
     """Check that every task is in exactly one place and return the
-    day's congestion. ``queue_sizes`` are the agents' queue sizes, taken
-    in ``tick``'s walk after each agent's service: every agent that
-    holds work is served, so they count every assigned task."""
+    day's congestion. ``queue_sizes`` are the agents' non-zero
+    ``queued`` counts, taken in ``tick``'s walk after each agent's
+    service, where each agent's counts were checked against its runs:
+    every agent that holds work is served, so they count every assigned
+    task."""
     in_common = sum(state.common_queue.values())
     in_agents = sum(queue_sizes)
     completed = state.metrics.completed_count
@@ -393,14 +402,19 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     # (2) Allocation.
     if config.allocator is Allocator.SMART:
         psi = config.psi
+        # The tasks earlier agents left, in type order, without zeros.
+        offered = {tid: count for tid, count in common_queue.items() if count}
         for agent in state.agents:
-            # The tasks earlier agents left, in type order.
-            offered = {tid: count for tid, count in common_queue.items() if count}
             if not offered:
                 break
             assigned = 0.0
             for tid, count, effort in _claims(state, agent, offered, psi):
                 common_queue[tid] -= count
+                left = offered[tid] - count
+                if left:
+                    offered[tid] = left
+                else:
+                    del offered[tid]
                 _claim(agent, tid, count, effort, day)
                 assigned += count * effort
             if assigned:
@@ -421,7 +435,9 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
     # in roster order, so the quality draws keep their order. Only agents
     # holding work are served, each on locals written back once; one that
     # was not served steps from (mood, 0.5, 0.5), most days an input the
-    # map's memo answers.
+    # map's memo answers. A served agent's ``queued`` counts lose the
+    # day's completions and give the queue sizes; while it still holds
+    # runs, their counts must add up to the same total.
     completions_today = 0
     utility_today = 0.0
     delayed = 0
@@ -485,11 +501,25 @@ def tick(state: SimState, config: ScenarioConfig) -> SimState:
         metrics.high_quality_count += high_quality
         state.effort_spent[agent_id] += max_effort - budget
         metrics.pending_workload[agent_id][day] = pending_effort
-        if pending:  # its queue sizes: its runs totalled per type
-            counts: dict[str, int] = {}
-            for tid, _, n in pending:
-                counts[tid] = counts.get(tid, 0) + n
-            queue_sizes.extend(counts.values())
+        queued = agent.queued
+        if pending:  # its queue sizes: its counts per type, less today's
+            for tid, n in served.items():
+                left = queued.get(tid, 0) - n
+                if left:
+                    queued[tid] = left
+                else:
+                    del queued[tid]
+            queue_sizes.extend(queued.values())
+            held = sum(queued.values())
+            in_runs = sum(map(itemgetter(2), pending))
+            if held != in_runs:
+                raise SimulationInvariantError(
+                    f"task conservation breached on day {day}: agent "
+                    f"{agent_id} counts {held} tasks by type but holds "
+                    f"{in_runs} in its runs"
+                )
+        else:
+            queued.clear()
         if mood_map is not None:
             progress = on_time / done if done else 0.5
             quality = high_quality / done if done else 0.5

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -26,7 +28,101 @@ def load_corpus():
     return stories, goals, assignment, root_label
 
 
+# The whole story template as one backtracking regex: the oracle that
+# parse_story's prefix match and "so that" search must agree with.
+_STORY_TEMPLATE = re.compile(
+    r"^as\s+an?\s+(?P<role>[^,]+?)\s*,\s*i\s+want\s+to\s+(?P<goal>.+?)"
+    r"(?:\s+so\s+that\s+(?P<benefit>.+?))?\s*\.?$",
+    re.IGNORECASE,
+)
+
+
+def reference_parse(text):
+    """``(role, goal, benefit)`` of ``text`` by ``_STORY_TEMPLATE``, or
+    None where it does not match."""
+    match = _STORY_TEMPLATE.match(" ".join(text.split()))
+    if match is None:
+        return None
+    benefit = match.group("benefit")
+    return (
+        match.group("role").strip(),
+        match.group("goal").strip(),
+        benefit.strip() if benefit else None,
+    )
+
+
+def parsed_parts(text):
+    """``(role, goal, benefit)`` of ``parse_story(text)``, or None where
+    it raises ``StoryParseError``."""
+    try:
+        story = parse_story(text)
+    except goalnet.StoryParseError:
+        return None
+    return story.role, story.goal, story.benefit
+
+
+# Keywords in other cases (the long s and the dotted and dotless i match
+# "s" and "i" case-insensitively), full stops, commas and whitespace.
+_FUZZ_TOKENS = (
+    "as", "As", "AS", "\u017f", "a\u017f", "a", "an", "AN", "n", "\u0130",
+    "\u0131", "i", "I", "want", "WANT", "to", "TO", "so", "SO", "\u017fo",
+    "that", "THAT", "thaT", "so that", "I want to", ",", ".", "..", " .",
+    " ", "  ", "\t", "\n", "x", "y",
+)
+
+
 class TestParseStory:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "As a user, I want to x.",
+            "As a user, I want to x .",
+            "As a user, I want to .",
+            "As a user, I want to ..",
+            "As a user, I want to . .",
+            "As a user, I want to x so that .",
+            "As a user, I want to x so that y .",
+            "As a user, I want to so that y",
+            "As a user, I want to x so that",
+            "As a user, I want to x so that y so that z.",
+            "As a user, I want to x so that so that y",
+            "As a user , I want to x",
+            "As a user,I want to x",
+            "As a , I want to x",
+            "As an, I want to x",
+            "As a user, I want to",
+            "A\u017f a user, \u0130 want to x \u017fo that y",
+        ],
+    )
+    def test_agrees_with_the_template(self, text):
+        assert parsed_parts(text) == reference_parse(text)
+
+    def test_agrees_with_the_template_on_fuzzed_texts(self):
+        rng = random.Random(34)
+        matched = 0
+        for case in range(20_000):
+            if case % 2:
+                parts = [
+                    rng.choice(("As a", "as an", "AS A", "a\u017f a", "As  an")),
+                    " ",
+                    rng.choice(("x", "x y", "role ", " r.", "\u0131")),
+                    rng.choice((",", " ,", ", ")),
+                    rng.choice((" I want to ", " i WANT to", "\u0130 want to ")),
+                ]
+                count = rng.randint(0, 10)
+            else:
+                parts = []
+                count = rng.randint(0, 14)
+            parts += [
+                rng.choice(_FUZZ_TOKENS) + rng.choice(("", " ")) for _ in range(count)
+            ]
+            text = "".join(parts)
+            want = reference_parse(text)
+            assert parsed_parts(text) == want, text
+            matched += want is not None
+        # Both sides of the comparison are exercised.
+        assert 5_000 < matched < 15_000
+
     def test_full_template(self):
         story = parse_story(
             "As a visitor, I want to Easily search goods on mobile phones "

@@ -324,6 +324,21 @@ def saturating_scenario(**overrides):
     return make_scenario(**settings)
 
 
+def awr_backlog_scenario():
+    """M-M over 1 000 days at its daily pace, ten times its tasks, under
+    AWR: the assignee's backlog grows by about five runs a day and holds
+    thousands of them by the horizon."""
+    config = core.preset("M-M")
+    return core.validate(
+        dataclasses.replace(
+            config,
+            horizon_days=1000,
+            task_mix=tuple((spec, 10 * count) for spec, count in config.task_mix),
+            allocator=core.Allocator.AWR,
+        )
+    )
+
+
 def arrival_counts(tasks):
     """Per day, the count of each type among ``reference_arrivals``."""
     per_day = {}
@@ -575,8 +590,9 @@ class TestConservationAndAccounting:
         with pytest.raises(
             simulation.SimulationInvariantError,
             match="task conservation breached on day 1",
-        ):
+        ) as caught:
             simulation.run(config)
+        return str(caught.value)
 
     def test_task_conservation_breach_is_caught(self, monkeypatch):
         # A duplicate of the task, claimed by dev-001 as a well-formed run,
@@ -590,6 +606,23 @@ class TestConservationAndAccounting:
         self.assert_breach_on_day_1(
             monkeypatch, lambda holder, idle: holder.pending.popleft()
         )
+
+    def test_run_grown_past_its_type_count_is_caught(self, monkeypatch):
+        # The holder's run claims one task more than its per-type count.
+        def corrupt(holder, idle):
+            holder.pending[0][2] += 1
+
+        message = self.assert_breach_on_day_1(monkeypatch, corrupt)
+        assert "dev-000" in message
+
+    def test_type_count_grown_past_its_runs_is_caught(self, monkeypatch):
+        # The holder's per-type count, which the queue sizes are read
+        # from, claims one task more than its runs hold.
+        def corrupt(holder, idle):
+            holder.queued["T1"] += 1
+
+        message = self.assert_breach_on_day_1(monkeypatch, corrupt)
+        assert "dev-000" in message
 
     def test_busy_effort_never_exceeds_budget(self):
         config = core.with_overrides(core.preset("S-M"), seed=2)
@@ -923,7 +956,7 @@ class TestIdleAgentEquivalence:
             saturating_scenario(allocator=allocator, mood_mode=mood_mode)
             for allocator in core.Allocator
             for mood_mode in (core.MoodMode.constant(1.0), core.MoodMode.fcm_coupled())
-        ]
+        ] + [awr_backlog_scenario()]
         seen = set()
         real_plan = simulation.smart_plan
         for case, config in enumerate(configs):
@@ -948,12 +981,19 @@ class TestIdleAgentEquivalence:
             monkeypatch.setattr(simulation, "smart_plan", real_plan)
 
             def watched_tick(state, config):
-                # Congestion must total a type over an agent's runs.
+                # Congestion must total a type over an agent's runs, and
+                # an agent's per-type counts must be those totals.
                 simulation.tick(state, config)
                 for agent in state.agents:
                     held = [run[0] for run in agent.pending]
                     if len(held) > len(set(held)):
                         seen.add("two runs of one type")
+                    if len(held) > 1000:
+                        seen.add("over 1000 runs")
+                    totals = {}
+                    for tid, _, count in agent.pending:
+                        totals[tid] = totals.get(tid, 0) + count
+                    assert agent.queued == totals, (case, state.day, agent.agent_id)
                 return state
 
             got_state = simulation.initial_state(config)
@@ -999,6 +1039,7 @@ class TestIdleAgentEquivalence:
             "residue",
             "overlay",
             "two runs of one type",
+            "over 1000 runs",
             "mood moved",
             (core.Allocator.SMART, "constant"),
             (core.Allocator.SMART, "fcm-coupled"),
@@ -1154,6 +1195,31 @@ class TestPlanMemo:
         state = ticked(config)
         assert len(calls) <= 12, len(calls)
         assert {profile for profile, _ in state.plan_tables} == {(1.0, 1.7), (0.6, 2.1)}
+
+    def test_each_agent_is_offered_the_common_queue_without_zeros(self, monkeypatch):
+        # tick builds the offer once a day and takes each claim out of
+        # it; every agent must still see the common queue's non-zero
+        # counts, in type order.
+        rng = random.Random(5)
+        configs = [
+            config
+            for config in (random_scenario(rng, case) for case in range(60))
+            if config.allocator is core.Allocator.SMART
+        ] + [saturating_scenario()]
+        real_claims = simulation._claims
+        visits = 0
+
+        def checked_claims(state, agent, offered, psi):
+            nonlocal visits
+            visits += 1
+            want = [(tid, count) for tid, count in state.common_queue.items() if count]
+            assert list(offered.items()) == want
+            return real_claims(state, agent, offered, psi)
+
+        monkeypatch.setattr(simulation, "_claims", checked_claims)
+        for config in configs:
+            ticked(config)
+        assert visits > 100
 
 
 class TestMoodCoupling:
