@@ -191,8 +191,10 @@ def _check_parents(
     stories: Sequence[UserStory], places: Sequence[str] | None = None
 ) -> None:
     """Check that story ids are unique and that each parent is a known
-    proper prefix of its child's id. A parent id is strictly shorter than
-    its child's, so no chain of parents can come back to a story.
+    proper prefix of its child's id: the id less its last segment, unless
+    the child is ``cut_across`` and may name any ancestor. A parent id is
+    strictly shorter than its child's, so no chain of parents can come
+    back to a story.
 
     Every problem is raised together in one :class:`GoalNetError`, in
     story order, each prefixed by its story's entry in ``places`` when
@@ -209,6 +211,7 @@ def _check_parents(
         parent = story.parent
         if parent is None:
             continue
+        direct = story.id.rsplit(".", 1)[0]  # the parent one level up
         if parent not in ids:
             problems.append(
                 (index, f"story {story.id!r} references unknown parent {parent!r}")
@@ -219,6 +222,14 @@ def _check_parents(
                     index,
                     f"story {story.id!r}: parent {parent!r} is not a proper "
                     "prefix of the id",
+                )
+            )
+        elif parent != direct and not story.cut_across:
+            problems.append(
+                (
+                    index,
+                    f"story {story.id!r}: parent {parent!r} skips a level "
+                    f"(expected {direct!r}; only a cut_across story may skip)",
                 )
             )
     if problems:
@@ -242,7 +253,8 @@ def build_goal_net(
 
     ``assignment`` maps each top-level story id to one of the
     high-level goal labels (sub-stories follow their parents); a key that
-    names no top-level story is rejected. When ``explicit_transitions``
+    names no top-level story is rejected, as is every top-level story
+    left out, each named ``assignment.<id>``. When ``explicit_transitions``
     is given it replaces the inferred sibling transitions entirely.
     """
     _check_parents(stories)
@@ -254,6 +266,14 @@ def build_goal_net(
             raise GoalNetError(f"assignment.{story_id}: names no top-level story")
         if label not in label_set:
             raise GoalNetError(f"assignment.{story_id}: unknown goal {label!r}")
+    ordered = sorted(stories, key=lambda s: _story_order(s.id))
+    unassigned = [
+        f"assignment.{story.id}: unassigned top-level story"
+        for story in ordered
+        if story.parent is None and story.id not in assignment
+    ]
+    if unassigned:
+        raise GoalNetError(unassigned)
 
     nodes: dict[str, GoalNode] = {}
     children: dict[str, list[str]] = {"root": []}
@@ -267,7 +287,6 @@ def build_goal_net(
         children["root"].append(node_id)
         children[node_id] = []
 
-    ordered = sorted(stories, key=lambda s: _story_order(s.id))
     for story in ordered:
         node_id = f"story-{story.id}"
         nodes[node_id] = GoalNode(
@@ -280,10 +299,8 @@ def build_goal_net(
         children[node_id] = []
         if story.parent is not None:
             children[f"story-{story.parent}"].append(node_id)
-            continue
-        if story.id not in assignment:
-            raise GoalNetError(f"unassigned story: {story.id!r}")
-        children[goal_node_ids[assignment[story.id]]].append(node_id)
+        else:
+            children[goal_node_ids[assignment[story.id]]].append(node_id)
 
     for node_id, kids in children.items():
         if kids:

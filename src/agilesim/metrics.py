@@ -15,7 +15,9 @@ its commas; from its first other chunk on, a log is read by
 reports, folds each agent's competence, productivity and late count
 from those columns without building records; :func:`ingest_log` builds
 a :class:`SprintRecord` per row from the same columns for library
-callers. Both reject a log with the same errors."""
+callers. Both reject a log with the same errors. Each numeric cell rule
+is stated once, in the table :func:`_cell_rules`, which builds the
+column checks and words the problems of a rejected row."""
 
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice, repeat
 from operator import add, and_, gt, le, sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import InputError, load_input
 
@@ -195,6 +197,7 @@ _RANGES = {
     "mood_begin": (1.0, 5.0),
     "mood_end": (1.0, 5.0),
 }
+_INTEGER_COLUMNS = ("sprint_index", "collaborators")  # read back as ints
 
 # Rows per chunk: a log is read, checked and handed on this many rows at
 # a time, so memory stays flat in the length of the log. A plain chunk
@@ -206,35 +209,44 @@ _RANGES = {
 _CHUNK_ROWS = 4096
 
 
-def _in_range(low: float, high: float):
+@cache  # each rejected row is worded from the table
+def _cell_rules(ranges) -> tuple[tuple[str, Callable[[float], bool], str], ...]:
+    """Each numeric cell rule once, as ``(column, test, problem)``, in
+    the order a row's problems are worded: a finite ``value`` breaks it
+    when ``test(value)`` is false, worded ``problem.format(value)``.
+    ``ranges`` is ``tuple(_RANGES.items())`` as each caller reads it, so
+    the table follows ``_RANGES``."""
+    rules = [
+        (
+            column,
+            lambda value, low=low, high=high: low <= value <= high,
+            f"{column} {{}} outside [{low:g}, {high:g}]",
+        )
+        for column, (low, high) in ranges
+    ]
+    rules += [
+        ("actual_days", partial(le, 0.0), "actual_days must be >= 0"),
+        ("estimated_days", partial(le, 0.0), "estimated_days must be >= 0"),
+        ("collaborators", partial(le, 1.0), "collaborators must be >= 1"),
+    ]
+    rules += [
+        (column, float.is_integer, f"{column} must be an integer")
+        for column in _INTEGER_COLUMNS
+    ]
+    return tuple(rules)
+
+
+def _number(tests: Sequence[Callable[[float], bool]], integer: bool):
+    """The check of a numeric cell text: its value if it passes ``tests``."""
+
     def check(text: str) -> float:
         value = float(text)
-        if low <= value <= high:
-            return value
-        raise ValueError(text)
+        for test in tests:
+            if not test(value):
+                raise ValueError(text)
+        return int(value) if integer else value
 
     return check
-
-
-def _days(text: str) -> float:
-    value = float(text)
-    if 0.0 <= value < math.inf:
-        return value
-    raise ValueError(text)
-
-
-def _sprint(text: str) -> int:
-    value = float(text)
-    if value.is_integer():
-        return int(value)
-    raise ValueError(text)
-
-
-def _collaborators(text: str) -> int:
-    value = float(text)
-    if value >= 1.0 and value.is_integer():
-        return int(value)
-    raise ValueError(text)
 
 
 def _name(text: str) -> str:
@@ -257,17 +269,14 @@ def _optional(text: str) -> float | None:
 def _cell_checks(optional: Sequence[str]) -> dict:
     """Column -> the check of one cell text: it returns the cell's value
     or raises ValueError. A row is valid when each of its cells is, so a
-    column can be checked on its distinct texts alone. The ranges are
-    read from ``_RANGES`` on each call."""
-    checks = {
-        "assignee_id": _name,
-        "sprint_index": _sprint,
-        "estimated_days": _days,
-        "actual_days": _days,
-        "collaborators": _collaborators,
-    }
-    for column, (low, high) in _RANGES.items():
-        checks[column] = _in_range(low, high)
+    column can be checked on its distinct texts alone. A numeric cell
+    must be finite and keep its column's rules in :func:`_cell_rules`."""
+    tests = defaultdict(lambda: [math.isfinite])
+    for column, test, _ in _cell_rules(tuple(_RANGES.items())):
+        tests[column].append(test)
+    checks = {"assignee_id": _name}
+    for column, column_tests in tests.items():
+        checks[column] = _number(column_tests, column in _INTEGER_COLUMNS)
     for column in optional:
         checks[column] = _optional
     return checks
@@ -445,20 +454,9 @@ def _row_errors(row, row_no, numeric, optional) -> list[str]:
             unreadable.append(f"row {row_no}: {column} must be finite")
     if unreadable:
         return problems + unreadable
-    for column, (low, high) in _RANGES.items():
-        value = parsed[column]
-        if not low <= value <= high:
-            problems.append(
-                f"row {row_no}: {column} {value} outside [{low:g}, {high:g}]"
-            )
-    for column in ("actual_days", "estimated_days"):
-        if parsed[column] < 0:
-            problems.append(f"row {row_no}: {column} must be >= 0")
-    if parsed["collaborators"] < 1:
-        problems.append(f"row {row_no}: collaborators must be >= 1")
-    for column in ("sprint_index", "collaborators"):
-        if not parsed[column].is_integer():
-            problems.append(f"row {row_no}: {column} must be an integer")
+    for column, test, problem in _cell_rules(tuple(_RANGES.items())):
+        if not test(parsed[column]):
+            problems.append(f"row {row_no}: " + problem.format(parsed[column]))
     return problems
 
 

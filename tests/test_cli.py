@@ -772,6 +772,36 @@ class TestMalformedCorpus:
         err = capsys.readouterr().err
         assert err == "error: assignment.1: unknown goal 'H'\n"
 
+    def goalnet_errors(self, tmp_path, capsys, stories, assignment):
+        paths = {"stories.json": {"stories": stories},
+                 "goals.json": {"goals": ["G"], "assignment": assignment}}
+        for name, doc in paths.items():
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["goalnet", "--stories", str(tmp_path / "stories.json"), "--goals",
+                str(tmp_path / "goals.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        return capsys.readouterr().err
+
+    def test_parent_two_levels_up_exits_2(self, tmp_path, capsys):
+        err = self.goalnet_errors(tmp_path, capsys, [
+            {"id": "1", "text": "As a user, I want to x"},
+            {"id": "1.2.3", "parent": "1", "text": "As a user, I want to y"},
+        ], {"1": "G"})
+        assert err == (
+            f"error: invalid stories file {tmp_path / 'stories.json'}: stories[1]: "
+            "story '1.2.3': parent '1' skips a level "
+            "(expected '1.2'; only a cut_across story may skip)\n"
+        )
+
+    def test_every_unassigned_story_exits_2(self, tmp_path, capsys):
+        err = self.goalnet_errors(tmp_path, capsys, [
+            {"id": str(story), "text": "As a user, I want to x"} for story in (1, 2, 3)
+        ], {"1": "G"})
+        assert err == (
+            "error: assignment.2: unassigned top-level story\n"
+            "error: assignment.3: unassigned top-level story\n"
+        )
+
     def test_unknown_parent_of_a_later_story(self, tmp_path, capsys):
         # "1.1" names a parent listed after it, whose own parent is unknown.
         stories = tmp_path / "stories.json"

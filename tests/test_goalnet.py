@@ -259,6 +259,19 @@ class TestBuildGoalNet:
         with pytest.raises(goalnet.GoalNetError, match="unassigned"):
             build_goal_net([story], ["Account access"], {})
 
+    def test_every_unassigned_story_named_by_its_assignment(self):
+        stories = [
+            parse_story("As a user, I want to x", story_id=story_id)
+            for story_id in ("10", "2", "1")
+        ]
+        stories.append(goalnet.UserStory(id="2.1", role="user", goal="y", parent="2"))
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G"})
+        assert err.value.errors == [
+            "assignment.2: unassigned top-level story",
+            "assignment.10: unassigned top-level story",
+        ]
+
     def test_unknown_goal_label(self):
         story = parse_story("As a user, I want to log in", story_id="1")
         with pytest.raises(
@@ -314,6 +327,30 @@ class TestBuildGoalNet:
         assert err.value.errors == [
             "story '1': parent '1.1' is not a proper prefix of the id"
         ]
+
+    def test_parent_two_levels_up_skips_a_level(self):
+        stories = [
+            parse_story("As a user, I want to x", story_id="1"),
+            goalnet.UserStory(id="1.2.3", role="user", goal="y", parent="1"),
+        ]
+        with pytest.raises(goalnet.GoalNetError) as err:
+            build_goal_net(stories, ["G"], {"1": "G"})
+        assert err.value.errors == [
+            "story '1.2.3': parent '1' skips a level "
+            "(expected '1.2'; only a cut_across story may skip)"
+        ]
+
+    def test_cut_across_story_may_name_its_grandparent(self):
+        stories = [
+            parse_story("As a user, I want to x", story_id="1"),
+            goalnet.UserStory(
+                id="1.2.3", role="user", goal="y", parent="1", cut_across=True
+            ),
+        ]
+        net = build_goal_net(stories, ["G"], {"1": "G"})
+        assert net.children["story-1"] == ("story-1.2.3",)
+        assert net.nodes["story-1.2.3"].level == 4
+        assert validate_net(net) == []
 
     def test_single_substory_is_one_sequence(self):
         stories = [
@@ -642,6 +679,23 @@ class TestDocumentsAndExport:
             f"invalid stories file {path}: stories[2]: story '1.1' references "
             "unknown parent '2'",
         ]
+
+    def test_json_corpus_parent_two_levels_up(self, tmp_path):
+        path = tmp_path / "stories.json"
+        stories = [
+            {"id": "1", "text": "As a user, I want to x"},
+            {"id": "1.2.3", "parent": "1", "text": "As a user, I want to y"},
+        ]
+        path.write_text(json.dumps({"stories": stories}), encoding="utf-8")
+        with pytest.raises(goalnet.GoalNetError) as err:
+            goalnet.load_stories(path)
+        assert err.value.errors == [
+            f"invalid stories file {path}: stories[1]: story '1.2.3': parent '1' "
+            "skips a level (expected '1.2'; only a cut_across story may skip)"
+        ]
+        stories[1]["cut_across"] = True
+        path.write_text(json.dumps({"stories": stories}), encoding="utf-8")
+        assert [story.parent for story in goalnet.load_stories(path)] == [None, "1"]
 
     def test_build_names_every_problem_without_places(self):
         stories = [

@@ -555,6 +555,22 @@ class TestIngestLog:
                 )
             ]
 
+    def test_problems_of_one_row_come_in_rule_order(self, tmp_path):
+        path = write_log(tmp_path, ["t1,s1,1.5,8,5,7,3,-1,11,0.5,3,4"])
+        for read in (metrics.ingest_log, metrics.summarize_log):
+            with pytest.raises(metrics.LogSchemaError) as err:
+                read(path)
+            assert err.value.errors == [
+                f"invalid log file {path}: row 2: {problem}"
+                for problem in (
+                    "quality 11.0 outside [0, 10]",
+                    "actual_days must be >= 0",
+                    "collaborators must be >= 1",
+                    "sprint_index must be an integer",
+                    "collaborators must be an integer",
+                )
+            ]
+
     def test_rejected_row_never_vanishes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(metrics, "_row_errors", lambda *args: [])
         path = write_log(
